@@ -17,12 +17,12 @@ import sys
 from pathlib import Path
 
 from . import families, gcg, propcheck, solver
-from .families import FamilyError, PrincipalPath
+from .families import FamilyError
 from .gcg import GcgError
 from .group_color import GroupColorError
 from .plane_graph import validate
 from .propcheck import CHECK_IDS, RandomInstanceConfig
-from .solver import ExtensionError, ExtensionProblem, HubException, ObstructionCertificate
+from .solver import ExtensionError, ExtensionProblem, ObstructionCertificate
 
 
 class CliError(Exception):
@@ -143,9 +143,9 @@ def _cmd_family_gen(args) -> int:
 
 def _cmd_family_recognize(args) -> int:
     doc = _load(args.file)
-    oc = doc.graph.outer_cycle
-    path = PrincipalPath(oc[len(oc) - 1], oc[0], oc[1])
-    descriptor = families.recognize_generalized_multi_wheel(doc.graph, path)
+    descriptor = families.recognize_generalized_multi_wheel(
+        doc.graph, families.principal_path(doc.graph)
+    )
     if descriptor is None:
         print("not a generalized multi-wheel")
         return 2

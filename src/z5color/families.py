@@ -29,7 +29,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence, Union
 
-from .plane_graph import PlaneNearTriangulation, enclosed_region
+from .plane_graph import (
+    PlaneNearTriangulation,
+    chords,
+    faces_of,
+    linear_from,
+    outer_face_index,
+    split_along,
+)
 
 
 class FamilyError(ValueError):
@@ -110,11 +117,6 @@ def _relabel(
     return PlaneNearTriangulation(len(order), rot, tuple(range(len(outer))))
 
 
-def _linear_from(seq: Sequence[int], start: int) -> list[int]:
-    i = list(seq).index(start)
-    return list(seq[i:]) + list(seq[:i])
-
-
 def _build_broken_wheel(k: int) -> PlaneNearTriangulation:
     if k < 3:
         raise FamilyError(f"broken wheel needs size >= 3, got {k}")
@@ -155,14 +157,14 @@ def _glue(left: PlaneNearTriangulation, right: PlaneNearTriangulation) -> PlaneN
             rotation[map_r(v)] = [map_r(u) for u in right.rotation[v]]
 
     # Major: right fan (head..tail) then left fan minus its duplicated head.
-    right_major = [map_r(u) for u in _linear_from(right.rotation[0], 1)]
-    left_major = _linear_from(left.rotation[0], 1)
+    right_major = [map_r(u) for u in linear_from(right.rotation[0], 1)]
+    left_major = linear_from(left.rotation[0], 1)
     rotation[0] = right_major + left_major[1:]
 
     # Shared vertex: left side from its outer successor around to the major,
     # then the right side continuing to its outer predecessor.
-    left_shared = _linear_from(left.rotation[1], 2)
-    right_shared = [map_r(u) for u in _linear_from(right.rotation[kr - 1], 0)]
+    left_shared = linear_from(left.rotation[1], 2)
+    right_shared = [map_r(u) for u in linear_from(right.rotation[kr - 1], 0)]
     rotation[1] = left_shared + right_shared[1:]
 
     outer = [0] + [map_r(v) for v in range(1, kr)] + list(range(2, kl))
@@ -252,8 +254,15 @@ def build(d: FamilyDescriptor) -> tuple[PlaneNearTriangulation, PrincipalPath]:
         g = _insert_wheel(build(d.base)[0], d.edge, d.subdivisions)
     else:
         raise FamilyError(f"not a descriptor: {d!r}")
-    k = len(g.outer_cycle)
-    return g, PrincipalPath(tail=k - 1, major=0, head=1)
+    return g, principal_path(g)
+
+
+def principal_path(graph: PlaneNearTriangulation) -> PrincipalPath:
+    """The outer cycle's (last, first, second) vertices: the principal path
+    of a graph whose outer cycle is written from the major vertex, as every
+    canonically numbered member's is."""
+    oc = graph.outer_cycle
+    return PrincipalPath(oc[-1], oc[0], oc[1])
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +284,7 @@ def embedding_signature(graph: PlaneNearTriangulation, path: PrincipalPath) -> t
     while qi < len(order):
         v = order[qi]
         qi += 1
-        lin = _linear_from(graph.rotation[v], ref[v])
+        lin = linear_from(graph.rotation[v], ref[v])
         row = []
         for u in lin:
             if u not in label:
@@ -304,14 +313,12 @@ def principal_isomorphic(
 
 
 def _rotated_outer(graph: PlaneNearTriangulation, path: PrincipalPath) -> list[int]:
-    oc = list(graph.outer_cycle)
-    k = len(oc)
-    p = oc.index(path.major)
-    if oc[(p + 1) % k] != path.head or oc[(p - 1) % k] != path.tail:
+    oc = linear_from(graph.outer_cycle, path.major)
+    if oc[1] != path.head or oc[-1] != path.tail:
         raise FamilyError(
             "principal path is not consecutive clockwise on the outer cycle"
         )
-    return oc[p:] + oc[:p]
+    return oc
 
 
 def _peel_candidate(
@@ -323,7 +330,7 @@ def _peel_candidate(
     if len(interior_nbrs) != 1:
         return None
     u = interior_nbrs[0]
-    arc = _linear_from(graph.rotation[w], u)[1:]
+    arc = linear_from(graph.rotation[w], u)[1:]
     if len(arc) < 2:
         return None
     x, y = arc[0], arc[-1]
@@ -344,8 +351,16 @@ def _peel_candidate(
 
 
 def _peel(
-    graph: PlaneNearTriangulation, w: int, x: int, y: int, subdividers: list[int]
+    graph: PlaneNearTriangulation,
+    outer: list[int],
+    w: int,
+    x: int,
+    y: int,
+    subdividers: list[int],
 ) -> PlaneNearTriangulation:
+    """Remove an inserted hub and its subdividers.  ``outer`` is the outer
+    cycle read from the major vertex, so the base comes back canonically
+    numbered with the major vertex at 0."""
     dead = {w, *subdividers}
     rotation = {
         v: [u for u in graph.rotation[v] if u not in dead]
@@ -360,7 +375,7 @@ def _peel(
         first_dead = list(graph.rotation[y]).index(w)
         kept_before = sum(1 for u in graph.rotation[y][:first_dead] if u not in dead)
         rotation[y].insert(kept_before, x)
-    outer = [v for v in graph.outer_cycle if v not in dead]
+    outer = [v for v in outer if v not in dead]
     interiors = sorted(
         v
         for v in range(graph.vertex_count)
@@ -387,7 +402,7 @@ def recognize_generalized_multi_wheel(
 
     pos = {v: i for i, v in enumerate(oc)}
     major_chords = []
-    for a, b in _graph_chords(graph, oc, pos):
+    for a, b in chords(graph):
         if a == oc[0] or b == oc[0]:
             other = b if a == oc[0] else a
             major_chords.append(pos[other])
@@ -396,17 +411,15 @@ def recognize_generalized_multi_wheel(
 
     if major_chords:
         q = min(major_chords)
-        right_cycle = oc[: q + 1]
-        left_cycle = [oc[0]] + oc[q:]
-        sub_r, map_r = enclosed_region(graph, right_cycle)
-        sub_l, map_l = enclosed_region(graph, left_cycle)
+        split = split_along(graph, [oc[0], oc[q]])
+        map_r, map_l = dict(split.map_one), dict(split.map_two)
         d_r = recognize_generalized_multi_wheel(
-            sub_r, PrincipalPath(map_r[oc[q]], map_r[oc[0]], map_r[oc[1]])
+            split.part_one, PrincipalPath(map_r[oc[q]], map_r[oc[0]], map_r[oc[1]])
         )
         if d_r is None:
             return None
         d_l = recognize_generalized_multi_wheel(
-            sub_l, PrincipalPath(map_l[oc[k - 1]], map_l[oc[0]], map_l[oc[q]])
+            split.part_two, PrincipalPath(map_l[oc[k - 1]], map_l[oc[0]], map_l[oc[q]])
         )
         if d_l is None:
             return None
@@ -420,24 +433,11 @@ def recognize_generalized_multi_wheel(
         if hit is None:
             continue
         x, y, subdividers, p = hit
-        base = _peel(graph, w, x, y, subdividers)
-        d_base = recognize_generalized_multi_wheel(
-            base, PrincipalPath(len(base.outer_cycle) - 1, 0, 1)
-        )
+        base = _peel(graph, oc, w, x, y, subdividers)
+        d_base = recognize_generalized_multi_wheel(base, principal_path(base))
         if d_base is not None:
             return InsertWheel(d_base, p, len(subdividers))
     return None
-
-
-def _graph_chords(
-    graph: PlaneNearTriangulation, oc: list[int], pos: dict[int, int]
-) -> list[tuple[int, int]]:
-    k = len(oc)
-    out = []
-    for u, v in graph.edges():
-        if u in pos and v in pos and abs(pos[u] - pos[v]) not in (1, k - 1):
-            out.append((u, v))
-    return out
 
 
 def facial_triangle_property(
@@ -445,8 +445,6 @@ def facial_triangle_property(
 ) -> bool:
     """Every inner face has a vertex on the outer cycle other than the
     major vertex (holds throughout the generalized multi-wheel class)."""
-    from .plane_graph import faces_of, outer_face_index
-
     outer_idx = outer_face_index(graph)
     allowed = graph.outer_set() - {path.major}
     for i, face in enumerate(faces_of(graph)):
@@ -509,7 +507,7 @@ def built_family(max_n: int) -> list[tuple[FamilyDescriptor, PlaneNearTriangulat
     out = []
     for size in range(3, max_n + 1):
         for d, g in _members_of_size(size):
-            out.append((d, g, PrincipalPath(len(g.outer_cycle) - 1, 0, 1)))
+            out.append((d, g, principal_path(g)))
     return out
 
 

@@ -219,9 +219,6 @@ class ColorSystem:
     def precolor_map(self) -> dict[int, int]:
         return dict(self.precoloring)
 
-    def is_precolored(self, v: int) -> bool:
-        return any(u == v for u, _ in self.precoloring)
-
     def available(self, v: int) -> frozenset[int]:
         for u, c in self.precoloring:
             if u == v:

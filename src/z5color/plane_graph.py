@@ -11,14 +11,17 @@ orbit; all other orbits are the inner faces, traversed counterclockwise.
 Vertices are dense indices 0..n-1.  All structural queries the extension
 arguments need live here: chords, separating short cycles, splitting along
 a path, block decomposition, and extraction of the closed region enclosed
-by a cycle.
+by a cycle.  Region work is done once, here, for every caller: the solver
+traces its shrinking sub-regions with ``trace_faces`` (which also takes a
+``{vertex: neighbors}`` sub-rotation) and asks ``cycle_side`` which vertices
+a chord split or a wedge encloses, on faces it has already traced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 Dart = tuple[int, int]
 
@@ -122,14 +125,20 @@ class Block:
 # ---------------------------------------------------------------------------
 
 
-def trace_faces(rotation: Sequence[Sequence[int]]) -> list[tuple[Dart, ...]]:
-    """All dart orbits of the rotation system, each orbit one face."""
-    position: list[dict[int, int]] = [
-        {u: i for i, u in enumerate(nb)} for nb in rotation
-    ]
+def trace_faces(
+    rotation: Sequence[Sequence[int]] | Mapping[int, Sequence[int]]
+) -> list[tuple[Dart, ...]]:
+    """All dart orbits of the rotation system, each orbit one face.
+
+    ``rotation`` is indexed by vertex: a sequence over 0..n-1, or a
+    ``{vertex: neighbors}`` mapping over any labels (a sub-rotation).  Faces
+    come in order of their first dart: vertices in index (resp. key) order,
+    each vertex's darts in rotation order."""
+    vertices = rotation.keys() if isinstance(rotation, Mapping) else range(len(rotation))
+    position = {v: {u: i for i, u in enumerate(rotation[v])} for v in vertices}
     seen: set[Dart] = set()
     faces: list[tuple[Dart, ...]] = []
-    for v0 in range(len(rotation)):
+    for v0 in vertices:
         for u0 in rotation[v0]:
             if (v0, u0) in seen:
                 continue
@@ -150,8 +159,14 @@ def faces_of(graph: PlaneNearTriangulation) -> tuple[tuple[Dart, ...], ...]:
     return tuple(trace_faces(graph.rotation))
 
 
-def _face_vertices(face: tuple[Dart, ...]) -> tuple[int, ...]:
+def face_vertices(face: Sequence[Dart]) -> tuple[int, ...]:
     return tuple(d[0] for d in face)
+
+
+def linear_from(seq: Sequence[int], start: int) -> list[int]:
+    """The cyclic sequence read from ``start`` (rotate-to-start)."""
+    i = list(seq).index(start)
+    return list(seq[i:]) + list(seq[:i])
 
 
 def _cyclic_equal(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -167,13 +182,52 @@ def _cyclic_equal(a: Sequence[int], b: Sequence[int]) -> bool:
     return all(a[i] == b[(start + i) % n] for i in range(n))
 
 
-def outer_face_index(graph: PlaneNearTriangulation) -> int | None:
-    """Index of the traced orbit that equals the outer cycle, or None."""
-    outer = list(graph.outer_cycle)
-    for i, face in enumerate(faces_of(graph)):
-        if _cyclic_equal(outer, list(_face_vertices(face))):
+def _edge_keys(cycle: Sequence[int]) -> set[tuple[int, int]]:
+    """The cycle's edges as (low, high) pairs."""
+    return {(min(a, b), max(a, b)) for a, b in zip(cycle, [*cycle[1:], cycle[0]])}
+
+
+def face_index(faces: Sequence[Sequence[Dart]], cycle: Sequence[int]) -> int | None:
+    """Index of the first traced orbit that reads ``cycle`` (up to rotation)."""
+    for i, face in enumerate(faces):
+        if len(face) == len(cycle) and _cyclic_equal(cycle, face_vertices(face)):
             return i
     return None
+
+
+def outer_face_index(graph: PlaneNearTriangulation) -> int | None:
+    """Index of the traced orbit that equals the outer cycle, or None."""
+    return face_index(faces_of(graph), graph.outer_cycle)
+
+
+def cycle_side(
+    faces: Sequence[Sequence[Dart]], outer_idx: int, cycle: Sequence[int]
+) -> tuple[set[int], tuple[int, ...]]:
+    """Vertices strictly inside a cycle and the indices of the faces it
+    encloses, on the side away from face ``outer_idx``.
+
+    A dual BFS from the outer face that never crosses a cycle edge.  The
+    faces are traced by the caller, so one trace of a region serves every
+    cycle asked about in it."""
+    cyc_edges = _edge_keys(cycle)
+    face_of_dart = {dart: i for i, face in enumerate(faces) for dart in face}
+    reached = {outer_idx}
+    queue = [outer_idx]
+    while queue:
+        fi = queue.pop()
+        for u, v in faces[fi]:
+            if (min(u, v), max(u, v)) in cyc_edges:
+                continue
+            other = face_of_dart[(v, u)]
+            if other not in reached:
+                reached.add(other)
+                queue.append(other)
+    enclosed = tuple(i for i in range(len(faces)) if i not in reached)
+    inside: set[int] = set()
+    for i in enclosed:
+        inside.update(face_vertices(faces[i]))
+    inside.difference_update(cycle)
+    return inside, enclosed
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +309,7 @@ def validate(graph: PlaneNearTriangulation) -> ValidationReport:
 
     for i, face in enumerate(faces):
         if i != outer_idx and len(face) != 3:
-            verts = _face_vertices(face)
+            verts = face_vertices(face)
             problems.append(f"inner face of length {len(face)}: {verts}")
     return ValidationReport(tuple(problems))
 
@@ -279,6 +333,13 @@ def chords(graph: PlaneNearTriangulation) -> list[tuple[int, int]]:
     return out
 
 
+def _traced_outer(graph: PlaneNearTriangulation) -> int:
+    outer_idx = outer_face_index(graph)
+    if outer_idx is None:
+        raise PlaneGraphError("graph has no traced outer face; validate first")
+    return outer_idx
+
+
 def _cycle_sides(
     graph: PlaneNearTriangulation, cycle: Sequence[int]
 ) -> tuple[frozenset[int], frozenset[int], tuple[int, ...]]:
@@ -287,43 +348,14 @@ def _cycle_sides(
     Returns (inside, outside, enclosed_face_indices) where inside is the set
     of vertices on the bounded side not containing the outer face.
     """
-    faces = faces_of(graph)
-    outer_idx = outer_face_index(graph)
-    if outer_idx is None:
-        raise PlaneGraphError("graph has no traced outer face; validate first")
-    cyc_edges = set()
+    outer_idx = _traced_outer(graph)
     k = len(cycle)
     for i in range(k):
         a, b = cycle[i], cycle[(i + 1) % k]
         if not graph.has_edge(a, b):
             raise PlaneGraphError(f"cycle step {a}-{b} is not an edge")
-        cyc_edges.add((min(a, b), max(a, b)))
-
-    face_of_dart: dict[Dart, int] = {}
-    for i, face in enumerate(faces):
-        for dart in face:
-            face_of_dart[dart] = i
-
-    # Dual BFS from the outer face, never crossing a cycle edge.
-    reached = {outer_idx}
-    queue = [outer_idx]
-    while queue:
-        fi = queue.pop()
-        for u, v in faces[fi]:
-            if (min(u, v), max(u, v)) in cyc_edges:
-                continue
-            other = face_of_dart[(v, u)]
-            if other not in reached:
-                reached.add(other)
-                queue.append(other)
-
-    enclosed = tuple(i for i in range(len(faces)) if i not in reached)
-    on_cycle = set(cycle)
-    inside = set()
-    for i in enclosed:
-        inside.update(_face_vertices(faces[i]))
-    inside -= on_cycle
-    outside = set(range(graph.vertex_count)) - on_cycle - inside
+    inside, enclosed = cycle_side(faces_of(graph), outer_idx, cycle)
+    outside = set(range(graph.vertex_count)) - set(cycle) - inside
     return frozenset(inside), frozenset(outside), enclosed
 
 
@@ -353,9 +385,10 @@ def separating_cycles(graph: PlaneNearTriangulation, length: int) -> list[tuple[
                     for c in graph._adj[b]:
                         if c > a and c != d and c in graph._adj[d]:
                             candidates.append((a, b, c, d))
+    faces, outer_idx = faces_of(graph), _traced_outer(graph)
     for cyc in candidates:
-        inside, outside, _ = _cycle_sides(graph, cyc)
-        if inside and outside:
+        inside, _ = cycle_side(faces, outer_idx, cyc)
+        if inside and len(inside) + length < n:
             found.append(cyc)
     return found
 
@@ -369,16 +402,14 @@ def enclosed_region(
     interior by ascending old index) plus the old -> new map."""
     inside, _, enclosed = _cycle_sides(graph, cycle)
     faces = faces_of(graph)
-    keep_edges: set[tuple[int, int]] = set()
+    keep_edges = _edge_keys(cycle)
     k = len(cycle)
-    for i in range(k):
-        a, b = cycle[i], cycle[(i + 1) % k]
-        keep_edges.add((min(a, b), max(a, b)))
     for fi in enclosed:
         for u, v in faces[fi]:
             keep_edges.add((min(u, v), max(u, v)))
 
-    region_vertices = sorted(set(cycle) | inside)
+    on_cycle = set(cycle)
+    region_vertices = sorted(on_cycle | inside)
     sub_rotation = {
         v: [u for u in graph.rotation[v] if (min(u, v), max(u, v)) in keep_edges]
         for v in region_vertices
@@ -387,32 +418,24 @@ def enclosed_region(
     # Orient the boundary by re-tracing inside the region: the orbit whose
     # vertex set is the cycle (and is not an enclosed triangle of the same
     # vertices) is the region's clockwise outer cycle.
-    dense = {v: i for i, v in enumerate(region_vertices)}
-    rot_dense = [
-        tuple(dense[u] for u in sub_rotation[v]) for v in region_vertices
-    ]
-    cycle_dense = [dense[v] for v in cycle]
     matches = [
-        list(_face_vertices(f))
-        for f in trace_faces(rot_dense)
-        if set(_face_vertices(f)) == set(cycle_dense) and len(f) == k
+        list(face_vertices(f))
+        for f in trace_faces(sub_rotation)
+        if len(f) == k and set(face_vertices(f)) == on_cycle
     ]
     if not matches:
         raise PlaneGraphError("cycle does not bound a region of the graph")
-    oriented = next(
-        (mch for mch in matches if _cyclic_equal(cycle_dense, mch)), matches[0]
-    )
-    start = oriented.index(cycle_dense[0])
-    oriented = oriented[start:] + oriented[:start]
+    oriented = next((mch for mch in matches if _cyclic_equal(cycle, mch)), matches[0])
 
-    # Final labels: boundary in oriented order, then interior ascending.
-    order = [region_vertices[i] for i in oriented]
-    order += [v for v in region_vertices if v not in set(cycle)]
+    # Final labels: boundary in oriented order from cycle[0], then interior
+    # ascending.
+    order = linear_from(oriented, cycle[0])
+    order += [v for v in region_vertices if v not in on_cycle]
     relabel = {old: new for new, old in enumerate(order)}
     rotation = tuple(
         tuple(relabel[u] for u in sub_rotation[old]) for old in order
     )
-    outer = tuple(relabel[region_vertices[i]] for i in oriented)
+    outer = tuple(range(k))
     sub = PlaneNearTriangulation(len(order), rotation, outer)
     return sub, relabel
 

@@ -49,24 +49,17 @@ from .families import (
     facial_triangle_property,
     is_multi_wheel_descriptor,
     parse_sexpr,
+    principal_path,
     to_sexpr,
 )
 from .group_color import ColorSystem, PhiAssignment, shift_phi, tau
-from .plane_graph import PlaneNearTriangulation, separating_cycles, validate
-from .solver import count_colorings, lemma1_alpha, marginal_counts
-
-CHECK_IDS = (
-    "calculus",
-    "lemma1",
-    "lemma2",
-    "lemma3a",
-    "lemma3b",
-    "cor1",
-    "lemma4",
-    "lemma5",
-    "theorem4",
-    "corollary2",
+from .plane_graph import (
+    PlaneNearTriangulation,
+    face_vertices,
+    separating_cycles,
+    trace_faces,
 )
+from .solver import count_colorings, is_path_proper, marginal_counts
 
 
 class PropcheckError(ValueError):
@@ -187,12 +180,7 @@ def random_near_triangulation(n: int, outer: int, seed: int) -> PlaneNearTriangu
         for v in range(outer)
     ]
 
-    from .plane_graph import trace_faces
-
-    faces = [
-        [d[0] for d in f] for f in trace_faces(rotation) if len(f) == 3
-    ]
-    outer_orbit = [f for f in trace_faces(rotation) if len(f) == outer]
+    faces = [list(face_vertices(f)) for f in trace_faces(rotation) if len(f) == 3]
     if outer == 3:
         # both orbits are triangles; the outer one reads 0,1,2 in order
         faces = [f for f in faces if f != [0, 1, 2]] or [[0, 2, 1]]
@@ -214,15 +202,6 @@ def random_near_triangulation(n: int, outer: int, seed: int) -> PlaneNearTriangu
     return PlaneNearTriangulation.from_lists(rotation, range(outer))
 
 
-def _family_pool(n_max: int, rng: random.Random, want: int, keep) -> list:
-    members = [item for item in built_family(n_max) if keep(*item)]
-    if not members:
-        raise PropcheckError("no family members satisfy the filter")
-    if len(members) <= want:
-        return members
-    return [members[i] for i in sorted(rng.sample(range(len(members)), want))]
-
-
 def _path_proper_precolor(
     graph: PlaneNearTriangulation,
     phi: PhiAssignment,
@@ -231,12 +210,10 @@ def _path_proper_precolor(
 ) -> dict[int, int]:
     cm = rng.randrange(5)
     tails = [c for c in range(5) if c != tau(phi, path.major, cm, path.tail)]
-    heads = [c for c in range(5) if c != tau(phi, path.major, cm, path.head)]
     ct = rng.choice(tails)
-    if graph.has_edge(path.tail, path.head):
-        heads = [c for c in heads if c != tau(phi, path.tail, ct, path.head)]
-        if not heads:
-            return _path_proper_precolor(graph, phi, path, rng)
+    # At most two of the five head colors clash (with the major and, over a
+    # tail-head edge, with the tail), so the choice is never empty.
+    heads = [c for c in range(5) if is_path_proper(graph, phi, path, (ct, cm, c))]
     return {path.tail: ct, path.major: cm, path.head: rng.choice(heads)}
 
 
@@ -279,11 +256,6 @@ def exceptional_theorem4_config(
 
 def _packet_doc(payload: str) -> gcg.GcgDocument:
     return gcg.parse_gcg(payload)
-
-
-def _canonical_path(graph: PlaneNearTriangulation) -> PrincipalPath:
-    k = len(graph.outer_cycle)
-    return PrincipalPath(graph.outer_cycle[k - 1], graph.outer_cycle[0], graph.outer_cycle[1])
 
 
 def _eval_calculus_obs1(payload: str, aux) -> str | None:
@@ -332,7 +304,7 @@ def _eval_calculus_shift(payload: str, aux) -> str | None:
 def _eval_lemma1(payload: str, aux) -> str | None:
     doc = _packet_doc(payload)
     reroll_seed = aux[0]
-    path = _canonical_path(doc.graph)
+    path = principal_path(doc.graph)
     # Rerolling the two principal-edge labels must not move the alpha; the
     # failure table is shared (it does not involve those edges), only the
     # properness filter changes with each reroll.
@@ -366,7 +338,7 @@ def _eval_lemma1(payload: str, aux) -> str | None:
 
 def _eval_lemma2(payload: str, aux) -> str | None:
     doc = _packet_doc(payload)
-    path = _canonical_path(doc.graph)
+    path = principal_path(doc.graph)
     principal = {
         frozenset((path.tail, path.major)),
         frozenset((path.major, path.head)),
@@ -381,26 +353,18 @@ def _eval_lemma2(payload: str, aux) -> str | None:
 
 def _eval_three_extendable(payload: str, aux) -> str | None:
     doc = _packet_doc(payload)
-    path = _canonical_path(doc.graph)
+    path = principal_path(doc.graph)
     trio = (path.tail, path.major, path.head)
     table = marginal_counts(doc.graph, doc.phi, doc.colors, keep=trio)
     for (ct, cm, ch), count in sorted(table.items()):
-        if ct == tau(doc.phi, path.major, cm, path.tail):
-            continue
-        if ch == tau(doc.phi, path.major, cm, path.head):
-            continue
-        if doc.graph.has_edge(path.tail, path.head) and ch == tau(
-            doc.phi, path.tail, ct, path.head
-        ):
-            continue
-        if count == 0:
+        if count == 0 and is_path_proper(doc.graph, doc.phi, path, (ct, cm, ch)):
             return f"precoloring (tail,major,head)=({ct},{cm},{ch}) does not extend"
     return None
 
 
 def _eval_lemma4(payload: str, aux) -> str | None:
     doc = _packet_doc(payload)
-    path = _canonical_path(doc.graph)
+    path = principal_path(doc.graph)
     tail_forbidden = doc.colors.forbidden[path.tail]
     middles_cs = doc.colors.with_forbidden(path.tail, ())
     for c_head in range(5):
@@ -526,11 +490,9 @@ def _eval_theorem4(payload: str, aux) -> str | None:
     doc = _packet_doc(payload)
     (mode,) = aux
     pre = doc.colors.precolor_map()
-    path = tuple(sorted(pre, key=lambda v: list(doc.graph.outer_cycle).index(v)))
     if mode == 3:
-        oc = list(doc.graph.outer_cycle)
-        k = len(oc)
-        trio = (oc[k - 1], oc[0], oc[1])
+        p = principal_path(doc.graph)
+        trio = (p.tail, p.major, p.head)
         if exceptional_theorem4_config(doc.graph, doc.phi, doc.colors, trio):
             return None  # excluded configuration; never testable
     count = count_colorings(doc.graph, doc.phi, doc.colors)
@@ -666,16 +628,25 @@ def _member_packets(cfg: RandomInstanceConfig, prop: str, keep, constrain) -> li
         sub_rng = random.Random(derive_seed(cfg.seed, prop, index))
         phi = random_phi(g.edges(), sub_rng, cfg.phi_mode)
         payload, aux = constrain(d, g, p, phi, sub_rng, index)
-        packets.append((_base_eval(prop), index, payload, aux))
+        packets.append((prop, index, payload, aux))
     return packets
 
 
-def _base_eval(prop: str) -> str:
-    return prop
+def _forbid_middles(
+    cfg: RandomInstanceConfig,
+    graph: PlaneNearTriangulation,
+    path: PrincipalPath,
+    rng: random.Random,
+) -> ColorSystem:
+    """Up to two forbidden colors on every outer vertex off the principal
+    path; no other constraint."""
+    middles = [v for v in graph.outer_cycle if v not in (path.tail, path.major, path.head)]
+    return random_forbidden(
+        ColorSystem.free(graph.vertex_count), middles, rng, min(cfg.forbid_cap, 2)
+    )
 
 
-def check_calculus(cfg: RandomInstanceConfig, jobs: int = 1) -> CheckReport:
-    start = time.perf_counter()
+def _calculus_packets(cfg: RandomInstanceConfig) -> list:
     packets = [
         ("calculus/obs1", 0, "", ()),
         ("calculus/prop2", 1, "", ()),
@@ -695,114 +666,97 @@ def check_calculus(cfg: RandomInstanceConfig, jobs: int = 1) -> CheckReport:
         v0 = rng.choice([v for v in range(n) if not cs.forbidden[v]])
         aux = (v0, rng.randrange(5))
         packets.append(("calculus/shift", index + 3, payload, aux))
-    failures = _run_packets(packets, jobs)
-    return _report("calculus", cfg, packets, failures, start)
+    return packets
 
 
-def check_lemma(ident, cfg: RandomInstanceConfig, jobs: int = 1) -> CheckReport:
-    name = {1: "lemma1", 2: "lemma2", "3a": "lemma3a", "3b": "lemma3b",
-            4: "lemma4", 5: "lemma5", "cor1": "cor1"}.get(ident, str(ident))
-    if name not in CHECK_IDS or name in ("calculus", "theorem4", "corollary2"):
-        raise PropcheckError(f"unknown lemma identifier {ident!r}")
-    start = time.perf_counter()
-    notes: tuple[str, ...] = ()
-    if name == "lemma1":
-        def keep(d, g, p):
-            return is_multi_wheel_descriptor(d)
+def _lemma1_packets(cfg: RandomInstanceConfig) -> list:
+    def constrain(d, g, p, phi, rng, index):
+        cs = _forbid_middles(cfg, g, p, rng)
+        payload = gcg.write_gcg(g, phi, cs, descriptor=to_sexpr(d))
+        return payload, (derive_seed(cfg.seed, "lemma1-reroll", index),)
 
-        def constrain(d, g, p, phi, rng, index):
-            cs = ColorSystem.free(g.vertex_count)
-            middles = [v for v in g.outer_cycle if v not in (p.tail, p.major, p.head)]
-            cs = random_forbidden(cs, middles, rng, min(cfg.forbid_cap, 2))
-            payload = gcg.write_gcg(g, phi, cs, descriptor=to_sexpr(d))
-            return payload, (derive_seed(cfg.seed, "lemma1-reroll", index),)
+    return _member_packets(
+        cfg, "lemma1", lambda d, g, p: is_multi_wheel_descriptor(d), constrain
+    )
 
-        packets = _member_packets(cfg, "lemma1", keep, constrain)
-    elif name == "lemma2":
-        def keep(d, g, p):
-            return not separating_cycles(g, 3)
 
-        def constrain(d, g, p, phi, rng, index):
-            cs = ColorSystem.free(g.vertex_count)
-            middles = [v for v in g.outer_cycle if v not in (p.tail, p.major, p.head)]
-            cs = random_forbidden(cs, middles, rng, min(cfg.forbid_cap, 2))
-            for v, c in _path_proper_precolor(g, phi, p, rng).items():
-                cs = cs.with_precolor(v, c)
-            return gcg.write_gcg(g, phi, cs, descriptor=to_sexpr(d)), ()
+def _lemma2_packets(cfg: RandomInstanceConfig) -> list:
+    def constrain(d, g, p, phi, rng, index):
+        cs = _forbid_middles(cfg, g, p, rng)
+        for v, c in _path_proper_precolor(g, phi, p, rng).items():
+            cs = cs.with_precolor(v, c)
+        return gcg.write_gcg(g, phi, cs, descriptor=to_sexpr(d)), ()
 
-        packets = _member_packets(cfg, "lemma2", keep, constrain)
-    elif name in ("lemma3a", "lemma3b"):
-        builder = _lemma3a_graph if name == "lemma3a" else _lemma3b_graph
-        low = 3 if name == "lemma3a" else 4
-        packets = []
-        for index in range(cfg.samples):
-            rng = random.Random(derive_seed(cfg.seed, name, index))
-            k = rng.randint(low + 1, max(low + 1, min(cfg.n_max - 2, 12)))
-            i = rng.randint(low, k - 1)
-            g = builder(k, i)
-            phi = random_phi(g.edges(), rng, cfg.phi_mode)
-            cs = ColorSystem.free(g.vertex_count)
-            middles = [v for v in g.outer_cycle if v not in (0, 1, k - 1)]
-            cs = random_forbidden(cs, middles, rng, min(cfg.forbid_cap, 2))
-            packets.append((name, index, gcg.write_gcg(g, phi, cs), ()))
-    elif name == "cor1":
-        def keep(d, g, p):
-            interior = g.interior_vertices()
-            return (
-                is_multi_wheel_descriptor(d)
-                and len(interior) >= 2
-                and all(g.has_edge(v, p.head) for v in interior)
-                and not separating_cycles(g, 3)
-            )
+    return _member_packets(
+        cfg, "lemma2", lambda d, g, p: not separating_cycles(g, 3), constrain
+    )
 
-        def constrain(d, g, p, phi, rng, index):
-            cs = ColorSystem.free(g.vertex_count)
-            middles = [v for v in g.outer_cycle if v not in (p.tail, p.major, p.head)]
-            cs = random_forbidden(cs, middles, rng, min(cfg.forbid_cap, 2))
-            return gcg.write_gcg(g, phi, cs, descriptor=to_sexpr(d)), ()
 
-        packets = _member_packets(cfg, "cor1", keep, constrain)
-    elif name == "lemma4":
-        def keep(d, g, p):
-            return True
+def _lemma3_packets(cfg: RandomInstanceConfig, name: str) -> list:
+    builder = _lemma3a_graph if name == "lemma3a" else _lemma3b_graph
+    low = 3 if name == "lemma3a" else 4
+    packets = []
+    for index in range(cfg.samples):
+        rng = random.Random(derive_seed(cfg.seed, name, index))
+        k = rng.randint(low + 1, max(low + 1, min(cfg.n_max - 2, 12)))
+        i = rng.randint(low, k - 1)
+        g = builder(k, i)
+        phi = random_phi(g.edges(), rng, cfg.phi_mode)
+        cs = _forbid_middles(cfg, g, principal_path(g), rng)
+        packets.append((name, index, gcg.write_gcg(g, phi, cs), ()))
+    return packets
 
-        def constrain(d, g, p, phi, rng, index):
-            cs = ColorSystem.free(g.vertex_count)
-            eligible = [v for v in g.outer_cycle if v not in (p.major, p.head)]
-            cs = random_forbidden(cs, eligible, rng, min(cfg.forbid_cap, 2))
-            return gcg.write_gcg(g, phi, cs, descriptor=to_sexpr(d)), ()
 
-        packets = _member_packets(cfg, "lemma4", keep, constrain)
-    else:  # lemma5
-        notes = (
-            "clean vertices capped at three forbidden colors, all other "
-            "boundary vertices at two, as stated",
+def _cor1_packets(cfg: RandomInstanceConfig) -> list:
+    def keep(d, g, p):
+        interior = g.interior_vertices()
+        return (
+            is_multi_wheel_descriptor(d)
+            and len(interior) >= 2
+            and all(g.has_edge(v, p.head) for v in interior)
+            and not separating_cycles(g, 3)
         )
-        rng_members = random.Random(derive_seed(cfg.seed, "lemma5", "members"))
-        members = built_family(max(3, cfg.n_max - 3))
-        packets = []
-        for index in range(cfg.samples):
-            rng = random.Random(derive_seed(cfg.seed, "lemma5", index))
-            count = rng.randint(1, 3)
-            while True:
-                parts = [members[rng.randrange(len(members))][0] for _ in range(count)]
-                string = build_wheel_string(parts)
-                if string.vertex_count <= cfg.n_max:
-                    break
-                count = max(1, count - 1)
-            phi = random_phi(string.edges(), rng, cfg.phi_mode)
-            cs = ColorSystem.free(string.vertex_count)
-            for v in string.boundary:
-                cap = 3 if v in string.clean else 2
-                cs = cs.with_forbidden(v, rng.sample(range(5), rng.randint(0, cap)))
-            payload = _string_payload(parts, string, phi, cs)
-            packets.append(("lemma5", index, payload, ()))
-    failures = _run_packets(packets, jobs)
-    return _report(name, cfg, packets, failures, start, notes)
+
+    def constrain(d, g, p, phi, rng, index):
+        cs = _forbid_middles(cfg, g, p, rng)
+        return gcg.write_gcg(g, phi, cs, descriptor=to_sexpr(d)), ()
+
+    return _member_packets(cfg, "cor1", keep, constrain)
 
 
-def check_theorem4_bound(cfg: RandomInstanceConfig, jobs: int = 1) -> CheckReport:
-    start = time.perf_counter()
+def _lemma4_packets(cfg: RandomInstanceConfig) -> list:
+    def constrain(d, g, p, phi, rng, index):
+        cs = ColorSystem.free(g.vertex_count)
+        eligible = [v for v in g.outer_cycle if v not in (p.major, p.head)]
+        cs = random_forbidden(cs, eligible, rng, min(cfg.forbid_cap, 2))
+        return gcg.write_gcg(g, phi, cs, descriptor=to_sexpr(d)), ()
+
+    return _member_packets(cfg, "lemma4", lambda d, g, p: True, constrain)
+
+
+def _lemma5_packets(cfg: RandomInstanceConfig) -> list:
+    members = built_family(max(3, cfg.n_max - 3))
+    packets = []
+    for index in range(cfg.samples):
+        rng = random.Random(derive_seed(cfg.seed, "lemma5", index))
+        count = rng.randint(1, 3)
+        while True:
+            parts = [members[rng.randrange(len(members))][0] for _ in range(count)]
+            string = build_wheel_string(parts)
+            if string.vertex_count <= cfg.n_max:
+                break
+            count = max(1, count - 1)
+        phi = random_phi(string.edges(), rng, cfg.phi_mode)
+        cs = ColorSystem.free(string.vertex_count)
+        for v in string.boundary:
+            cap = 3 if v in string.clean else 2
+            cs = cs.with_forbidden(v, rng.sample(range(5), rng.randint(0, cap)))
+        payload = _string_payload(parts, string, phi, cs)
+        packets.append(("lemma5", index, payload, ()))
+    return packets
+
+
+def _theorem4_packets(cfg: RandomInstanceConfig) -> list:
     packets = []
     graphs = max(1, cfg.samples // 50)
     phis = min(cfg.samples, 50)
@@ -816,29 +770,27 @@ def check_theorem4_bound(cfg: RandomInstanceConfig, jobs: int = 1) -> CheckRepor
             rng = random.Random(derive_seed(cfg.seed, "theorem4-phi", gi, pi))
             phi = random_phi(g.edges(), rng, cfg.phi_mode)
             mode = 2 if pi % 2 == 0 else 3
-            cs = ColorSystem.free(n)
             if mode == 2:
-                eligible = [v for v in oc if v not in (oc[0], oc[1])] + []
-                cs = random_forbidden(cs, eligible, rng, min(cfg.forbid_cap, 2))
+                eligible = [v for v in oc if v not in (oc[0], oc[1])]
+                cs = random_forbidden(
+                    ColorSystem.free(n), eligible, rng, min(cfg.forbid_cap, 2)
+                )
                 cm = rng.randrange(5)
                 ch = rng.choice(
                     [c for c in range(5) if c != tau(phi, oc[0], cm, oc[1])]
                 )
                 cs = cs.with_precolor(oc[0], cm).with_precolor(oc[1], ch)
             else:
-                p = PrincipalPath(oc[-1], oc[0], oc[1])
-                eligible = [v for v in oc if v not in (p.tail, p.major, p.head)]
-                cs = random_forbidden(cs, eligible, rng, min(cfg.forbid_cap, 2))
+                p = principal_path(g)
+                cs = _forbid_middles(cfg, g, p, rng)
                 for v, c in _path_proper_precolor(g, phi, p, rng).items():
                     cs = cs.with_precolor(v, c)
             packets.append(("theorem4", index, gcg.write_gcg(g, phi, cs), (mode,)))
             index += 1
-    failures = _run_packets(packets, jobs)
-    return _report("theorem4", cfg, packets, failures, start)
+    return packets
 
 
-def check_corollary(cfg: RandomInstanceConfig, jobs: int = 1) -> CheckReport:
-    start = time.perf_counter()
+def _corollary2_packets(cfg: RandomInstanceConfig) -> list:
     packets = []
     graphs = max(1, cfg.samples // 50)
     phis = min(cfg.samples, 50)
@@ -854,22 +806,67 @@ def check_corollary(cfg: RandomInstanceConfig, jobs: int = 1) -> CheckReport:
                 ("corollary2", index, gcg.write_gcg(g, phi, ColorSystem.free(n)), ())
             )
             index += 1
-    failures = _run_packets(packets, jobs)
-    return _report("corollary2", cfg, packets, failures, start)
+    return packets
+
+
+# One driver per property identifier: it builds the property's seeded packet
+# stream, which ``run_check`` evaluates.
+CHECKS = {
+    "calculus": _calculus_packets,
+    "lemma1": _lemma1_packets,
+    "lemma2": _lemma2_packets,
+    "lemma3a": lambda cfg: _lemma3_packets(cfg, "lemma3a"),
+    "lemma3b": lambda cfg: _lemma3_packets(cfg, "lemma3b"),
+    "cor1": _cor1_packets,
+    "lemma4": _lemma4_packets,
+    "lemma5": _lemma5_packets,
+    "theorem4": _theorem4_packets,
+    "corollary2": _corollary2_packets,
+}
+CHECK_IDS = tuple(CHECKS)
+
+_NOTES = {
+    "lemma5": (
+        "clean vertices capped at three forbidden colors, all other "
+        "boundary vertices at two, as stated",
+    ),
+}
+
+# The lemma checks by the paper's numbering.
+_LEMMAS = {1: "lemma1", 2: "lemma2", "3a": "lemma3a", "3b": "lemma3b",
+           4: "lemma4", 5: "lemma5", "cor1": "cor1"}
 
 
 def run_check(property_id: str, cfg: RandomInstanceConfig, jobs: int = 1) -> CheckReport:
-    if property_id == "calculus":
-        return check_calculus(cfg, jobs)
-    if property_id == "theorem4":
-        return check_theorem4_bound(cfg, jobs)
-    if property_id == "corollary2":
-        return check_corollary(cfg, jobs)
-    if property_id in ("lemma1", "lemma2", "lemma3a", "lemma3b", "cor1", "lemma4", "lemma5"):
-        key = {"lemma1": 1, "lemma2": 2, "lemma3a": "3a", "lemma3b": "3b",
-               "lemma4": 4, "lemma5": 5, "cor1": "cor1"}[property_id]
-        return check_lemma(key, cfg, jobs)
-    raise PropcheckError(f"unknown property {property_id!r}")
+    if property_id not in CHECKS:
+        raise PropcheckError(f"unknown property {property_id!r}")
+    start = time.perf_counter()
+    packets = CHECKS[property_id](cfg)
+    failures = _run_packets(packets, jobs)
+    return _report(
+        property_id, cfg, packets, failures, start, _NOTES.get(property_id, ())
+    )
+
+
+def check_lemma(ident, cfg: RandomInstanceConfig, jobs: int = 1) -> CheckReport:
+    """A lemma check by number (1, 2, "3a", "3b", 4, 5, "cor1") or by its
+    property identifier."""
+    name = _LEMMAS.get(ident, ident)
+    if name not in _LEMMAS.values():
+        raise PropcheckError(f"unknown lemma identifier {ident!r}")
+    return run_check(name, cfg, jobs)
+
+
+def check_calculus(cfg: RandomInstanceConfig, jobs: int = 1) -> CheckReport:
+    return run_check("calculus", cfg, jobs)
+
+
+def check_theorem4_bound(cfg: RandomInstanceConfig, jobs: int = 1) -> CheckReport:
+    return run_check("theorem4", cfg, jobs)
+
+
+def check_corollary(cfg: RandomInstanceConfig, jobs: int = 1) -> CheckReport:
+    return run_check("corollary2", cfg, jobs)
 
 
 def _report(

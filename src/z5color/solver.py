@@ -32,10 +32,20 @@ from .families import (
     PrincipalPath,
     built_family,
     is_multi_wheel_descriptor,
+    principal_path,
     recognize_generalized_multi_wheel,
 )
 from .group_color import ColorSystem, Coloring, PhiAssignment, is_proper, tau
-from .plane_graph import PlaneNearTriangulation, blocks
+from .plane_graph import (
+    PlaneNearTriangulation,
+    blocks,
+    cycle_side,
+    face_index,
+    face_vertices,
+    faces_of,
+    linear_from,
+    trace_faces,
+)
 
 
 class ExtensionError(ValueError):
@@ -302,23 +312,15 @@ def first_coloring(
 # ---------------------------------------------------------------------------
 
 
-def _linear_from(seq: Sequence[int], start: int) -> list[int]:
-    i = list(seq).index(start)
-    return list(seq[i:]) + list(seq[:i])
-
-
 def _check_path(graph: PlaneNearTriangulation, path: Sequence[int]) -> None:
-    oc = list(graph.outer_cycle)
-    k = len(oc)
     try:
-        p = oc.index(path[0])
+        oc = linear_from(graph.outer_cycle, path[0])
     except ValueError:
         raise ExtensionError("path must lie on the outer cycle") from None
-    for t, v in enumerate(path):
-        if oc[(p + t) % k] != v:
-            raise ExtensionError(
-                "precolored path must be consecutive on the outer cycle, clockwise"
-            )
+    if oc[: len(path)] != list(path):
+        raise ExtensionError(
+            "precolored path must be consecutive on the outer cycle, clockwise"
+        )
 
 
 def validate_extension_problem(problem: ExtensionProblem) -> list[str]:
@@ -360,73 +362,20 @@ def validate_extension_problem(problem: ExtensionProblem) -> list[str]:
     return issues
 
 
-def _trace_faces_map(
-    rotation: dict[int, list[int]]
-) -> list[tuple[tuple[int, int], ...]]:
-    position = {v: {u: i for i, u in enumerate(nb)} for v, nb in rotation.items()}
-    seen: set[tuple[int, int]] = set()
-    faces = []
-    for v0 in rotation:
-        for u0 in rotation[v0]:
-            if (v0, u0) in seen:
-                continue
-            orbit = []
-            dart = (v0, u0)
-            while dart not in seen:
-                seen.add(dart)
-                orbit.append(dart)
-                u, v = dart
-                nb = rotation[v]
-                dart = (v, nb[(position[v][u] + 1) % len(nb)])
-            faces.append(tuple(orbit))
-    return faces
-
-
-def _inside_cycle(
-    rotation: dict[int, list[int]], outer: Sequence[int], cycle: Sequence[int]
-) -> set[int]:
-    """Vertices strictly inside ``cycle``, within the sub-near-triangulation
-    given by the (label-preserving) rotation map with boundary ``outer``."""
-    faces = _trace_faces_map(rotation)
-    outer_seq = list(outer)
-    outer_idx = None
-    for i, face in enumerate(faces):
-        verts = [d[0] for d in face]
-        if len(verts) == len(outer_seq) and set(verts) == set(outer_seq):
-            start = verts.index(outer_seq[0])
-            if all(
-                outer_seq[t] == verts[(start + t) % len(verts)]
-                for t in range(len(verts))
-            ):
-                outer_idx = i
-                break
+def _region_insides(
+    g: PlaneNearTriangulation,
+    alive: set[int],
+    boundary: Sequence[int],
+    cycles: Sequence[Sequence[int]],
+) -> list[set[int]]:
+    """Vertices strictly inside each cycle, within the sub-near-triangulation
+    on ``alive`` (labels kept) whose outer cycle is ``boundary``; the region
+    is traced once for all the cycles."""
+    faces = trace_faces({v: [u for u in g.rotation[v] if u in alive] for v in alive})
+    outer_idx = face_index(faces, boundary)
     if outer_idx is None:
         raise RuntimeError("boundary walk lost during recursion (solver defect)")
-    cyc_edges = set()
-    k = len(cycle)
-    for i in range(k):
-        a, b = cycle[i], cycle[(i + 1) % k]
-        cyc_edges.add((min(a, b), max(a, b)))
-    face_of = {}
-    for i, face in enumerate(faces):
-        for dart in face:
-            face_of[dart] = i
-    reached = {outer_idx}
-    queue = [outer_idx]
-    while queue:
-        fi = queue.pop()
-        for u, v in faces[fi]:
-            if (min(u, v), max(u, v)) in cyc_edges:
-                continue
-            other = face_of[(v, u)]
-            if other not in reached:
-                reached.add(other)
-                queue.append(other)
-    inside: set[int] = set()
-    for i, face in enumerate(faces):
-        if i not in reached:
-            inside.update(d[0] for d in face)
-    return inside - set(cycle)
+    return [cycle_side(faces, outer_idx, cycle)[0] for cycle in cycles]
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +399,7 @@ def extend_two(problem: ExtensionProblem) -> Coloring:
     lists = {
         v: set(cs.available(v)) for v in range(g.vertex_count) if v not in assigned
     }
-    outer = _linear_from(g.outer_cycle, problem.path[0])
+    outer = linear_from(g.outer_cycle, problem.path[0])
     _extend_two_rec(g, phi, outer, set(range(g.vertex_count)), lists, assigned)
 
     coloring = tuple(assigned[v] for v in range(g.vertex_count))
@@ -501,8 +450,7 @@ def _extend_two_rec(
         i, j = chord
         arc_one = outer[i : j + 1]
         arc_two = outer[j:] + outer[: i + 1]
-        rotation = {v: [u for u in g.rotation[v] if u in alive] for v in alive}
-        inside_one = _inside_cycle(rotation, outer, arc_one)
+        (inside_one,) = _region_insides(g, alive, outer, [arc_one])
         interior = alive - set(outer)
         inside_two = interior - inside_one
         # The side holding the precolored pair (edge at positions 0-1) is
@@ -517,13 +465,13 @@ def _extend_two_rec(
         _extend_two_rec(
             g,
             phi,
-            _linear_from(first_cycle, outer[0]),
+            linear_from(first_cycle, outer[0]),
             set(first_cycle) | first_inside,
             lists,
             assigned,
         )
         # Both chord endpoints are now colored; they close the second cycle.
-        second_outer = _linear_from(second_cycle, second_cycle[-1])
+        second_outer = linear_from(second_cycle, second_cycle[-1])
         _extend_two_rec(
             g,
             phi,
@@ -543,7 +491,7 @@ def _extend_two_rec(
     if len(options) < 2:
         raise RuntimeError("boundary list collapsed below two colors (solver defect)")
     alpha, beta = options[0], options[1]
-    fan = _linear_from([u for u in g.rotation[vk] if u in alive], v1)
+    fan = linear_from([u for u in g.rotation[vk] if u in alive], v1)
     if fan[-1] != vkm1:
         raise RuntimeError("boundary fan does not end at the outer predecessor")
     inner_fan = fan[1:-1]
@@ -624,8 +572,6 @@ def _short_rec(
     pos = {c: i for i, c in enumerate(cycle)}
     nbr_pos = sorted(pos[c] for c in cycle if c in g.adjacency(center))
     taken = {tau(phi, cycle[p], assigned[cycle[p]], center) for p in nbr_pos}
-    rotation = {v: [u for u in g.rotation[v] if u in alive] for v in alive}
-
     regions = []
     for t, p in enumerate(nbr_pos):
         q = nbr_pos[(t + 1) % len(nbr_pos)]
@@ -634,9 +580,7 @@ def _short_rec(
             continue
         arc = [cycle[(p + s) % len(cycle)] for s in range(span + 1)]
         regions.append(arc + [center])
-    region_insides = [
-        _inside_cycle(rotation, cycle, reg) for reg in regions
-    ]
+    region_insides = _region_insides(g, alive, cycle, regions)
 
     for color in sorted(set(range(5)) - taken):
         assigned[center] = color
@@ -752,30 +696,23 @@ def _induced_near_triangulation(
     with its boundary cycle recovered from the traced faces."""
     vset = set(verts)
     rotation = {v: [u for u in g.rotation[v] if u in vset] for v in verts}
-    faces = _trace_faces_map(rotation)
+    faces = trace_faces(rotation)
     inner_faces = {
-        tuple(sorted(_face_verts(f))) for f in _trace_faces_map(
-            {v: list(g.rotation[v]) for v in range(g.vertex_count)}
-        )
-        if len(f) == 3
+        tuple(sorted(face_vertices(f))) for f in faces_of(g) if len(f) == 3
     }
     boundary = None
     for face in faces:
-        fv = _face_verts(face)
+        fv = face_vertices(face)
         if len(face) != 3 or tuple(sorted(fv)) not in inner_faces:
             boundary = fv
             break
     if boundary is None:
-        boundary = _face_verts(faces[0])
+        boundary = face_vertices(faces[0])
     order = list(boundary) + sorted(vset - set(boundary))
     relabel = {v: i for i, v in enumerate(order)}
     rot = tuple(tuple(relabel[u] for u in rotation[v]) for v in order)
     sub = PlaneNearTriangulation(len(order), rot, tuple(range(len(boundary))))
     return sub, relabel
-
-
-def _face_verts(face) -> tuple[int, ...]:
-    return tuple(d[0] for d in face)
 
 
 def _mapped_phi(
@@ -1005,6 +942,25 @@ def lemma1_failure_table(
     )
 
 
+def is_path_proper(
+    graph: PlaneNearTriangulation,
+    phi: PhiAssignment,
+    path: PrincipalPath,
+    triple: tuple[int, int, int],
+) -> bool:
+    """Whether (tail, major, head) colors are proper on the principal path:
+    on its two edges and, when present, on the tail-head edge."""
+    ct, cm, ch = triple
+    if ct == tau(phi, path.major, cm, path.tail):
+        return False
+    if ch == tau(phi, path.major, cm, path.head):
+        return False
+    return not (
+        graph.has_edge(path.tail, path.head)
+        and ch == tau(phi, path.tail, ct, path.head)
+    )
+
+
 def classify_alpha(
     table: dict[tuple[int, int, int], int],
     graph: PlaneNearTriangulation,
@@ -1013,18 +969,11 @@ def classify_alpha(
 ) -> AlphaResult:
     """Classify a failure table against a concrete labeling (which fixes
     which triples count as proper boundary precolorings)."""
-    failures = []
-    for (ct, cm, ch), count in sorted(table.items()):
-        if ct == tau(phi, path.major, cm, path.tail):
-            continue
-        if ch == tau(phi, path.major, cm, path.head):
-            continue
-        if graph.has_edge(path.tail, path.head) and ch == tau(
-            phi, path.tail, ct, path.head
-        ):
-            continue
-        if count == 0:
-            failures.append((ct, cm, ch))
+    failures = [
+        triple
+        for triple, count in sorted(table.items())
+        if count == 0 and is_path_proper(graph, phi, path, triple)
+    ]
     if not failures:
         return AlphaResult("vacuous")
     diffs = {(ct - ch) % 5 for ct, _, ch in failures}
@@ -1050,10 +999,7 @@ def lemma1_alpha(
     disabled, e.g. on broken wheels).
     """
     if path is None:
-        k = len(graph.outer_cycle)
-        path = PrincipalPath(
-            graph.outer_cycle[k - 1], graph.outer_cycle[0], graph.outer_cycle[1]
-        )
+        path = principal_path(graph)
     if phi.modulus != 5 or colors.modulus != 5:
         raise ExtensionError("lemma1_alpha is specified for modulus 5 only")
     if require_multi_wheel:

@@ -1,8 +1,11 @@
 import itertools
+import os
 import random
+from pathlib import Path
 
 import pytest
 
+import z5color
 from z5color.families import build, BrokenWheel, Wheel
 from z5color.group_color import ColorSystem, PhiAssignment
 
@@ -44,3 +47,12 @@ def bw4():
 @pytest.fixture
 def w5():
     return build(Wheel(5))
+
+
+@pytest.fixture
+def cli_env():
+    """Environment for a ``python -m z5color.cli`` child process that
+    imports the same package as the tests, however pytest was started."""
+    src = str(Path(z5color.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}

@@ -368,7 +368,7 @@ def test_acceptance_8_counting_bounds():
     done(8, "counting bounds on 100 stacked triangulations x 50 labelings")
 
 
-def test_acceptance_9_determinism():
+def test_acceptance_9_determinism(cli_env):
     stable = lambda text: [
         l for l in text.splitlines() if not l.startswith("#")
     ]
@@ -383,7 +383,9 @@ def test_acceptance_9_determinism():
     ]
     outputs = []
     for jobs in ("1", "4"):
-        proc = subprocess.run(cmd + ["--jobs", jobs], capture_output=True, text=True)
+        proc = subprocess.run(
+            cmd + ["--jobs", jobs], capture_output=True, text=True, env=cli_env
+        )
         assert proc.returncode == 0
         outputs.append(stable(proc.stdout))
     assert outputs[0] == outputs[1]

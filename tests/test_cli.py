@@ -163,7 +163,7 @@ def test_check_reports_and_exit_codes(capsys, tmp_path):
     assert report_path.read_text() == out
 
 
-def test_check_deterministic_across_processes(k3_file, tmp_path):
+def test_check_deterministic_across_processes(k3_file, tmp_path, cli_env):
     cmd = [
         sys.executable,
         "-m",
@@ -179,7 +179,7 @@ def test_check_deterministic_across_processes(k3_file, tmp_path):
     ]
     body = []
     for jobs in ("1", "4"):
-        r = subprocess.run(cmd + ["--jobs", jobs], capture_output=True, text=True)
+        r = subprocess.run(cmd + ["--jobs", jobs], capture_output=True, text=True, env=cli_env)
         assert r.returncode == 0
         body.append([l for l in r.stdout.splitlines() if not l.startswith("#")])
     assert body[0] == body[1]

@@ -23,7 +23,9 @@ from z5color.families import (
     recognize_generalized_multi_wheel,
     to_sexpr,
 )
+from z5color.group_color import ColorSystem, PhiAssignment
 from z5color.plane_graph import PlaneNearTriangulation, validate
+from z5color.solver import lemma1_alpha
 
 
 def icosahedron_minus_vertex():
@@ -94,6 +96,20 @@ def test_recognize_round_trip_all_members_to_ten():
         assert d2 is not None, to_sexpr(d)
         g2, p2 = build(d2)
         assert principal_isomorphic(g, p, g2, p2), to_sexpr(d)
+
+
+def test_recognize_any_rotation_of_the_outer_cycle():
+    # Writing the outer cycle from another vertex changes no descriptor, and
+    # the principal-path check of lemma1_alpha accepts such input.
+    for d, g, p in built_family(8):
+        expected = recognize_generalized_multi_wheel(g, p)
+        oc = g.outer_cycle
+        for r in range(1, len(oc)):
+            rotated = PlaneNearTriangulation(g.vertex_count, g.rotation, oc[r:] + oc[:r])
+            assert recognize_generalized_multi_wheel(rotated, p) == expected, (to_sexpr(d), r)
+            if is_multi_wheel_descriptor(d) and g.vertex_count <= 7:
+                phi = PhiAssignment.zero(g.edges())
+                lemma1_alpha(rotated, phi, ColorSystem.free(g.vertex_count), path=p)
 
 
 def test_recognize_broken_wheels_all_sizes():

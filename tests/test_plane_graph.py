@@ -8,15 +8,19 @@ from z5color.families import BrokenWheel, Wheel, build, built_family
 from z5color.plane_graph import (
     PlaneGraphError,
     PlaneNearTriangulation,
+    _cycle_sides,
     blocks,
     chords,
+    cycle_side,
     enclosed_region,
+    face_index,
     faces_of,
     separating_cycles,
     split_along,
+    trace_faces,
     validate,
 )
-from z5color.propcheck import random_triangulation
+from z5color.propcheck import random_near_triangulation, random_triangulation
 
 
 def nx_face_count(graph):
@@ -123,9 +127,69 @@ def test_validate_family_members_and_random_triangulations():
         assert len(faces_of(g)) == g.edge_count() - g.vertex_count + 2
 
 
+def test_trace_faces_of_a_mapping_matches_the_sequence():
+    # Same faces in the same order, under the identity labels and under an
+    # order-preserving relabeling to sparse keys.
+    for seed in range(10):
+        g = random_near_triangulation(12, 3 + seed % 6, seed)
+        faces = trace_faces(g.rotation)
+        assert trace_faces({v: list(nb) for v, nb in enumerate(g.rotation)}) == faces
+        label = {v: 3 * v + 7 for v in range(g.vertex_count)}
+        sparse = {label[v]: [label[u] for u in nb] for v, nb in enumerate(g.rotation)}
+        assert trace_faces(sparse) == [
+            tuple((label[u], label[v]) for u, v in face) for face in faces
+        ]
+
+
 # ---------------------------------------------------------------------------
 # chords / separating cycles
 # ---------------------------------------------------------------------------
+
+
+def region_cycles(g, boundary, alive):
+    """Both sides of every chord of a region's boundary, and every wedge
+    between consecutive boundary neighbors of an interior center."""
+    k = len(boundary)
+    out = []
+    for i in range(k):
+        for j in range(i + 2, k):
+            if (i, j) != (0, k - 1) and g.has_edge(boundary[i], boundary[j]):
+                out.append(boundary[i : j + 1])
+                out.append(boundary[j:] + boundary[: i + 1])
+    for c in sorted(alive - set(boundary)):
+        nbr = [p for p in range(k) if g.has_edge(c, boundary[p])]
+        for t, p in enumerate(nbr if len(nbr) >= 2 else []):
+            span = (nbr[(t + 1) % len(nbr)] - p) % k
+            out.append([boundary[(p + s) % k] for s in range(span + 1)] + [c])
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_region_local_inside_matches_host_cycle_sides(seed):
+    # The solver traces each shrinking region on its own; the inside of a
+    # chord split or a center wedge must not depend on that.
+    rng = random.Random(seed)
+    n = rng.randint(8, 18)
+    g = random_near_triangulation(n, rng.randint(4, min(n, 9)), seed)
+    host = list(g.outer_cycle)
+    regions = [(host, set(range(n)))]
+    for cyc in region_cycles(g, host, set(range(n))):
+        inside, _, enclosed = _cycle_sides(g, cyc)
+        alive = set(cyc) | inside
+        # A region is what the solver recurses into: no edge among its
+        # vertices lies outside it (a wedge cut off by a chord is not one).
+        edges = {frozenset(d) for i in enclosed for d in faces_of(g)[i]}
+        if all(frozenset((u, v)) in edges for u in alive for v in g.rotation[u] if v in alive):
+            regions.append((cyc, alive))
+    checked = 0
+    for boundary, alive in regions:
+        faces = trace_faces({v: [u for u in g.rotation[v] if u in alive] for v in alive})
+        outer_idx = face_index(faces, boundary)
+        assert outer_idx is not None
+        for cyc in region_cycles(g, boundary, alive):
+            assert cycle_side(faces, outer_idx, cyc)[0] == _cycle_sides(g, cyc)[0]
+            checked += 1
+    assert len(regions) > 1 and checked > len(regions)
 
 
 def test_chords_examples(bw4):
