@@ -487,7 +487,10 @@ def split_along(
 def blocks(graph) -> list[Block]:
     """Standard block decomposition of any simple graph (adjacency lists or
     a near-triangulation).  Cut vertices appear in multiple blocks; isolated
-    vertices form single-vertex blocks."""
+    vertices form single-vertex blocks.  The lowpoint search emits each block
+    after every block hanging below it, so in reverse order each block meets
+    the earlier blocks of its component in exactly one vertex (none for the
+    first)."""
     if isinstance(graph, PlaneNearTriangulation):
         adj = [list(nb) for nb in graph.rotation]
     else:

@@ -38,6 +38,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 from . import gcg
 from .families import (
@@ -619,7 +620,10 @@ def _member_packets(cfg: RandomInstanceConfig, prop: str, keep, constrain) -> li
     """Sampled (member, phi, forbidden[, precolor]) packets for the family
     lemmas; `constrain` finishes the gcg document per property."""
     rng = random.Random(derive_seed(cfg.seed, prop, "members"))
-    members = [item for item in built_family(cfg.n_max) if keep(*item)]
+    # Only the first `samples` members that pass are ever drawn; one is
+    # looked for even at samples=0, so that an empty filter still raises.
+    passing = (item for item in built_family(cfg.n_max) if keep(*item))
+    members = list(islice(passing, max(cfg.samples, 1)))
     if not members:
         raise PropcheckError(f"no members available for {prop} at n_max={cfg.n_max}")
     packets = []

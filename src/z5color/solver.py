@@ -12,10 +12,14 @@ On top of those sit the constructive algorithms:
 
 - ``extend_two``: two precolored adjacent outer vertices, lists of size at
   least 3 on the rest of the boundary, full lists inside; always succeeds
-  on valid input (chord split / boundary-vertex deletion induction).
+  on valid input (chord split / boundary-vertex deletion induction, run on
+  an explicit stack of regions, so no recursion limit caps its depth).
 - ``color_short_cycle``: fully precolored outer cycle of length at most 5;
   either extends or returns the exceptional hub (a vertex joined to all of
-  a 5-cycle whose forbidden-color images cover the whole group).
+  a 5-cycle whose forbidden-color images cover the whole group).  An
+  interior vertex that sees three or more cycle vertices is a center that
+  splits the region; where none does, each interior block is seeded and
+  colored by the same 2-extension engine, on host labels.
 - ``extend_three``: three precolored consecutive outer vertices, forbidden
   sets capped at two colors on the rest of the boundary; either a coloring
   or a validated obstruction certificate, found by anchored search over the
@@ -419,90 +423,92 @@ def _extend_two_rec(
     lists: dict[int, set[int]],
     assigned: dict[int, int],
 ) -> None:
-    # Invariant: outer[0], outer[1] are assigned, nothing else in `alive` is;
-    # boundary lists have >= 3 colors, interior lists are full.
-    k = len(outer)
-    if len(alive) == 3:
-        v = outer[2]
-        options = (
-            lists[v]
-            - {tau(phi, outer[0], assigned[outer[0]], v)}
-            - {tau(phi, outer[1], assigned[outer[1]], v)}
-        )
-        if not options:
-            raise RuntimeError("triangle base case has no color (solver defect)")
-        assigned[v] = min(options)
-        del lists[v]
-        return
+    # One explicit stack of work items, so depth is bounded by memory, not by
+    # the interpreter's recursion limit.  A region (outer, alive) satisfies,
+    # when popped: outer[0], outer[1] are assigned, nothing else in `alive`
+    # is; boundary lists have >= 3 colors, interior lists are full.  A
+    # deletion's pick (vk, vkm1, alpha, beta) sits below its shrunk region,
+    # so it runs once that region is colored.
+    stack: list[tuple] = [(outer, alive)]
+    while stack:
+        item = stack.pop()
+        if len(item) == 4:
+            vk, vkm1, alpha, beta = item
+            clash = tau(phi, vkm1, assigned[vkm1], vk)
+            assigned[vk] = alpha if alpha != clash else beta
+            continue
+        outer, alive = item
+        k = len(outer)
+        if len(alive) == 3:
+            v = outer[2]
+            options = (
+                lists[v]
+                - {tau(phi, outer[0], assigned[outer[0]], v)}
+                - {tau(phi, outer[1], assigned[outer[1]], v)}
+            )
+            if not options:
+                raise RuntimeError("triangle base case has no color (solver defect)")
+            assigned[v] = min(options)
+            del lists[v]
+            continue
 
-    chord = None
-    for i in range(k):
-        for j in range(i + 2, k):
-            if (i, j) == (0, k - 1):
-                continue
-            if g.has_edge(outer[i], outer[j]):
-                chord = (i, j)
+        chord = None
+        for i in range(k):
+            for j in range(i + 2, k):
+                if (i, j) == (0, k - 1):
+                    continue
+                if g.has_edge(outer[i], outer[j]):
+                    chord = (i, j)
+                    break
+            if chord:
                 break
+
         if chord:
-            break
+            i, j = chord
+            arc_one = outer[i : j + 1]
+            arc_two = outer[j:] + outer[: i + 1]
+            (inside_one,) = _region_insides(g, alive, outer, [arc_one])
+            interior = alive - set(outer)
+            inside_two = interior - inside_one
+            # The side holding the precolored pair (edge at positions 0-1) is
+            # colored first; its arc is arc_one exactly when the chord starts
+            # at position 0.
+            if i == 0:
+                first_cycle, first_inside = arc_one, inside_one
+                second_cycle, second_inside = arc_two, inside_two
+            else:
+                first_cycle, first_inside = arc_two, inside_two
+                second_cycle, second_inside = arc_one, inside_one
+            # Both chord endpoints are colored once the first side is; they
+            # close the second cycle.
+            second_outer = linear_from(second_cycle, second_cycle[-1])
+            stack.append((second_outer, set(second_cycle) | second_inside))
+            first_outer = linear_from(first_cycle, outer[0])
+            stack.append((first_outer, set(first_cycle) | first_inside))
+            continue
 
-    if chord:
-        i, j = chord
-        arc_one = outer[i : j + 1]
-        arc_two = outer[j:] + outer[: i + 1]
-        (inside_one,) = _region_insides(g, alive, outer, [arc_one])
-        interior = alive - set(outer)
-        inside_two = interior - inside_one
-        # The side holding the precolored pair (edge at positions 0-1) is
-        # colored first; its arc is arc_one exactly when the chord starts at
-        # position 0.
-        if i == 0:
-            first_cycle, first_inside = arc_one, inside_one
-            second_cycle, second_inside = arc_two, inside_two
-        else:
-            first_cycle, first_inside = arc_two, inside_two
-            second_cycle, second_inside = arc_one, inside_one
-        _extend_two_rec(
-            g,
-            phi,
-            linear_from(first_cycle, outer[0]),
-            set(first_cycle) | first_inside,
-            lists,
-            assigned,
-        )
-        # Both chord endpoints are now colored; they close the second cycle.
-        second_outer = linear_from(second_cycle, second_cycle[-1])
-        _extend_two_rec(
-            g,
-            phi,
-            second_outer,
-            set(second_cycle) | second_inside,
-            lists,
-            assigned,
-        )
-        return
-
-    # No chord: delete the boundary neighbor of the first precolored vertex,
-    # reserving two of its colors and knocking their images out of the lists
-    # of its interior neighbors.
-    vk = outer[-1]
-    v1, vkm1 = outer[0], outer[-2]
-    options = sorted(lists[vk] - {tau(phi, v1, assigned[v1], vk)})
-    if len(options) < 2:
-        raise RuntimeError("boundary list collapsed below two colors (solver defect)")
-    alpha, beta = options[0], options[1]
-    fan = linear_from([u for u in g.rotation[vk] if u in alive], v1)
-    if fan[-1] != vkm1:
-        raise RuntimeError("boundary fan does not end at the outer predecessor")
-    inner_fan = fan[1:-1]
-    for u in inner_fan:
-        lists[u].discard(tau(phi, vk, alpha, u))
-        lists[u].discard(tau(phi, vk, beta, u))
-    alive.remove(vk)
-    del lists[vk]
-    _extend_two_rec(g, phi, outer[:-1] + inner_fan[::-1], alive, lists, assigned)
-    pick = alpha if alpha != tau(phi, vkm1, assigned[vkm1], vk) else beta
-    assigned[vk] = pick
+        # No chord: delete the boundary neighbor of the first precolored
+        # vertex, reserving two of its colors and knocking their images out
+        # of the lists of its interior neighbors.
+        vk = outer[-1]
+        v1, vkm1 = outer[0], outer[-2]
+        options = sorted(lists[vk] - {tau(phi, v1, assigned[v1], vk)})
+        if len(options) < 2:
+            raise RuntimeError(
+                "boundary list collapsed below two colors (solver defect)"
+            )
+        alpha, beta = options[0], options[1]
+        fan = linear_from([u for u in g.rotation[vk] if u in alive], v1)
+        if fan[-1] != vkm1:
+            raise RuntimeError("boundary fan does not end at the outer predecessor")
+        inner_fan = fan[1:-1]
+        for u in inner_fan:
+            lists[u].discard(tau(phi, vk, alpha, u))
+            lists[u].discard(tau(phi, vk, beta, u))
+        alive.remove(vk)
+        del lists[vk]
+        stack.append((vk, vkm1, alpha, beta))
+        stack.append((outer[:-1] + inner_fan[::-1], alive))
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +541,12 @@ def color_short_cycle(
     result = _short_rec(graph, phi, oc, set(range(graph.vertex_count)), assigned)
     if result is not None:
         return result
-    return tuple(assigned[v] for v in range(graph.vertex_count))
+    coloring = tuple(assigned[v] for v in range(graph.vertex_count))
+    if not is_proper(graph, phi, coloring):
+        raise RuntimeError(
+            "short-cycle extension produced an improper coloring (solver defect)"
+        )
+    return coloring
 
 
 def _short_rec(
@@ -566,7 +577,7 @@ def _short_rec(
     if center is None:
         # Every interior vertex sees at most two colored vertices: push the
         # constraints into lists and color the interior block by block.
-        _color_interior_blocks(g, phi, cycle, interior, assigned)
+        _color_interior_blocks(g, phi, interior, assigned)
         return None
 
     pos = {c: i for i, c in enumerate(cycle)}
@@ -603,13 +614,16 @@ def _short_rec(
 def _color_interior_blocks(
     g: PlaneNearTriangulation,
     phi: PhiAssignment,
-    cycle: list[int],
     interior: set[int],
     assigned: dict[int, int],
 ) -> None:
     """Color the interior subgraph when each of its vertices sees at most
-    two colored cycle vertices: lists stay at size >= 3, so each block is
-    two-extendable once a seed edge or vertex is colored."""
+    two colored cycle vertices: lists stay at size >= 3, so each block is a
+    2-extension problem.  Blocks are taken in reverse emission order, where
+    each one meets the colored ones in at most one (cut) vertex.  The ring of
+    a block (its vertices, or its boundary face) is read from that vertex;
+    its first two vertices are seeded and ``_extend_two_rec`` colors the rest
+    of the block on host labels."""
     lists = {}
     for v in interior:
         banned = {
@@ -619,115 +633,33 @@ def _color_interior_blocks(
 
     index = sorted(interior)
     local = {v: i for i, v in enumerate(index)}
-    adj = [[u for u in g.rotation[v] if u in interior] for v in index]
-    for piece in _block_order([ [local[u] for u in row] for row in adj ]):
+    adj = [[local[u] for u in g.rotation[v] if u in interior] for v in index]
+    for piece in reversed(blocks(adj)):
         verts = [index[i] for i in piece.vertices]
-        colored = [v for v in verts if v in assigned]
-        if len(verts) == 1:
-            v = verts[0]
-            if v not in assigned:
-                assigned[v] = min(lists[v])
-            continue
-        if len(verts) == 2:
-            u, v = verts
-            if u in assigned and v in assigned:
-                continue
-            if v in assigned:
-                u, v = v, u
-            if u not in assigned:
-                assigned[u] = min(lists[u])
-            assigned[v] = min(lists[v] - {tau(phi, u, assigned[u], v)})
-            continue
-        sub, relabel = _induced_near_triangulation(g, verts)
-        back = {i: v for v, i in relabel.items()}
-        sub_outer = sub.outer_cycle
-        if colored:
-            seed = relabel[colored[0]]
-        else:
-            seed = 0
-        a = sub_outer[list(sub_outer).index(seed)]
-        b = sub_outer[(list(sub_outer).index(seed) + 1) % len(sub_outer)]
-        va, vb = back[a], back[b]
-        if va not in assigned:
-            assigned[va] = min(lists[va])
-        if vb not in assigned:
-            assigned[vb] = min(lists[vb] - {tau(phi, va, assigned[va], vb)})
-        sub_phi = _mapped_phi(phi, g, back, sub.vertex_count)
-        cs = ColorSystem(
-            5,
-            tuple(
-                frozenset(range(5)) - frozenset(lists[back[i]])
-                for i in range(sub.vertex_count)
-            ),
-        )
-        cs = cs.with_precolor(a, assigned[va]).with_precolor(b, assigned[vb])
-        sub_coloring = extend_two(
-            ExtensionProblem(sub, sub_phi, cs, (a, b))
-        )
-        for i, c in enumerate(sub_coloring):
-            assigned[back[i]] = c
+        ring = verts if len(verts) < 3 else _block_boundary(g, verts)
+        ring = linear_from(ring, next((v for v in verts if v in assigned), ring[0]))
+        a = ring[0]
+        if a not in assigned:
+            assigned[a] = min(lists[a])
+        if len(ring) > 1:
+            b = ring[1]
+            assigned[b] = min(lists[b] - {tau(phi, a, assigned[a], b)})
+        if len(verts) >= 3:
+            _extend_two_rec(g, phi, ring, set(verts), lists, assigned)
 
 
-def _block_order(adj: list[list[int]]):
-    """Blocks ordered so each one (after the first of its component) meets
-    the already-processed ones in exactly one cut vertex."""
-    pieces = blocks(adj)
-    done_vertices: set[int] = set()
-    remaining = list(pieces)
-    ordered = []
-    while remaining:
-        pick = None
-        for piece in remaining:
-            if done_vertices & set(piece.vertices):
-                pick = piece
-                break
-        if pick is None:
-            pick = remaining[0]
-        remaining.remove(pick)
-        ordered.append(pick)
-        done_vertices.update(pick.vertices)
-    return ordered
-
-
-def _induced_near_triangulation(
-    g: PlaneNearTriangulation, verts: list[int]
-) -> tuple[PlaneNearTriangulation, dict[int, int]]:
-    """The induced subgraph on a 2-connected block of interior vertices,
-    with its boundary cycle recovered from the traced faces."""
+def _block_boundary(g: PlaneNearTriangulation, verts: list[int]) -> tuple[int, ...]:
+    """The boundary cycle of a 2-connected block of interior vertices: the
+    first face of its traced sub-rotation whose vertex set is not a
+    triangular face of ``g``, or its first face if there is none (a block
+    that is itself a face of ``g``)."""
     vset = set(verts)
-    rotation = {v: [u for u in g.rotation[v] if u in vset] for v in verts}
-    faces = trace_faces(rotation)
-    inner_faces = {
-        tuple(sorted(face_vertices(f))) for f in faces_of(g) if len(f) == 3
-    }
-    boundary = None
-    for face in faces:
-        fv = face_vertices(face)
-        if len(face) != 3 or tuple(sorted(fv)) not in inner_faces:
-            boundary = fv
-            break
-    if boundary is None:
-        boundary = face_vertices(faces[0])
-    order = list(boundary) + sorted(vset - set(boundary))
-    relabel = {v: i for i, v in enumerate(order)}
-    rot = tuple(tuple(relabel[u] for u in rotation[v]) for v in order)
-    sub = PlaneNearTriangulation(len(order), rot, tuple(range(len(boundary))))
-    return sub, relabel
-
-
-def _mapped_phi(
-    phi: PhiAssignment,
-    g: PlaneNearTriangulation,
-    back: dict[int, int],
-    n: int,
-) -> PhiAssignment:
-    records = []
-    for i in range(n):
-        for jj in range(i + 1, n):
-            u, v = back[i], back[jj]
-            if g.has_edge(u, v) and phi.has_edge(u, v):
-                records.append((i, jj, phi.offset(u, v)))
-    return PhiAssignment(phi.modulus, tuple(records))
+    faces = trace_faces({v: [u for u in g.rotation[v] if u in vset] for v in verts})
+    triangles = {frozenset(face_vertices(f)) for f in faces_of(g) if len(f) == 3}
+    for f in faces:
+        if len(f) != 3 or frozenset(face_vertices(f)) not in triangles:
+            return face_vertices(f)
+    return face_vertices(faces[0])
 
 
 # ---------------------------------------------------------------------------

@@ -334,10 +334,24 @@ def test_blocks_isolated_vertex_and_random_agree_with_networkx(rng):
         n = rng.randint(2, 9)
         g = nx.gnp_random_graph(n, 0.35, seed=rng.randrange(10**6))
         adj = [sorted(g.neighbors(v)) for v in range(n)]
+        for row in adj:
+            rng.shuffle(row)
+        pieces = blocks(adj)
         mine = sorted(
-            b.vertices for b in blocks(adj) if len(b.vertices) > 1
+            b.vertices for b in pieces if len(b.vertices) > 1
         )
         theirs = sorted(
             tuple(sorted(c)) for c in nx.biconnected_components(g)
         )
         assert mine == theirs
+        # In reverse emission order each block meets the earlier blocks of
+        # its component in exactly one vertex, the first block in none.
+        component = {
+            v: i for i, comp in enumerate(nx.connected_components(g)) for v in comp
+        }
+        seen, started = set(), set()
+        for b in reversed(pieces):
+            comp = component[b.vertices[0]]
+            assert len(seen & set(b.vertices)) == (1 if comp in started else 0)
+            seen.update(b.vertices)
+            started.add(comp)

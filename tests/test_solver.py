@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from z5color.families import (
     to_sexpr,
 )
 from z5color.group_color import ColorSystem, PhiAssignment, is_proper, shift_phi, tau
+from z5color.plane_graph import PlaneNearTriangulation, validate
 from z5color.propcheck import random_near_triangulation, random_phi, random_triangulation
 from z5color.solver import (
     AlphaResult,
@@ -183,6 +185,21 @@ def test_extend_two_random_problems(rng):
             assert count_colorings(g, phi, cs) > 0
 
 
+def test_extend_two_large_broken_wheel():
+    # Each fan triangle is cut off by its own chord split, so the induction
+    # nests about n regions deep; no recursion limit may bound that.
+    g, _ = build(BrokenWheel(1000))
+    n = g.vertex_count
+    phi = PhiAssignment.zero(g.edges())
+    a, b = g.outer_cycle[0], g.outer_cycle[1]
+    cs = ColorSystem(
+        5, tuple(frozenset({v % 5, (v + 2) % 5}) for v in range(n))
+    ).with_precolor(a, 0).with_precolor(b, 1)
+    coloring = extend_two(ExtensionProblem(g, phi, cs, (a, b)))
+    assert is_proper(g, phi, coloring)
+    assert all(coloring[v] in cs.available(v) for v in range(n))
+
+
 def test_extend_two_validates_input(bw4):
     g, _ = bw4
     phi = PhiAssignment.zero(g.edges())
@@ -262,12 +279,70 @@ def test_short_cycle_triangle_random(rng):
         assert is_proper(g, phi, result)
 
 
+def plane_graph_from_points(points, edges, outer):
+    """The near-triangulation drawn with straight edges at ``points``:
+    each rotation lists the neighbours clockwise by angle."""
+    nbrs = [[] for _ in points]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+
+    def clockwise(v):
+        x, y = points[v]
+        return sorted(
+            nbrs[v], key=lambda u: -math.atan2(points[u][1] - y, points[u][0] - x)
+        )
+
+    g = PlaneNearTriangulation.from_lists(
+        [clockwise(v) for v in range(len(points))], outer
+    )
+    assert validate(g).ok
+    return g
+
+
+def antiprism_with_hub():
+    """Outer 5-cycle 0-4, inner 5-cycle 5-9 turned half a step, hub 10:
+    the interior is one 6-vertex wheel block."""
+    def at(radius, steps):
+        a = math.radians(72 * steps)
+        return (radius * math.cos(a), radius * math.sin(a))
+
+    points = [at(1, i) for i in range(5)] + [at(0.5, i + 0.5) for i in range(5)]
+    edges = []
+    for i in range(5):
+        j = (i + 1) % 5
+        edges += [(i, j), (5 + i, 5 + j), (i, 5 + i), (j, 5 + i), (5 + i, 10)]
+    return plane_graph_from_points(points + [(0, 0)], edges, (0, 4, 3, 2, 1))
+
+
+def bowtie_in_square():
+    """Outer square a, b, c, d = 0-3 around the triangles m-p-q and m-r-s
+    (4-8): two triangle blocks sharing the cut vertex m."""
+    a, b, c, d, m, p, q, r, s = range(9)
+    points = [(-2, 2), (2, 2), (2, -2), (-2, -2), (0, 0), (-0.8, 1.3), (0.8, 1.3),
+              (0.8, -1.3), (-1.3, -0.8)]
+    edges = [(a, b), (b, c), (c, d), (d, a), (m, p), (p, q), (q, m), (m, r),
+             (r, s), (s, m), (p, a), (p, b), (q, b), (q, c), (m, a), (m, c),
+             (r, c), (r, d), (s, a), (s, d)]
+    return plane_graph_from_points(points, edges, (a, b, c, d))
+
+
 def test_short_cycle_agrees_with_counts(rng):
     # For cycles of length 4 and 5: extension returned iff the count is
     # positive; exception returned iff zero, with the full forbidden image.
-    for k in (4, 5):
-        g = random_near_triangulation(k + 2, k, seed=17 * k)
-        for _ in range(12):
+    # In the hand-built graphs no interior vertex sees three outer ones, so
+    # their interiors are colored block by block.
+    hand_built = [antiprism_with_hub(), bowtie_in_square()]
+    for g in hand_built:
+        assert all(
+            len(g.adjacency(v) & g.outer_set()) < 3 for v in g.interior_vertices()
+        )
+    # (graph, labelings drawn); the oracle takes about 1.5 s per antiprism
+    # labeling.
+    cases = [(random_near_triangulation(k + 2, k, seed=17 * k), 12) for k in (4, 5)]
+    for g, draws in cases + [(g, 3) for g in hand_built]:
+        k = len(g.outer_cycle)
+        for _ in range(draws):
             phi = random_phi_on(g, rng)
             table = marginal_counts(g, phi, None, keep=tuple(range(k)))
             for trip, cnt in sorted(table.items()):
