@@ -54,11 +54,11 @@ class PhiAssignment:
                 raise GroupColorError(f"loop edge {tail}")
             if not 0 <= value < self.modulus:
                 raise GroupColorError(f"value {value} out of range mod {self.modulus}")
-            if (tail, head) in delta:
+            if (tail, head) in delta or (head, tail) in delta:
                 raise GroupColorError(f"duplicate edge record {tail}-{head}")
-            # tau(v=tail, alpha, u=head) = alpha + value; reversed query negates.
+            # tau(v=tail, alpha, u=head) = alpha + value; only the stored
+            # orientation is kept, and ``offset`` negates a reversed query.
             delta[(tail, head)] = value
-            delta[(head, tail)] = (-value) % self.modulus
         object.__setattr__(self, "_delta", delta)
 
     @classmethod
@@ -78,14 +78,17 @@ class PhiAssignment:
             yield _edge_key(tail, head)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self._delta
+        return (u, v) in self._delta or (v, u) in self._delta
 
     def offset(self, v: int, u: int) -> int:
         """The tau offset from v to u: tau(v, alpha, u) = alpha + offset(v, u)."""
-        try:
-            return self._delta[(v, u)]
-        except KeyError:
-            raise GroupColorError(f"{v}-{u} is not an edge of this labeling") from None
+        value = self._delta.get((v, u))
+        if value is not None:
+            return value
+        value = self._delta.get((u, v))
+        if value is None:
+            raise GroupColorError(f"{v}-{u} is not an edge of this labeling")
+        return -value % self.modulus
 
     def remove_edge(self, u: int, v: int) -> PhiAssignment:
         if not self.has_edge(u, v):
@@ -210,7 +213,7 @@ class ColorSystem:
 
     @classmethod
     def free(cls, n: int, modulus: int = 5) -> ColorSystem:
-        return cls(modulus, tuple(frozenset() for _ in range(n)))
+        return cls(modulus, (frozenset(),) * n)
 
     @property
     def vertex_count(self) -> int:

@@ -619,7 +619,6 @@ def _lemma3b_graph(k: int, i: int) -> PlaneNearTriangulation:
 def _member_packets(cfg: RandomInstanceConfig, prop: str, keep, constrain) -> list:
     """Sampled (member, phi, forbidden[, precolor]) packets for the family
     lemmas; `constrain` finishes the gcg document per property."""
-    rng = random.Random(derive_seed(cfg.seed, prop, "members"))
     # Only the first `samples` members that pass are ever drawn; one is
     # looked for even at samples=0, so that an empty filter still raises.
     passing = (item for item in built_family(cfg.n_max) if keep(*item))

@@ -3,17 +3,20 @@
 Two independent routes compute with colorings:
 
 - ``enumerate_colorings`` walks the search tree directly (backtracking with
-  forward checking, fixed vertex order), yielding every proper coloring.
+  forward checking, fixed vertex order, on an explicit stack), yielding
+  every proper coloring.
 - ``count_colorings`` / ``marginal_counts`` run exact variable elimination
-  over the same constraints; fast enough to serve as the brute-force oracle
-  at desk scale.  The two routes are cross-checked in the test suite.
+  over the same constraints, in a minimum-degree order kept in a heap;
+  fast enough to serve as the brute-force oracle at desk scale.  The two
+  routes are cross-checked in the test suite.
 
 On top of those sit the constructive algorithms:
 
 - ``extend_two``: two precolored adjacent outer vertices, lists of size at
   least 3 on the rest of the boundary, full lists inside; always succeeds
   on valid input (chord split / boundary-vertex deletion induction, run on
-  an explicit stack of regions, so no recursion limit caps its depth).
+  an explicit stack of regions, so no recursion limit caps its depth; a
+  chord split finds its sides by a flood fill, not by re-tracing faces).
 - ``color_short_cycle``: fully precolored outer cycle of length at most 5;
   either extends or returns the exceptional hub (a vertex joined to all of
   a 5-cycle whose forbidden-color images cover the whole group).  An
@@ -28,7 +31,9 @@ On top of those sit the constructive algorithms:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, Sequence
 
 from .families import (
@@ -133,9 +138,13 @@ def marginal_counts(
 ) -> dict[tuple[int, ...], int]:
     """Exact number of proper colorings for every assignment of ``keep``.
 
-    All other vertices are eliminated in greedy minimum-scope order; the
-    result maps color tuples (in ``keep`` order) to extension counts.  With
-    empty ``keep`` the single entry at () is the total count.
+    All other vertices are eliminated in greedy minimum-scope order, ties to
+    the lower vertex; the result maps color tuples (in ``keep`` order) to
+    extension counts.  With empty ``keep`` the single entry at () is the
+    total count.  A vertex's scope is itself and its neighbors in the
+    interaction graph, so the order is kept in a heap of (1 + degree,
+    vertex) entries, re-pushed as eliminations change degrees (stale entries
+    are skipped), and each vertex lists the ids of the factors it is in.
     """
     n = _vertex_count(graph)
     m = phi.modulus
@@ -146,8 +155,18 @@ def marginal_counts(
         raise ExtensionError("keep vertices must be distinct")
 
     factors: list[tuple[tuple[int, ...], dict[tuple[int, ...], int]]] = []
+    factor_ids: list[list[int]] = [[] for _ in range(n)]
+    live: list[bool] = []
+    nbrs: list[set[int]] = [set() for _ in range(n)]  # the interaction graph
+
+    def add_factor(scope: tuple[int, ...], table: dict) -> None:
+        for u in scope:
+            factor_ids[u].append(len(factors))
+        factors.append((scope, table))
+        live.append(True)
+
     for v in range(n):
-        factors.append(((v,), {(c,): 1 for c in avail[v]}))
+        add_factor((v,), {(c,): 1 for c in avail[v]})
     for tail, head, value in phi.records:
         table = {}
         for a in avail[tail]:
@@ -155,26 +174,31 @@ def marginal_counts(
                 if (b - a) % m != value:
                     key = (a, b) if tail < head else (b, a)
                     table[key] = 1
-        factors.append((tuple(sorted((tail, head))), table))
+        add_factor(tuple(sorted((tail, head))), table)
+        nbrs[tail].add(head)
+        nbrs[head].add(tail)
 
-    def scope_size(v: int) -> int:
-        joined: set[int] = set()
-        for scope, _ in factors:
-            if v in scope:
-                joined.update(scope)
-        return len(joined)
-
-    from itertools import product
-
-    remaining = [v for v in range(n) if v not in keep_set]
-    while remaining:
-        v = min(remaining, key=lambda u: (scope_size(u), u))
-        remaining.remove(v)
-        touching = [f for f in factors if v in f[0]]
-        factors = [f for f in factors if v not in f[0]]
-        out_scope = tuple(
-            sorted(set().union(*(set(s) for s, _ in touching)) - {v})
-        )
+    heap = [(1 + len(nbrs[v]), v) for v in range(n) if v not in keep_set]
+    heapq.heapify(heap)
+    eliminated = [False] * n
+    while heap:
+        size, v = heapq.heappop(heap)
+        if eliminated[v] or size != 1 + len(nbrs[v]):
+            continue
+        eliminated[v] = True
+        touching = []
+        for f in factor_ids[v]:
+            if live[f]:
+                live[f] = False
+                touching.append(factors[f])
+        # v's neighbors become a clique: the scope of the new factor.
+        out_scope = tuple(sorted(nbrs[v]))
+        for u in out_scope:
+            nbrs[u].discard(v)
+            nbrs[u].update(out_scope)
+            nbrs[u].discard(u)
+            if u not in keep_set:
+                heapq.heappush(heap, (1 + len(nbrs[u]), u))
         # Split each table into (out-assignment -> vector over v's color) so
         # the sweep below does one dict hop per factor per assignment.
         prepared = []
@@ -208,8 +232,9 @@ def marginal_counts(
                     total += prod
                 if total:
                     new_table[assign] = total
-        factors.append((out_scope, new_table))
+        add_factor(out_scope, new_table)
 
+    factors = [f for f, alive in zip(factors, live) if alive]
     index_of = {u: i for i, u in enumerate(keep)}
     result: dict[tuple[int, ...], int] = {}
 
@@ -257,7 +282,11 @@ def enumerate_colorings(
     order: Sequence[int] | None = None,
 ) -> Iterator[Coloring]:
     """Yield every proper coloring, deterministically (colors ascending at
-    each vertex of the fixed order), by backtracking with forward checking."""
+    each vertex of the fixed order), by backtracking with forward checking.
+
+    The search runs on an explicit stack of ``[depth, next color, undo
+    log]`` frames, one per colored vertex, so its depth is bounded by
+    memory, not by the interpreter's recursion limit."""
     n = _vertex_count(graph)
     m = phi.modulus
     avail = _avail_lists(n, m, colors)
@@ -269,40 +298,46 @@ def enumerate_colorings(
     for v in range(n):
         for c in avail[v]:
             masks[v] |= 1 << c
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for tail, head, value in phi.records:
-        nbrs[tail].append((head, value))
-        nbrs[head].append((tail, (-value) % m))
-
     depth_of = {v: i for i, v in enumerate(order)}
+    # Forward checking only touches neighbors later in the order.
+    later: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for tail, head, value in phi.records:
+        if depth_of[head] > depth_of[tail]:
+            later[tail].append((head, value))
+        else:
+            later[head].append((tail, (-value) % m))
+
+    if n == 0:
+        yield ()
+        return
     assignment = [0] * n
-
-    def walk(depth: int, masks: list[int]) -> Iterator[Coloring]:
-        if depth == n:
-            yield tuple(assignment)
-            return
+    stack: list[list] = [[0, 0, []]]
+    while stack:
+        frame = stack[-1]
+        depth, c, touched = frame
+        for u, old in touched:
+            masks[u] = old
         v = order[depth]
-        for c in range(m):
-            if not masks[v] & (1 << c):
-                continue
-            assignment[v] = c
-            dead = False
-            touched: list[tuple[int, int]] = []
-            for u, delta in nbrs[v]:
-                if depth_of[u] > depth:
-                    bit = 1 << ((c + delta) % m)
-                    if masks[u] & bit:
-                        touched.append((u, masks[u]))
-                        masks[u] &= ~bit
-                        if not masks[u]:
-                            dead = True
-                            break
-            if not dead:
-                yield from walk(depth + 1, masks)
-            for u, old in touched:
-                masks[u] = old
-
-    yield from walk(0, masks)
+        while c < m and not masks[v] & (1 << c):
+            c += 1
+        if c == m:
+            stack.pop()
+            continue
+        frame[1] = c + 1
+        assignment[v] = c
+        touched = frame[2] = []
+        for u, delta in later[v]:
+            bit = 1 << ((c + delta) % m)
+            if masks[u] & bit:
+                touched.append((u, masks[u]))
+                masks[u] &= ~bit
+                if not masks[u]:
+                    break  # a dead end: the next pass undoes and moves on
+        else:
+            if depth + 1 == n:
+                yield tuple(assignment)
+            else:
+                stack.append([depth + 1, 0, []])
 
 
 def first_coloring(
@@ -380,6 +415,27 @@ def _region_insides(
     if outer_idx is None:
         raise RuntimeError("boundary walk lost during recursion (solver defect)")
     return [cycle_side(faces, outer_idx, cycle)[0] for cycle in cycles]
+
+
+def _arc_inside(
+    g: PlaneNearTriangulation, interior: set[int], arc: Sequence[int]
+) -> set[int]:
+    """Interior vertices on the side of a chord ``arc[0]``-``arc[-1]`` that
+    ``arc`` bounds, in a region whose interior vertices are ``interior``.
+
+    A flood fill over ``interior`` from the interior neighbors of the arc's
+    inner vertices: an edge from an inner arc vertex into the interior lies
+    on the arc's side, and every interior component of that side touches an
+    inner arc vertex, because the chord bounds only one face on that side.
+    The cost is that of the side, not of the whole region."""
+    inside: set[int] = set()
+    todo = [u for a in arc[1:-1] for u in g.rotation[a] if u in interior]
+    while todo:
+        u = todo.pop()
+        if u not in inside:
+            inside.add(u)
+            todo.extend(w for w in g.rotation[u] if w in interior and w not in inside)
+    return inside
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +523,8 @@ def _extend_two_rec(
             i, j = chord
             arc_one = outer[i : j + 1]
             arc_two = outer[j:] + outer[: i + 1]
-            (inside_one,) = _region_insides(g, alive, outer, [arc_one])
             interior = alive - set(outer)
+            inside_one = _arc_inside(g, interior, arc_one)
             inside_two = interior - inside_one
             # The side holding the precolored pair (edge at positions 0-1) is
             # colored first; its arc is arc_one exactly when the chord starts

@@ -211,6 +211,30 @@ def test_phi_assignment_rejects_duplicates_and_loops():
         PhiAssignment(5, ((0, 1, 5),))
 
 
+def test_phi_assignment_offsets_both_ways_from_one_stored_orientation(rng):
+    g, _ = build(Wheel(6))
+    phi = random_phi_on(g, rng)
+    m = phi.modulus
+    for tail, head, value in phi.records:
+        assert phi.offset(tail, head) == value
+        assert phi.offset(head, tail) == -value % m
+        assert phi.has_edge(tail, head) and phi.has_edge(head, tail)
+    for u, v in itertools.permutations(range(g.vertex_count), 2):
+        assert phi.has_edge(u, v) == g.has_edge(u, v)
+        if g.has_edge(u, v):
+            assert phi.offset(u, v) == -phi.offset(v, u) % m
+        else:
+            with pytest.raises(GroupColorError, match="not an edge"):
+                phi.offset(u, v)
+
+
+def test_phi_assignment_rejects_a_reversed_duplicate():
+    with pytest.raises(GroupColorError, match="duplicate"):
+        PhiAssignment(5, ((2, 3, 0), (0, 1, 4), (3, 2, 1)))
+    with pytest.raises(GroupColorError, match="duplicate"):
+        PhiAssignment(5, ((2, 3, 0), (2, 3, 0)))
+
+
 def test_generic_modulus_supported():
     phi = PhiAssignment(6, ((0, 1, 5),))
     assert tau(phi, 0, 3, 1) == 2

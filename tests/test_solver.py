@@ -16,7 +16,7 @@ from z5color.families import (
     to_sexpr,
 )
 from z5color.group_color import ColorSystem, PhiAssignment, is_proper, shift_phi, tau
-from z5color.plane_graph import PlaneNearTriangulation, validate
+from z5color.plane_graph import PlaneNearTriangulation, _cycle_sides, validate
 from z5color.propcheck import random_near_triangulation, random_phi, random_triangulation
 from z5color.solver import (
     AlphaResult,
@@ -24,6 +24,7 @@ from z5color.solver import (
     ExtensionProblem,
     HubException,
     ObstructionCertificate,
+    _arc_inside,
     classify_alpha,
     color_short_cycle,
     count_colorings,
@@ -198,6 +199,100 @@ def test_extend_two_large_broken_wheel():
     coloring = extend_two(ExtensionProblem(g, phi, cs, (a, b)))
     assert is_proper(g, phi, coloring)
     assert all(coloring[v] in cs.available(v) for v in range(n))
+
+
+def test_count_closed_forms_at_3000_vertices():
+    # The elimination order is kept in a heap, so a 2-tree and a wheel of
+    # this size are counted in seconds; the closed forms overflow every
+    # fixed-width integer.
+    g, _ = build(BrokenWheel(3000))
+    assert count_colorings(g, PhiAssignment.zero(g.edges())) == 20 * 3**2998
+    g, _ = build(Wheel(3000))
+    assert count_colorings(g, PhiAssignment.zero(g.edges())) == 5 * (3**3000 + 3)
+
+
+def test_extend_two_broken_wheel_3000():
+    # A chord split fills only its own side, so a fan of 3000 triangles is
+    # colored without re-tracing the remaining region at every split.
+    g, _ = build(BrokenWheel(3000))
+    n = g.vertex_count
+    phi = PhiAssignment.zero(g.edges())
+    a, b = g.outer_cycle[0], g.outer_cycle[1]
+    cs = ColorSystem(
+        5, tuple(frozenset({v % 5, (v + 3) % 5}) for v in range(n))
+    ).with_precolor(a, 0).with_precolor(b, 1)
+    coloring = extend_two(ExtensionProblem(g, phi, cs, (a, b)))
+    assert is_proper(g, phi, coloring)
+    assert all(coloring[v] in cs.available(v) for v in range(n))
+
+
+def test_first_coloring_deeper_than_the_recursion_limit():
+    g, _ = build(BrokenWheel(1500))
+    phi = PhiAssignment.zero(g.edges())
+    coloring = first_coloring(g, phi)
+    assert coloring is not None and is_proper(g, phi, coloring)
+
+
+def flipped_near_triangulation(g, rng, tries):
+    """``g`` after random flips of inner edges (each kept only if the result
+    is still a valid near-triangulation), so it is no longer stacked."""
+    rot = [list(r) for r in g.rotation]
+    outer = list(g.outer_cycle)
+    k = len(outer)
+    outer_edges = {frozenset((outer[i], outer[(i + 1) % k])) for i in range(k)}
+    for _ in range(tries):
+        u = rng.randrange(len(rot))
+        v = rng.choice(rot[u])
+        if frozenset((u, v)) in outer_edges:
+            continue
+        # The faces on the two sides of uv are (u, v, x) and (v, u, y).
+        x = rot[v][(rot[v].index(u) + 1) % len(rot[v])]
+        y = rot[u][(rot[u].index(v) + 1) % len(rot[u])]
+        if x == y or y in rot[x]:
+            continue
+        new = [list(r) for r in rot]
+        new[u].remove(v)
+        new[v].remove(u)
+        new[x].insert(new[x].index(v) + 1, y)
+        new[y].insert(new[y].index(u) + 1, x)
+        if validate(PlaneNearTriangulation.from_lists(new, outer)).ok:
+            rot = new
+    return PlaneNearTriangulation.from_lists(rot, outer)
+
+
+def test_arc_inside_matches_cycle_sides():
+    # The chord split's flood fill against the dual BFS of plane_graph, on
+    # both sides of every chord of the outer cycle, then again in the
+    # regions that splitting at the first chord leaves, as extend_two does.
+    checked = nonempty = flipped = 0
+    for seed in range(24):
+        rng = random.Random(seed)
+        n = rng.randint(8, 40)
+        g = random_near_triangulation(n, rng.randint(4, min(n, 12)), seed)
+        if seed % 2:
+            h = flipped_near_triangulation(g, rng, 4 * n)
+            assert validate(h).ok
+            flipped += h.rotation != g.rotation
+            g = h
+        regions = [(list(g.outer_cycle), set(range(n)) - set(g.outer_cycle))]
+        while regions:
+            outer, interior = regions.pop()
+            k = len(outer)
+            chords = [
+                (i, j)
+                for i in range(k)
+                for j in range(i + 2, k)
+                if (i, j) != (0, k - 1) and g.has_edge(outer[i], outer[j])
+            ]
+            for i, j in chords:
+                for arc in (outer[i : j + 1], outer[j:] + outer[: i + 1]):
+                    inside = _arc_inside(g, interior, arc)
+                    assert inside == set(_cycle_sides(g, arc)[0])
+                    checked += 1
+                    nonempty += bool(inside)
+                    if (i, j) == chords[0]:
+                        regions.append((arc, inside))
+    assert flipped >= 10 and checked > 300 and nonempty > 100
 
 
 def test_extend_two_validates_input(bw4):
