@@ -14,7 +14,8 @@ a path, block decomposition, and extraction of the closed region enclosed
 by a cycle.  Region work is done once, here, for every caller: the solver
 traces its shrinking sub-regions with ``trace_faces`` (which also takes a
 ``{vertex: neighbors}`` sub-rotation) and asks ``cycle_side`` which vertices
-a chord split or a wedge encloses, on faces it has already traced.
+a wedge encloses, on faces it has already traced and indexed by dart once
+(``dart_faces``).
 """
 
 from __future__ import annotations
@@ -200,17 +201,24 @@ def outer_face_index(graph: PlaneNearTriangulation) -> int | None:
     return face_index(faces_of(graph), graph.outer_cycle)
 
 
+def dart_faces(faces: Sequence[Sequence[Dart]]) -> dict[Dart, int]:
+    """The index of the traced face each dart lies on."""
+    return {dart: i for i, face in enumerate(faces) for dart in face}
+
+
 def cycle_side(
-    faces: Sequence[Sequence[Dart]], outer_idx: int, cycle: Sequence[int]
+    faces: Sequence[Sequence[Dart]],
+    face_of_dart: Mapping[Dart, int],
+    outer_idx: int,
+    cycle: Sequence[int],
 ) -> tuple[set[int], tuple[int, ...]]:
     """Vertices strictly inside a cycle and the indices of the faces it
     encloses, on the side away from face ``outer_idx``.
 
     A dual BFS from the outer face that never crosses a cycle edge.  The
-    faces are traced by the caller, so one trace of a region serves every
-    cycle asked about in it."""
+    faces are traced, and their ``dart_faces`` index built, by the caller,
+    so one trace of a region serves every cycle asked about in it."""
     cyc_edges = _edge_keys(cycle)
-    face_of_dart = {dart: i for i, face in enumerate(faces) for dart in face}
     reached = {outer_idx}
     queue = [outer_idx]
     while queue:
@@ -354,7 +362,8 @@ def _cycle_sides(
         a, b = cycle[i], cycle[(i + 1) % k]
         if not graph.has_edge(a, b):
             raise PlaneGraphError(f"cycle step {a}-{b} is not an edge")
-    inside, enclosed = cycle_side(faces_of(graph), outer_idx, cycle)
+    faces = faces_of(graph)
+    inside, enclosed = cycle_side(faces, dart_faces(faces), outer_idx, cycle)
     outside = set(range(graph.vertex_count)) - set(cycle) - inside
     return frozenset(inside), frozenset(outside), enclosed
 
@@ -386,8 +395,9 @@ def separating_cycles(graph: PlaneNearTriangulation, length: int) -> list[tuple[
                         if c > a and c != d and c in graph._adj[d]:
                             candidates.append((a, b, c, d))
     faces, outer_idx = faces_of(graph), _traced_outer(graph)
+    face_of_dart = dart_faces(faces)
     for cyc in candidates:
-        inside, _ = cycle_side(faces, outer_idx, cyc)
+        inside, _ = cycle_side(faces, face_of_dart, outer_idx, cyc)
         if inside and len(inside) + length < n:
             found.append(cyc)
     return found

@@ -339,6 +339,10 @@ def _eval_lemma1(payload: str, aux) -> str | None:
 
 def _eval_lemma2(payload: str, aux) -> str | None:
     doc = _packet_doc(payload)
+    # Deleting a constraint cannot remove a coloring, so only an instance
+    # with none can fail.
+    if count_colorings(doc.graph, doc.phi, doc.colors):
+        return None
     path = principal_path(doc.graph)
     principal = {
         frozenset((path.tail, path.major)),

@@ -6,9 +6,16 @@ Two independent routes compute with colorings:
   forward checking, fixed vertex order, on an explicit stack), yielding
   every proper coloring.
 - ``count_colorings`` / ``marginal_counts`` run exact variable elimination
-  over the same constraints, in a minimum-degree order kept in a heap;
-  fast enough to serve as the brute-force oracle at desk scale.  The two
-  routes are cross-checked in the test suite.
+  over the same constraints, in a minimum-degree order kept in a heap: a
+  structure phase records, per eliminated vertex, gather index lists into
+  its joint table, and an execution phase multiplies and sums flat lists
+  of Python ints (one axis of length m per vertex).  Fast enough to serve
+  as the brute-force oracle at desk scale.  The two routes are
+  cross-checked in the test suite.
+
+``first_coloring`` backtracks up to a fixed number of frames per vertex and
+past that decodes a coloring from the elimination plan, so it always
+finishes in time linear in the plan.
 
 On top of those sit the constructive algorithms:
 
@@ -33,8 +40,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
-from typing import Iterator, Sequence
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
 from .families import (
     FamilyDescriptor,
@@ -49,6 +58,7 @@ from .plane_graph import (
     PlaneNearTriangulation,
     blocks,
     cycle_side,
+    dart_faces,
     face_index,
     face_vertices,
     faces_of,
@@ -110,7 +120,7 @@ class ObstructionCertificate:
 
 
 # ---------------------------------------------------------------------------
-# Exact counting (variable elimination)
+# Exact counting (variable elimination over flat tables)
 # ---------------------------------------------------------------------------
 
 
@@ -127,7 +137,160 @@ def _avail_lists(
         raise ExtensionError(
             f"constraint system covers {colors.vertex_count} vertices, graph has {n}"
         )
+    if colors.modulus != modulus:
+        raise ExtensionError(
+            f"constraint system is mod {colors.modulus}, labeling is mod {modulus}"
+        )
     return [tuple(sorted(colors.available(v))) for v in range(n)]
+
+
+@lru_cache(maxsize=1024)
+def _gather(m: int, strides: tuple[int, ...]) -> tuple[int, ...]:
+    """For each cell of a joint table with one axis of length ``m`` per
+    entry of ``strides`` (last axis fastest), the cell of a factor table
+    whose stride on that axis is the entry (0 on axes it does not have)."""
+    index = [0]
+    for s in strides:
+        offsets = range(0, m * s, s) if s else (0,) * m
+        index = [i + o for i in index for o in offsets]
+    return tuple(index)
+
+
+def _gather_into(
+    m: int, scope: tuple[int, ...], axes: tuple[int, ...]
+) -> tuple[int, ...] | None:
+    """The gather list of a factor over ``scope`` into a table over
+    ``axes`` (a superset), or None when the two tables are laid out alike."""
+    if scope == axes:
+        return None
+    last = len(scope) - 1
+    return _gather(
+        m, tuple(m ** (last - scope.index(u)) if u in scope else 0 for u in axes)
+    )
+
+
+@lru_cache(maxsize=None)
+def _edge_table(m: int, value: int, reversed_record: bool) -> tuple[int, ...]:
+    """The flat table of one edge constraint over (lower, higher) vertex."""
+    sign = -1 if reversed_record else 1
+    return tuple(
+        int((sign * (b - a)) % m != value) for a in range(m) for b in range(m)
+    )
+
+
+def _elimination_plan(
+    n: int,
+    m: int,
+    avail: list[tuple[int, ...]],
+    records: Sequence[tuple[int, int, int]],
+    keep: tuple[int, ...],
+) -> tuple[list, list, list]:
+    """Structure phase of the counter: the initial factor tables, one step
+    per eliminated vertex, and the factors left over ``keep``.
+
+    Factor ids index the table list; the step eliminating ``v`` appends the
+    next id.  A step is ``(v, axes, merges, joins)``: ``axes`` is the joint
+    table's scope (v's neighbors, then v); each merge ``(dst, src,
+    gather)`` multiplies a factor into a touching factor whose scope holds
+    its own, and each join ``(f, gather)`` gathers a factor into the joint
+    table.  The final list holds ``(f, gather)`` into a table over ``keep``.
+    """
+    tables: list = []
+    scopes: list[tuple[int, ...]] = []
+    factor_ids: list[list[int]] = [[] for _ in range(n)]
+    live: list[bool] = []
+
+    def add_factor(scope: tuple[int, ...], table) -> None:
+        for u in scope:
+            factor_ids[u].append(len(scopes))
+        scopes.append(scope)
+        tables.append(table)
+        live.append(True)
+
+    nbrs: list[set[int]] = [set() for _ in range(n)]  # the interaction graph
+    for tail, head, value in records:
+        add_factor(
+            (tail, head) if tail < head else (head, tail),
+            _edge_table(m, value, tail > head),
+        )
+        nbrs[tail].add(head)
+        nbrs[head].add(tail)
+    # A vertex's list is a factor of zeros and ones; one of all ones
+    # changes no product, so it is needed only on an isolated vertex.
+    for v, colors in enumerate(avail):
+        if len(colors) < m or not nbrs[v]:
+            add_factor((v,), [int(c in colors) for c in range(m)])
+
+    keep_set = set(keep)
+    heap = [(1 + len(nbrs[v]), v) for v in range(n) if v not in keep_set]
+    heapq.heapify(heap)
+    eliminated = [False] * n
+    steps = []
+    while heap:
+        size, v = heapq.heappop(heap)
+        if eliminated[v] or size != 1 + len(nbrs[v]):
+            continue
+        eliminated[v] = True
+        touching = [f for f in factor_ids[v] if live[f]]
+        for f in touching:
+            live[f] = False
+        # v's neighbors become a clique: the scope of the new factor.
+        out_scope = tuple(sorted(nbrs[v]))
+        for u in out_scope:
+            nbrs[u].discard(v)
+            nbrs[u].update(out_scope)
+            nbrs[u].discard(u)
+            if u not in keep_set:
+                heapq.heappush(heap, (1 + len(nbrs[u]), u))
+        axes = out_scope + (v,)
+        # A factor whose scope lies inside a larger touching one is multiplied
+        # into it at that smaller size; the rest are gathered into the joint.
+        touching.sort(key=lambda f: len(scopes[f]))
+        merges, joins = [], []
+        for i, f in enumerate(touching):
+            scope = scopes[f]
+            for g in touching[i + 1 :]:
+                if len(scopes[g]) > len(scope) and all(u in scopes[g] for u in scope):
+                    merges.append((g, f, _gather_into(m, scope, scopes[g])))
+                    break
+            else:
+                joins.append((f, _gather_into(m, scope, axes)))
+        steps.append((v, axes, merges, joins))
+        new_id = len(scopes)
+        scopes.append(out_scope)
+        live.append(True)
+        for u in out_scope:
+            factor_ids[u].append(new_id)
+
+    final = [
+        (f, _gather_into(m, scope, keep))
+        for f, (scope, alive) in enumerate(zip(scopes, live))
+        if alive
+    ]
+    return tables, steps, final
+
+
+def _product(tables: list, factors, size: int) -> Iterable[int]:
+    """The cells, in order, of the product of ``factors`` gathered into one
+    table of ``size`` cells; lazy, so no intermediate table is built."""
+    acc = None
+    for f, gather in factors:
+        table = tables[f]
+        column = table if gather is None else map(table.__getitem__, gather)
+        acc = column if acc is None else map(mul, acc, column)
+    return [1] * size if acc is None else acc
+
+
+def _execute(tables: list, steps: list, m: int, combine) -> None:
+    """Execution phase: run the plan's steps over flat tables, appending
+    each step's new factor.  ``combine`` folds the ``m`` cells of the
+    eliminated vertex's axis: ``sum`` counts, ``any`` decides."""
+    for _, axes, merges, joins in steps:
+        for dst, src, gather in merges:
+            column = map(tables[src].__getitem__, gather)
+            tables[dst] = list(map(mul, tables[dst], column))
+        cells = iter(_product(tables, joins, m ** len(axes)))
+        tables.append(list(map(combine, zip(*[cells] * m))))
 
 
 def marginal_counts(
@@ -138,124 +301,38 @@ def marginal_counts(
 ) -> dict[tuple[int, ...], int]:
     """Exact number of proper colorings for every assignment of ``keep``.
 
-    All other vertices are eliminated in greedy minimum-scope order, ties to
-    the lower vertex; the result maps color tuples (in ``keep`` order) to
-    extension counts.  With empty ``keep`` the single entry at () is the
-    total count.  A vertex's scope is itself and its neighbors in the
-    interaction graph, so the order is kept in a heap of (1 + degree,
-    vertex) entries, re-pushed as eliminations change degrees (stale entries
-    are skipped), and each vertex lists the ids of the factors it is in.
+    The result maps color tuples (in ``keep`` order, in the order of the
+    product of their lists) to extension counts.  With empty ``keep`` the
+    single entry at () is the total count.
+
+    Bucket elimination in two phases.  The structure phase eliminates all
+    other vertices in greedy minimum-scope order, ties to the lower vertex:
+    a vertex's scope is itself and its neighbors in the interaction graph,
+    so the order is kept in a heap of (1 + degree, vertex) entries,
+    re-pushed as eliminations change degrees (stale entries are skipped).
+    Each step records its joint scope and, for each touching factor, a
+    gather index list into the joint table (cached per modulus and
+    strides).  The execution phase runs over flat lists of Python ints, one
+    axis of length m per vertex in mixed radix, a forbidden color holding a
+    zero: a step multiplies its gathered factors cell by cell and sums each
+    run of m cells along the eliminated vertex's axis.
     """
     n = _vertex_count(graph)
     m = phi.modulus
     avail = _avail_lists(n, m, colors)
     keep = tuple(keep)
-    keep_set = set(keep)
-    if len(keep_set) != len(keep):
+    if len(set(keep)) != len(keep):
         raise ExtensionError("keep vertices must be distinct")
 
-    factors: list[tuple[tuple[int, ...], dict[tuple[int, ...], int]]] = []
-    factor_ids: list[list[int]] = [[] for _ in range(n)]
-    live: list[bool] = []
-    nbrs: list[set[int]] = [set() for _ in range(n)]  # the interaction graph
-
-    def add_factor(scope: tuple[int, ...], table: dict) -> None:
-        for u in scope:
-            factor_ids[u].append(len(factors))
-        factors.append((scope, table))
-        live.append(True)
-
-    for v in range(n):
-        add_factor((v,), {(c,): 1 for c in avail[v]})
-    for tail, head, value in phi.records:
-        table = {}
-        for a in avail[tail]:
-            for b in avail[head]:
-                if (b - a) % m != value:
-                    key = (a, b) if tail < head else (b, a)
-                    table[key] = 1
-        add_factor(tuple(sorted((tail, head))), table)
-        nbrs[tail].add(head)
-        nbrs[head].add(tail)
-
-    heap = [(1 + len(nbrs[v]), v) for v in range(n) if v not in keep_set]
-    heapq.heapify(heap)
-    eliminated = [False] * n
-    while heap:
-        size, v = heapq.heappop(heap)
-        if eliminated[v] or size != 1 + len(nbrs[v]):
-            continue
-        eliminated[v] = True
-        touching = []
-        for f in factor_ids[v]:
-            if live[f]:
-                live[f] = False
-                touching.append(factors[f])
-        # v's neighbors become a clique: the scope of the new factor.
-        out_scope = tuple(sorted(nbrs[v]))
-        for u in out_scope:
-            nbrs[u].discard(v)
-            nbrs[u].update(out_scope)
-            nbrs[u].discard(u)
-            if u not in keep_set:
-                heapq.heappush(heap, (1 + len(nbrs[u]), u))
-        # Split each table into (out-assignment -> vector over v's color) so
-        # the sweep below does one dict hop per factor per assignment.
-        prepared = []
-        for scope, tbl in touching:
-            v_slot = scope.index(v)
-            out_pos = tuple(out_scope.index(u) for u in scope if u != v)
-            split: dict[tuple[int, ...], dict[int, int]] = {}
-            for key, val in tbl.items():
-                rest = tuple(c for i, c in enumerate(key) if i != v_slot)
-                split.setdefault(rest, {})[key[v_slot]] = val
-            prepared.append((out_pos, split))
-        new_table: dict[tuple[int, ...], int] = {}
-        colors_of_v = avail[v]
-        for assign in product(*(avail[u] for u in out_scope)):
-            vecs = []
-            for out_pos, split in prepared:
-                vec = split.get(tuple(assign[i] for i in out_pos))
-                if vec is None:
-                    break
-                vecs.append(vec)
-            else:
-                total = 0
-                for cv in colors_of_v:
-                    prod = 1
-                    for vec in vecs:
-                        val = vec.get(cv, 0)
-                        if not val:
-                            prod = 0
-                            break
-                        prod *= val
-                    total += prod
-                if total:
-                    new_table[assign] = total
-        add_factor(out_scope, new_table)
-
-    factors = [f for f, alive in zip(factors, live) if alive]
-    index_of = {u: i for i, u in enumerate(keep)}
-    result: dict[tuple[int, ...], int] = {}
-
-    def fill(idx: int, current: list[int]) -> None:
-        if idx == len(keep):
-            assign = tuple(current)
-            prod = 1
-            for scope, tbl in factors:
-                key = tuple(assign[index_of[u]] for u in scope)
-                prod *= tbl.get(key, 0)
-                if not prod:
-                    break
-            result[assign] = prod
-            return
-        for c in avail[keep[idx]]:
-            current.append(c)
-            fill(idx + 1, current)
-            current.pop()
-
-    fill(0, [])
-    return result
+    tables, steps, final = _elimination_plan(n, m, avail, phi.records, keep)
+    _execute(tables, steps, m, sum)
+    acc = list(_product(tables, final, m ** len(keep)))
+    cells = [0]
+    for u in keep:
+        cells = [i * m + c for i in cells for c in avail[u]]
+    return dict(
+        zip(product(*(avail[u] for u in keep)), map(acc.__getitem__, cells))
+    )
 
 
 def count_colorings(
@@ -275,6 +352,10 @@ def coloring_order(graph) -> list[int]:
     return list(graph.outer_cycle) + interior
 
 
+class _FrameCapReached(Exception):
+    """The backtracking search pushed more frames than its cap allows."""
+
+
 def enumerate_colorings(
     graph,
     phi: PhiAssignment,
@@ -287,6 +368,18 @@ def enumerate_colorings(
     The search runs on an explicit stack of ``[depth, next color, undo
     log]`` frames, one per colored vertex, so its depth is bounded by
     memory, not by the interpreter's recursion limit."""
+    return _backtrack(graph, phi, colors, order, None)
+
+
+def _backtrack(
+    graph,
+    phi: PhiAssignment,
+    colors: ColorSystem | None,
+    order: Sequence[int] | None,
+    frame_cap: int | None,
+) -> Iterator[Coloring]:
+    """The search of ``enumerate_colorings``; raises ``_FrameCapReached``
+    once it has pushed more than ``frame_cap`` frames (None: no cap)."""
     n = _vertex_count(graph)
     m = phi.modulus
     avail = _avail_lists(n, m, colors)
@@ -310,6 +403,7 @@ def enumerate_colorings(
     if n == 0:
         yield ()
         return
+    frames_left = frame_cap
     assignment = [0] * n
     stack: list[list] = [[0, 0, []]]
     while stack:
@@ -337,13 +431,67 @@ def enumerate_colorings(
             if depth + 1 == n:
                 yield tuple(assignment)
             else:
+                if frames_left is not None:
+                    frames_left -= 1
+                    if frames_left < 0:
+                        raise _FrameCapReached
                 stack.append([depth + 1, 0, []])
+
+
+# The backtracking in ``first_coloring`` may push this many frames per
+# vertex before the decode takes over.  A frame costs about 3 us and the
+# decode about 0.2 ms per vertex (2-core x86-64, Python 3.11), so a capped
+# search costs about what the decode does, and a capped call about twice
+# the decode: 0.4 s at 1,000 vertices.  Of 1,920 random near-triangulations
+# with 100 to 1,029 vertices, all but ten were colored within 31 frames per
+# vertex (most within one); two needed 180 and 207, eight more than 400.
+_FRAMES_PER_VERTEX = 64
 
 
 def first_coloring(
     graph, phi: PhiAssignment, colors: ColorSystem | None = None
 ) -> Coloring | None:
-    return next(enumerate_colorings(graph, phi, colors), None)
+    """The first coloring ``enumerate_colorings`` yields, or None.
+
+    The backtracking search is capped at ``_FRAMES_PER_VERTEX`` pushed
+    frames per vertex; below the cap the answer is the search's.  Past it,
+    a coloring is decoded from the elimination plan of ``marginal_counts``
+    run with ``any`` in place of ``sum`` (so every cell is 0 or 1): the
+    steps are walked backwards and each vertex takes the lowest color whose
+    product of gathered factors is nonzero, given the vertices eliminated
+    after it.  This takes time linear in the plan, so the call always
+    finishes."""
+    n = _vertex_count(graph)
+    search = _backtrack(graph, phi, colors, None, _FRAMES_PER_VERTEX * n)
+    try:
+        return next(search, None)
+    except _FrameCapReached:
+        return _decode_coloring(n, phi, _avail_lists(n, phi.modulus, colors))
+
+
+def _decode_coloring(
+    n: int, phi: PhiAssignment, avail: list[tuple[int, ...]]
+) -> Coloring | None:
+    """A proper coloring inside the lists ``avail``, or None if there is
+    none, decoded from the elimination plan (see ``first_coloring``)."""
+    m = phi.modulus
+    tables, steps, final = _elimination_plan(n, m, avail, phi.records, ())
+    _execute(tables, steps, m, any)
+    if not all(_product(tables, final, 1)):
+        return None
+    coloring = [0] * n
+    for v, axes, _, joins in reversed(steps):
+        base = 0
+        for u in axes[:-1]:
+            base = base * m + coloring[u]
+        for c in range(m):
+            cell = base * m + c
+            if all(tables[f][cell if g is None else g[cell]] for f, g in joins):
+                coloring[v] = c
+                break
+        else:
+            raise RuntimeError("decoding found no color (solver defect)")
+    return tuple(coloring)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +562,8 @@ def _region_insides(
     outer_idx = face_index(faces, boundary)
     if outer_idx is None:
         raise RuntimeError("boundary walk lost during recursion (solver defect)")
-    return [cycle_side(faces, outer_idx, cycle)[0] for cycle in cycles]
+    face_of_dart = dart_faces(faces)
+    return [cycle_side(faces, face_of_dart, outer_idx, cycle)[0] for cycle in cycles]
 
 
 def _arc_inside(

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import os
 import random
@@ -12,15 +13,21 @@ from z5color.group_color import ColorSystem, PhiAssignment
 
 def brute_count(n, phi, colors=None):
     """Independent oracle: literal enumeration of all modulus^n colorings."""
+    return brute_marginals(n, phi, colors, ())[()]
+
+
+def brute_marginals(n, phi, colors, keep):
+    """Independent oracle: literal enumeration of all modulus^n colorings,
+    tallied by the colors of the ``keep`` vertices (missing tuples: 0)."""
     m = phi.modulus
-    total = 0
+    tally = collections.Counter()
     for coloring in itertools.product(range(m), repeat=n):
         if colors is not None:
             if any(coloring[v] not in colors.available(v) for v in range(n)):
                 continue
         if all((coloring[h] - coloring[t]) % m != x for t, h, x in phi.records):
-            total += 1
-    return total
+            tally[tuple(coloring[v] for v in keep)] += 1
+    return tally
 
 
 def random_phi_on(graph, rng, modulus=5):

@@ -12,6 +12,7 @@ from z5color.plane_graph import (
     blocks,
     chords,
     cycle_side,
+    dart_faces,
     enclosed_region,
     face_index,
     faces_of,
@@ -186,8 +187,10 @@ def test_region_local_inside_matches_host_cycle_sides(seed):
         faces = trace_faces({v: [u for u in g.rotation[v] if u in alive] for v in alive})
         outer_idx = face_index(faces, boundary)
         assert outer_idx is not None
+        face_of_dart = dart_faces(faces)
         for cyc in region_cycles(g, boundary, alive):
-            assert cycle_side(faces, outer_idx, cyc)[0] == _cycle_sides(g, cyc)[0]
+            inside, _ = cycle_side(faces, face_of_dart, outer_idx, cyc)
+            assert inside == _cycle_sides(g, cyc)[0]
             checked += 1
     assert len(regions) > 1 and checked > len(regions)
 

@@ -166,6 +166,25 @@ def test_replay_of_passing_lemma_packet():
     assert replay("lemma2", payload) is None
 
 
+def test_lemma2_replay_names_an_edge_whose_deletion_leaves_no_coloring():
+    # Vertex 2 sees the hub 0 (color 1) and vertex 1 (color 2) and forbids
+    # every other color, so the instance has no coloring; deleting the edge
+    # 0-2 frees it, deleting 0-3 (the next edge) does not.
+    g, _ = build(BrokenWheel(5))
+    phi = PhiAssignment.zero(g.edges())
+    cs = (
+        ColorSystem.free(5)
+        .with_precolor(4, 0)
+        .with_precolor(0, 1)
+        .with_precolor(1, 2)
+        .with_forbidden(2, (0, 3, 4))
+    )
+    assert count_colorings(g, phi, cs) == 0
+    assert replay("lemma2", write_gcg(g, phi, cs)) == (
+        "deleting edge 0-3 left no coloring"
+    )
+
+
 def test_derive_seed_stability():
     assert derive_seed(1, "x", 2) == derive_seed(1, "x", 2)
     assert derive_seed(1, "x", 2) != derive_seed(1, "x", 3)

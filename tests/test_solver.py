@@ -1,10 +1,11 @@
 import itertools
 import math
 import random
+import signal
 
 import pytest
 
-from conftest import brute_count, random_phi_on
+from conftest import brute_count, brute_marginals, random_phi_on
 from z5color.families import (
     BrokenWheel,
     Glue,
@@ -17,7 +18,12 @@ from z5color.families import (
 )
 from z5color.group_color import ColorSystem, PhiAssignment, is_proper, shift_phi, tau
 from z5color.plane_graph import PlaneNearTriangulation, _cycle_sides, validate
-from z5color.propcheck import random_near_triangulation, random_phi, random_triangulation
+from z5color.propcheck import (
+    derive_seed,
+    random_near_triangulation,
+    random_phi,
+    random_triangulation,
+)
 from z5color.solver import (
     AlphaResult,
     ExtensionError,
@@ -25,6 +31,8 @@ from z5color.solver import (
     HubException,
     ObstructionCertificate,
     _arc_inside,
+    _avail_lists,
+    _decode_coloring,
     classify_alpha,
     color_short_cycle,
     count_colorings,
@@ -148,6 +156,89 @@ def test_marginal_counts_order_and_totals(rng, w5):
             .with_precolor(1, trip[2])
         )
         assert marg[trip] == count_colorings(g, phi, cs)
+
+
+def test_marginal_counts_match_literal_enumeration():
+    # Moduli 3, 5 and 7; bare vertex counts; records stored either way
+    # round and in any order, some edges left unconstrained; forbidden sets
+    # and precolorings; keep of 0-4 vertices in any order.
+    rng = random.Random(909)
+    for _ in range(60):
+        m = rng.choice((3, 5, 7))
+        n = rng.randint(3, {3: 9, 5: 6, 7: 5}[m])
+        g = random_near_triangulation(n, rng.randint(3, n), rng.randrange(10**6))
+        records = [
+            (u, v, rng.randrange(m)) if rng.random() < 0.5 else (v, u, rng.randrange(m))
+            for u, v in g.edges()
+            if rng.random() < 0.9
+        ]
+        rng.shuffle(records)
+        phi = PhiAssignment(m, tuple(records))
+        cs = ColorSystem.free(n, m)
+        for v in range(n):
+            if rng.random() < 0.4:
+                cs = cs.with_forbidden(v, rng.sample(range(m), rng.randint(1, m - 1)))
+        for v in rng.sample(range(n), rng.randint(0, 2)):
+            cs = cs.with_precolor(v, rng.randrange(m))
+        colors = cs if rng.random() < 0.8 else None
+        keep = tuple(rng.sample(range(n), rng.randint(0, min(4, n))))
+        graph = n if rng.random() < 0.3 else g
+        table = marginal_counts(graph, phi, colors, keep)
+        avail = _avail_lists(n, m, colors)
+        assert list(table) == list(itertools.product(*(avail[u] for u in keep)))
+        assert all(type(value) is int for value in table.values())
+        brute = brute_marginals(n, phi, colors, keep)
+        assert table == {key: brute[key] for key in table}
+
+
+def test_counters_reject_a_constraint_system_of_another_modulus(k3):
+    # Colors 5 and 6 of a mod-7 system have no meaning under a mod-5
+    # labeling; both routes refuse the pair instead of disagreeing.
+    g, _ = k3
+    phi = PhiAssignment.zero(g.edges())
+    cs = ColorSystem.free(3, modulus=7)
+    with pytest.raises(ExtensionError):
+        count_colorings(g, phi, cs)
+    with pytest.raises(ExtensionError):
+        next(enumerate_colorings(g, phi, cs))
+
+
+def test_first_coloring_past_the_frame_cap():
+    # The backtracking on this near-triangulation runs for far longer than
+    # a second; past the frame cap the coloring is decoded from the
+    # elimination plan.  A CPU-time alarm makes a runaway search fail fast.
+    g = random_near_triangulation(1011, 101, derive_seed(2, "near_tri", 1011))
+    phi = PhiAssignment.zero(g.edges())
+
+    def expire(signum, frame):
+        raise TimeoutError("first_coloring ran past its CPU-time alarm")
+
+    previous = signal.signal(signal.SIGVTALRM, expire)
+    signal.setitimer(signal.ITIMER_VIRTUAL, 5.0)
+    try:
+        coloring = first_coloring(g, phi)
+    finally:
+        signal.setitimer(signal.ITIMER_VIRTUAL, 0)
+        signal.signal(signal.SIGVTALRM, previous)
+    assert coloring is not None and is_proper(g, phi, coloring)
+
+
+def test_decoded_coloring_is_proper_or_none_exactly_without_colorings(rng):
+    for _ in range(80):
+        n = rng.randint(3, 12)
+        g = random_near_triangulation(n, rng.randint(3, n), rng.randrange(10**6))
+        phi = random_phi_on(g, rng)
+        cs = ColorSystem.free(n)
+        for v in range(n):
+            cs = cs.with_forbidden(v, rng.sample(range(5), rng.randint(0, 3)))
+        for v in rng.sample(range(n), rng.randint(0, 3)):
+            cs = cs.with_precolor(v, rng.randrange(5))
+        coloring = _decode_coloring(n, phi, _avail_lists(n, 5, cs))
+        if count_colorings(g, phi, cs) == 0:
+            assert coloring is None
+        else:
+            assert is_proper(g, phi, coloring)
+            assert all(coloring[v] in cs.available(v) for v in range(n))
 
 
 # ---------------------------------------------------------------------------
