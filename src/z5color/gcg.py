@@ -19,6 +19,7 @@ near-triangulation) are all hard errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .group_color import ColorSystem, PhiAssignment
 from .plane_graph import PlaneNearTriangulation, validate
@@ -119,10 +120,12 @@ def parse_gcg(text: str) -> GcgDocument:
         raise GcgError("missing n directive")
     if outer is None:
         raise GcgError("missing outer directive")
-    missing = [v for v in range(n) if v not in rot_lines]
-    if missing:
-        raise GcgError(f"missing rot lines for vertices {missing}")
     extra = [v for v in rot_lines if not 0 <= v < n]
+    missing = n - (len(rot_lines) - len(extra))
+    if missing:
+        # n may be huge: name the first few missing vertices, not all of them.
+        first = list(islice((v for v in range(n) if v not in rot_lines), 5))
+        raise GcgError(f"missing rot lines for {missing} of {n} vertices, first {first}")
     if extra:
         raise GcgError(f"rot lines for out-of-range vertices {extra}")
 

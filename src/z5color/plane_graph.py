@@ -11,17 +11,18 @@ orbit; all other orbits are the inner faces, traversed counterclockwise.
 Vertices are dense indices 0..n-1.  All structural queries the extension
 arguments need live here: chords, separating short cycles, splitting along
 a path, block decomposition, and extraction of the closed region enclosed
-by a cycle.  Region work is done once, here, for every caller: the solver
-traces its shrinking sub-regions with ``trace_faces`` (which also takes a
-``{vertex: neighbors}`` sub-rotation) and asks ``cycle_side`` which vertices
-a wedge encloses, on faces it has already traced and indexed by dart once
-(``dart_faces``).
+by a cycle.  ``cycle_side`` (a dual BFS over traced faces) is the oracle
+for which vertices a cycle encloses.  The solver does not trace its
+shrinking sub-regions: it finds the side of a chord split or a center wedge
+by a flood fill on the host rotation, and traces faces (``trace_faces``,
+which also takes a ``{vertex: neighbors}`` sub-rotation) only for the
+boundary of an interior block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterator, Mapping, Sequence
 
 Dart = tuple[int, int]
@@ -42,12 +43,14 @@ class PlaneNearTriangulation:
     vertex_count: int
     rotation: tuple[tuple[int, ...], ...]
     outer_cycle: tuple[int, ...]
-    _adj: tuple = field(init=False, repr=False, compare=False, hash=False)
-    _outer_set: frozenset = field(init=False, repr=False, compare=False, hash=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_adj", tuple(frozenset(nb) for nb in self.rotation))
-        object.__setattr__(self, "_outer_set", frozenset(self.outer_cycle))
+    @cached_property
+    def _adj(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(nb) for nb in self.rotation)
+
+    @cached_property
+    def _outer_set(self) -> frozenset[int]:
+        return frozenset(self.outer_cycle)
 
     @classmethod
     def from_lists(

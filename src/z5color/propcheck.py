@@ -60,7 +60,13 @@ from .plane_graph import (
     separating_cycles,
     trace_faces,
 )
-from .solver import count_colorings, is_path_proper, marginal_counts
+from .solver import (
+    classify_alpha,
+    count_colorings,
+    is_path_proper,
+    lemma1_failure_table,
+    marginal_counts,
+)
 
 
 class PropcheckError(ValueError):
@@ -255,10 +261,6 @@ def exceptional_theorem4_config(
 # Evaluators return None on success or a failure note.
 
 
-def _packet_doc(payload: str) -> gcg.GcgDocument:
-    return gcg.parse_gcg(payload)
-
-
 def _eval_calculus_obs1(payload: str, aux) -> str | None:
     for orientation in ((0, 1), (1, 0)):
         for value in range(5):
@@ -293,7 +295,7 @@ def _eval_calculus_prop3(payload: str, aux) -> str | None:
 
 
 def _eval_calculus_shift(payload: str, aux) -> str | None:
-    doc = _packet_doc(payload)
+    doc = gcg.parse_gcg(payload)
     v0, alpha = aux
     before = count_colorings(doc.graph, doc.phi, doc.colors)
     after = count_colorings(doc.graph, shift_phi(doc.phi, v0, alpha), doc.colors)
@@ -303,14 +305,12 @@ def _eval_calculus_shift(payload: str, aux) -> str | None:
 
 
 def _eval_lemma1(payload: str, aux) -> str | None:
-    doc = _packet_doc(payload)
+    doc = gcg.parse_gcg(payload)
     reroll_seed = aux[0]
     path = principal_path(doc.graph)
     # Rerolling the two principal-edge labels must not move the alpha; the
     # failure table is shared (it does not involve those edges), only the
     # properness filter changes with each reroll.
-    from .solver import classify_alpha, lemma1_failure_table
-
     table = lemma1_failure_table(doc.graph, doc.phi, doc.colors, path)
     res = classify_alpha(table, doc.graph, doc.phi, path)
     if res.kind == "none":
@@ -338,7 +338,7 @@ def _eval_lemma1(payload: str, aux) -> str | None:
 
 
 def _eval_lemma2(payload: str, aux) -> str | None:
-    doc = _packet_doc(payload)
+    doc = gcg.parse_gcg(payload)
     # Deleting a constraint cannot remove a coloring, so only an instance
     # with none can fail.
     if count_colorings(doc.graph, doc.phi, doc.colors):
@@ -357,7 +357,7 @@ def _eval_lemma2(payload: str, aux) -> str | None:
 
 
 def _eval_three_extendable(payload: str, aux) -> str | None:
-    doc = _packet_doc(payload)
+    doc = gcg.parse_gcg(payload)
     path = principal_path(doc.graph)
     trio = (path.tail, path.major, path.head)
     table = marginal_counts(doc.graph, doc.phi, doc.colors, keep=trio)
@@ -368,7 +368,7 @@ def _eval_three_extendable(payload: str, aux) -> str | None:
 
 
 def _eval_lemma4(payload: str, aux) -> str | None:
-    doc = _packet_doc(payload)
+    doc = gcg.parse_gcg(payload)
     path = principal_path(doc.graph)
     tail_forbidden = doc.colors.forbidden[path.tail]
     middles_cs = doc.colors.with_forbidden(path.tail, ())
@@ -492,7 +492,7 @@ def _eval_lemma5(payload: str, aux) -> str | None:
 
 
 def _eval_theorem4(payload: str, aux) -> str | None:
-    doc = _packet_doc(payload)
+    doc = gcg.parse_gcg(payload)
     (mode,) = aux
     pre = doc.colors.precolor_map()
     if mode == 3:
@@ -512,7 +512,7 @@ def _eval_theorem4(payload: str, aux) -> str | None:
 
 
 def _eval_corollary2(payload: str, aux) -> str | None:
-    doc = _packet_doc(payload)
+    doc = gcg.parse_gcg(payload)
     count = count_colorings(doc.graph, doc.phi, doc.colors)
     n = doc.graph.vertex_count
     bound = 2 ** (n / 9)
@@ -543,27 +543,20 @@ def replay(evaluator_id: str, payload: str, aux=()) -> str | None:
     return _EVALUATORS[evaluator_id](payload, tuple(aux))
 
 
-def _evaluate_packet(packet) -> tuple[int, str | None]:
-    evaluator_id, index, payload, aux = packet
-    note = _EVALUATORS[evaluator_id](payload, aux)
-    return index, note
-
-
 def _run_packets(packets, jobs: int) -> list[tuple[int, str, str]]:
-    failures = []
+    """(index, payload, note) of every failing packet, in packet order;
+    ``pool.map`` keeps that order too."""
+    args = [[p[0] for p in packets], [p[2] for p in packets], [p[3] for p in packets]]
     if jobs <= 1:
-        results = map(_evaluate_packet, packets)
-        for (index, note), packet in zip(results, packets):
-            if note is not None:
-                failures.append((index, packet[2], note))
-        return failures
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(_evaluate_packet, packets, chunksize=4))
-    by_index = {p[1]: p for p in packets}
-    for index, note in sorted(results):
-        if note is not None:
-            failures.append((index, by_index[index][2], note))
-    return failures
+        notes = list(map(replay, *args))
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            notes = list(pool.map(replay, *args, chunksize=4))
+    return [
+        (index, payload, note)
+        for (_, index, payload, _), note in zip(packets, notes)
+        if note is not None
+    ]
 
 
 # ---------------------------------------------------------------------------

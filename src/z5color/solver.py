@@ -28,7 +28,8 @@ On top of those sit the constructive algorithms:
   either extends or returns the exceptional hub (a vertex joined to all of
   a 5-cycle whose forbidden-color images cover the whole group).  An
   interior vertex that sees three or more cycle vertices is a center that
-  splits the region; where none does, each interior block is seeded and
+  splits the region into wedges, whose sides come from the same flood fill
+  as a chord split's; where none does, each interior block is seeded and
   colored by the same 2-extension engine, on host labels.
 - ``extend_three``: three precolored consecutive outer vertices, forbidden
   sets capped at two colors on the rest of the boundary; either a coloring
@@ -57,9 +58,6 @@ from .group_color import ColorSystem, Coloring, PhiAssignment, is_proper, tau
 from .plane_graph import (
     PlaneNearTriangulation,
     blocks,
-    cycle_side,
-    dart_faces,
-    face_index,
     face_vertices,
     faces_of,
     linear_from,
@@ -549,36 +547,32 @@ def validate_extension_problem(problem: ExtensionProblem) -> list[str]:
     return issues
 
 
-def _region_insides(
-    g: PlaneNearTriangulation,
-    alive: set[int],
-    boundary: Sequence[int],
-    cycles: Sequence[Sequence[int]],
-) -> list[set[int]]:
-    """Vertices strictly inside each cycle, within the sub-near-triangulation
-    on ``alive`` (labels kept) whose outer cycle is ``boundary``; the region
-    is traced once for all the cycles."""
-    faces = trace_faces({v: [u for u in g.rotation[v] if u in alive] for v in alive})
-    outer_idx = face_index(faces, boundary)
-    if outer_idx is None:
-        raise RuntimeError("boundary walk lost during recursion (solver defect)")
-    face_of_dart = dart_faces(faces)
-    return [cycle_side(faces, face_of_dart, outer_idx, cycle)[0] for cycle in cycles]
-
-
 def _arc_inside(
-    g: PlaneNearTriangulation, interior: set[int], arc: Sequence[int]
+    g: PlaneNearTriangulation,
+    interior: set[int],
+    arc: Sequence[int],
+    center: int | None = None,
 ) -> set[int]:
-    """Interior vertices on the side of a chord ``arc[0]``-``arc[-1]`` that
-    ``arc`` bounds, in a region whose interior vertices are ``interior``.
+    """Interior vertices on the side of a split that ``arc`` bounds, in a
+    region whose interior vertices are ``interior``: the side of the chord
+    ``arc[0]``-``arc[-1]`` or, given ``center`` (left out of ``interior``),
+    the wedge closed by the path ``arc[-1]``-``center``-``arc[0]``.
 
-    A flood fill over ``interior`` from the interior neighbors of the arc's
-    inner vertices: an edge from an inner arc vertex into the interior lies
-    on the arc's side, and every interior component of that side touches an
-    inner arc vertex, because the chord bounds only one face on that side.
-    The cost is that of the side, not of the whole region."""
-    inside: set[int] = set()
+    A flood fill over ``interior``, seeded by the interior neighbors of the
+    arc's inner vertices and by the center's neighbors strictly between
+    ``arc[0]`` and ``arc[-1]`` in its clockwise rotation.  It cannot leave
+    the side, whose boundary is not in ``interior``, and it reaches all of
+    it: inner faces are triangles, so each interior component of the side
+    is ringed by its neighbors on the side's boundary.  A component that
+    touches no inner arc vertex is ringed by ``arc[0]``, ``arc[-1]`` and the
+    center (two vertices ring nothing in a simple graph), so it sits inside
+    that triangle and touches the center.  The cost is that of the side,
+    not of the whole region."""
     todo = [u for a in arc[1:-1] for u in g.rotation[a] if u in interior]
+    if center is not None:
+        fan = linear_from(g.rotation[center], arc[0])
+        todo.extend(u for u in fan[1 : fan.index(arc[-1])] if u in interior)
+    inside: set[int] = set()
     while todo:
         u = todo.pop()
         if u not in inside:
@@ -743,7 +737,7 @@ def color_short_cycle(
                 raise ExtensionError("precoloring improper on the outer cycle")
 
     assigned = dict(pre)
-    result = _short_rec(graph, phi, oc, set(range(graph.vertex_count)), assigned)
+    result = _short_rec(graph, phi, oc, set(graph.interior_vertices()), assigned)
     if result is not None:
         return result
     coloring = tuple(assigned[v] for v in range(graph.vertex_count))
@@ -758,10 +752,13 @@ def _short_rec(
     g: PlaneNearTriangulation,
     phi: PhiAssignment,
     cycle: list[int],
-    alive: set[int],
+    interior: set[int],
     assigned: dict[int, int],
 ) -> HubException | None:
-    interior = alive - set(cycle)
+    """Color ``interior``, the vertices strictly inside the colored
+    ``cycle``, or return the blocking hub.  A center splits the region into
+    wedges whose insides ``_arc_inside`` finds once, before its colors are
+    tried."""
     if not interior:
         return None
 
@@ -788,23 +785,18 @@ def _short_rec(
     pos = {c: i for i, c in enumerate(cycle)}
     nbr_pos = sorted(pos[c] for c in cycle if c in g.adjacency(center))
     taken = {tau(phi, cycle[p], assigned[cycle[p]], center) for p in nbr_pos}
-    regions = []
+    rest = interior - {center}
+    wedges = []
     for t, p in enumerate(nbr_pos):
-        q = nbr_pos[(t + 1) % len(nbr_pos)]
-        span = (q - p) % len(cycle)
-        if span == 0:
-            continue
+        span = (nbr_pos[(t + 1) % len(nbr_pos)] - p) % len(cycle)
         arc = [cycle[(p + s) % len(cycle)] for s in range(span + 1)]
-        regions.append(arc + [center])
-    region_insides = _region_insides(g, alive, cycle, regions)
+        wedges.append((arc + [center], _arc_inside(g, rest, arc, center)))
 
     for color in sorted(set(range(5)) - taken):
         assigned[center] = color
         trial = dict(assigned)
-        for reg, inside in zip(regions, region_insides):
-            sub_alive = set(reg) | inside
-            out = _short_rec(g, phi, reg, sub_alive, trial)
-            if out is not None:
+        for wedge, inside in wedges:
+            if _short_rec(g, phi, wedge, inside, trial) is not None:
                 break
         else:
             assigned.update(trial)

@@ -1,9 +1,14 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_phi_on
 from z5color.families import BrokenWheel, Wheel, build
 from z5color.gcg import GcgError, parse_gcg, write_gcg
 from z5color.group_color import ColorSystem, PhiAssignment
+from z5color.propcheck import random_near_triangulation
 
 K3_TEXT = """\
 # smallest near-triangulation
@@ -107,3 +112,92 @@ def test_outer_count_mismatch():
 def test_comments_and_blank_lines_ignored():
     text = "\n# hi\n  \n" + K3_TEXT + "# trailing\n"
     assert parse_gcg(text).graph.vertex_count == 3
+
+
+def test_huge_vertex_count_names_few_missing_vertices():
+    # The error must not list every missing vertex: memory stays bounded
+    # whatever n a short document claims.
+    with pytest.raises(GcgError, match="missing rot lines for 100000 of 100000") as exc:
+        parse_gcg("n 100000\nouter 3 0 1 2\n")
+    assert len(str(exc.value)) < 100
+
+
+# Seeded fuzzing: derandomized, so the suite stays deterministic.
+FUZZ = settings(derandomize=True, max_examples=200, deadline=None)
+
+
+def random_document(seed: int) -> str:
+    """A valid gcg document: a random near-triangulation with random labels
+    (stored either way round), forbidden sets, precoloring and modulus."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 12)
+    g = random_near_triangulation(n, rng.randint(3, n), seed)
+    modulus = rng.choice((5, 5, 3, 7))
+    phi = PhiAssignment(
+        modulus,
+        tuple(
+            (u, v, rng.randrange(modulus)) if rng.random() < 0.5
+            else (v, u, rng.randrange(modulus))
+            for u, v in g.edges()
+        ),
+    )
+    cs = ColorSystem.free(n, modulus)
+    for v in rng.sample(range(n), rng.randint(0, n)):
+        cs = cs.with_forbidden(v, rng.sample(range(modulus), rng.randint(1, 3)))
+    for v in rng.sample(range(n), rng.randint(0, n)):
+        cs = cs.with_precolor(v, rng.randrange(modulus))
+    descriptor = rng.choice((None, "(wheel 5)", "(glue (wheel 3) (broken-wheel 4))"))
+    return write_gcg(g, phi, cs, descriptor=descriptor, comment=f"seed {seed}")
+
+
+def rewritten(doc) -> str:
+    return write_gcg(doc.graph, doc.phi, doc.colors, doc.descriptor)
+
+
+@FUZZ
+@given(st.integers(0, 2**32 - 1))
+def test_write_parse_write_is_stable(seed):
+    text = random_document(seed)
+    assert rewritten(parse_gcg(text)) == text.split("\n", 1)[1]  # less the comment
+
+
+TOKENS = (
+    "-1", "0", "1", "2", "3", "4", "7", "99", "100000000000", "1.5", "x", "#",
+    "n", "rot", "outer", "edge", "forbid", "precolor", "group", "descriptor",
+)
+
+
+@FUZZ
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(
+        st.tuples(
+            st.sampled_from(("replace", "delete", "insert", "drop-line", "copy-line")),
+            st.integers(0, 10**6),
+            st.integers(0, 10**6),
+            st.sampled_from(TOKENS),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_token_mutations_parse_or_raise_gcg_error(seed, mutations):
+    lines = [line.split() for line in random_document(seed).splitlines()]
+    for op, i, j, token in mutations:
+        row = lines[i % len(lines)]
+        if op == "drop-line" and len(lines) > 1:
+            del lines[i % len(lines)]
+        elif op == "copy-line":
+            lines.insert(j % len(lines), list(row))
+        elif op == "insert":
+            row.insert(j % (len(row) + 1), token)
+        elif row and op == "replace":
+            row[j % len(row)] = token
+        elif row and op == "delete":
+            del row[j % len(row)]
+    text = "\n".join(" ".join(row) for row in lines) + "\n"
+    try:
+        doc = parse_gcg(text)
+    except GcgError:
+        return
+    assert rewritten(parse_gcg(rewritten(doc))) == rewritten(doc)
