@@ -498,17 +498,23 @@ def enumerate_family(max_n: int) -> Iterator[FamilyDescriptor]:
     descriptor per isomorphism class (principal path fixed), sizes ascending."""
     if max_n < 3:
         raise FamilyError("max_n must be at least 3")
+    for d, _, _ in family_members(max_n):
+        yield d
+
+
+def family_members(
+    max_n: int,
+) -> Iterator[tuple[FamilyDescriptor, PlaneNearTriangulation, PrincipalPath]]:
+    """Members with at most max_n vertices with their principal paths,
+    sizes ascending.  A size is generated only when the walk reaches it, so
+    a caller that stops early never pays for the larger sizes."""
     for size in range(3, max_n + 1):
-        for d, _ in _members_of_size(size):
-            yield d
+        for d, g in _members_of_size(size):
+            yield d, g, principal_path(g)
 
 
 def built_family(max_n: int) -> list[tuple[FamilyDescriptor, PlaneNearTriangulation, PrincipalPath]]:
-    out = []
-    for size in range(3, max_n + 1):
-        for d, g in _members_of_size(size):
-            out.append((d, g, principal_path(g)))
-    return out
+    return list(family_members(max_n))
 
 
 # ---------------------------------------------------------------------------

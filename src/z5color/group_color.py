@@ -228,15 +228,32 @@ class ColorSystem:
                 return frozenset((c,))
         return frozenset(range(self.modulus)) - self.forbidden[v]
 
+    def _derived(
+        self, forbidden: tuple[frozenset[int], ...], precoloring: tuple[tuple[int, int], ...]
+    ) -> ColorSystem:
+        """A copy whose changed part the caller has checked; the rest was
+        checked when ``self`` was built, so the O(n) ``__post_init__`` pass
+        is skipped."""
+        out = object.__new__(ColorSystem)
+        object.__setattr__(out, "modulus", self.modulus)
+        object.__setattr__(out, "forbidden", forbidden)
+        object.__setattr__(out, "precoloring", precoloring)
+        return out
+
     def with_forbidden(self, v: int, colors: Iterable[int]) -> ColorSystem:
+        fv = frozenset(colors)
+        if any(not 0 <= c < self.modulus for c in fv):
+            raise GroupColorError(f"forbidden colors at {v} out of range")
         fb = list(self.forbidden)
-        fb[v] = frozenset(colors)
-        return ColorSystem(self.modulus, tuple(fb), self.precoloring)
+        fb[v] = fv
+        return self._derived(tuple(fb), self.precoloring)
 
     def with_precolor(self, v: int, color: int) -> ColorSystem:
+        if not 0 <= color < self.modulus:
+            raise GroupColorError(f"precolor {color} out of range mod {self.modulus}")
         pre = tuple(sorted((dict(self.precoloring) | {v: color}).items()))
-        return ColorSystem(self.modulus, self.forbidden, pre)
+        return self._derived(self.forbidden, pre)
 
     def without_precolor(self, v: int) -> ColorSystem:
         pre = tuple((u, c) for u, c in self.precoloring if u != v)
-        return ColorSystem(self.modulus, self.forbidden, pre)
+        return self._derived(self.forbidden, pre)

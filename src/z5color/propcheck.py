@@ -48,6 +48,7 @@ from .families import (
     build_wheel_string,
     built_family,
     facial_triangle_property,
+    family_members,
     is_multi_wheel_descriptor,
     parse_sexpr,
     principal_path,
@@ -618,7 +619,7 @@ def _member_packets(cfg: RandomInstanceConfig, prop: str, keep, constrain) -> li
     lemmas; `constrain` finishes the gcg document per property."""
     # Only the first `samples` members that pass are ever drawn; one is
     # looked for even at samples=0, so that an empty filter still raises.
-    passing = (item for item in built_family(cfg.n_max) if keep(*item))
+    passing = (item for item in family_members(cfg.n_max) if keep(*item))
     members = list(islice(passing, max(cfg.samples, 1)))
     if not members:
         raise PropcheckError(f"no members available for {prop} at n_max={cfg.n_max}")

@@ -34,7 +34,9 @@ On top of those sit the constructive algorithms:
 - ``extend_three``: three precolored consecutive outer vertices, forbidden
   sets capped at two colors on the rest of the boundary; either a coloring
   or a validated obstruction certificate, found by anchored search over the
-  wheel-family grammar.
+  wheel-family grammar.  The family is walked lazily, smallest members
+  first, and the walk stops at the first certificate, so members larger
+  than the certificate are never built.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ from typing import Iterable, Iterator, Sequence
 from .families import (
     FamilyDescriptor,
     PrincipalPath,
-    built_family,
+    built_family,  # noqa: F401 (bench/test_bench.py patches solver.built_family)
+    family_members,
     is_multi_wheel_descriptor,
     principal_path,
     recognize_generalized_multi_wheel,
@@ -870,6 +873,11 @@ def extend_three(
     """Extend three precolored consecutive outer vertices; on failure find
     a wheel-family obstruction anchored at the path.
 
+    Members are tried smallest first, in ``enumerate_family`` order, and the
+    search stops at the first one whose anchored copy has no coloring; the
+    larger sizes are never built.  ``node_budget`` caps the embedding nodes
+    visited over the whole walk.
+
     Finding neither is impossible for valid input, so exhausting the search
     raises instead of returning a silent negative.
     """
@@ -908,7 +916,7 @@ def _find_obstruction(
     }
     budget = [node_budget]
 
-    for descriptor, member, mpath in built_family(g.vertex_count):
+    for descriptor, member, mpath in family_members(g.vertex_count):
         for embed in _anchored_embeddings(
             member, mpath, g, (tail, major, head), eligible_outer, free_interior, budget
         ):

@@ -2,6 +2,8 @@ import collections
 import itertools
 import os
 import random
+import signal
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -28,6 +30,24 @@ def brute_marginals(n, phi, colors, keep):
         if all((coloring[h] - coloring[t]) % m != x for t, h, x in phi.records):
             tally[tuple(coloring[v] for v in keep)] += 1
     return tally
+
+
+@contextmanager
+def cpu_time_limit(seconds):
+    """Raise ``TimeoutError`` inside the block once this process has spent
+    ``seconds`` of CPU time in it, so a runaway computation fails fast
+    instead of hanging the suite (POSIX only: SIGVTALRM)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past its {seconds} s CPU-time alarm")
+
+    previous = signal.signal(signal.SIGVTALRM, expire)
+    signal.setitimer(signal.ITIMER_VIRTUAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_VIRTUAL, 0)
+        signal.signal(signal.SIGVTALRM, previous)
 
 
 def random_phi_on(graph, rng, modulus=5):

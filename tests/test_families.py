@@ -9,6 +9,7 @@ from z5color.families import (
     InsertWheel,
     PrincipalPath,
     Wheel,
+    _members_of_size,
     build,
     build_wheel_string,
     built_family,
@@ -16,6 +17,7 @@ from z5color.families import (
     embedding_signature,
     enumerate_family,
     facial_triangle_property,
+    family_members,
     insertion_sites,
     is_multi_wheel_descriptor,
     parse_sexpr,
@@ -177,6 +179,17 @@ def test_enumerate_family_small_counts():
     counts = [len(list(enumerate_family(n))) for n in range(3, 10)]
     assert counts == sorted(counts)
     assert all(descriptor_size(d) <= 9 for d in enumerate_family(9))
+
+
+def test_family_members_stream_the_built_family():
+    for n in range(3, 11):
+        assert list(family_members(n)) == built_family(n)
+    assert [d for d, _, _ in family_members(10)] == list(enumerate_family(10))
+    # Sizes are built only when the walk reaches them.
+    _members_of_size.cache_clear()
+    first = list(itertools.islice(family_members(40), 3))
+    assert [to_sexpr(d) for d, _, _ in first] == ["(broken 3)", "(broken 4)", "(wheel 3)"]
+    assert _members_of_size.cache_info().currsize == 2
 
 
 def test_enumerate_family_no_duplicates():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import brute_count, random_phi_on
+from conftest import brute_count, cpu_time_limit, random_phi_on
 from z5color.families import Wheel, build
 from z5color.group_color import (
     ColorSystem,
@@ -191,6 +191,11 @@ def test_color_system_precolor_overrides_forbidden():
     assert cs.available(1) == frozenset({0})
     assert cs.available(0) == frozenset(range(5))
     assert cs.without_precolor(1).available(1) == frozenset({2, 3, 4})
+    # The copies equal (and hash like) the directly constructed systems.
+    cs = cs.with_precolor(0, 4)
+    direct = ColorSystem(5, (frozenset(), frozenset({0, 1}), frozenset()), ((0, 4), (1, 0)))
+    assert cs == direct and hash(cs) == hash(direct)
+    assert cs.without_precolor(1) == ColorSystem(5, direct.forbidden, ((0, 4),))
 
 
 def test_color_system_rejects_bad_values():
@@ -200,6 +205,23 @@ def test_color_system_rejects_bad_values():
         ColorSystem.free(2).with_precolor(0, 9)
     with pytest.raises(GroupColorError):
         ColorSystem(5, (frozenset(),), ((0, 1), (0, 2)))
+    # The copy-on-write steps check only what they change, but still check it.
+    for bad in (5, -1):
+        with pytest.raises(GroupColorError):
+            ColorSystem.free(2).with_precolor(1, bad)
+        with pytest.raises(GroupColorError):
+            ColorSystem.free(2).with_forbidden(1, {0, bad})
+
+
+def test_color_system_precolor_steps_do_not_rescan_every_vertex():
+    # Re-validating all n forbidden sets on every step makes this O(n^2):
+    # about 6 s of CPU, against about 0.7 s when only the change is checked.
+    n = 3000
+    cs = ColorSystem.free(n)
+    with cpu_time_limit(3.0):
+        for v in range(n):
+            cs = cs.with_precolor(v, v % 5)
+    assert cs.precolor_map() == {v: v % 5 for v in range(n)}
 
 
 def test_phi_assignment_rejects_duplicates_and_loops():

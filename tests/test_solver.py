@@ -1,11 +1,10 @@
 import itertools
 import math
 import random
-import signal
 
 import pytest
 
-from conftest import brute_count, brute_marginals, random_phi_on
+from conftest import brute_count, brute_marginals, cpu_time_limit, random_phi_on
 from z5color.families import (
     BrokenWheel,
     Glue,
@@ -14,10 +13,18 @@ from z5color.families import (
     Wheel,
     build,
     built_family,
+    is_multi_wheel_descriptor,
     to_sexpr,
 )
 from z5color.group_color import ColorSystem, PhiAssignment, is_proper, shift_phi, tau
-from z5color.plane_graph import PlaneNearTriangulation, _cycle_sides, validate
+from z5color.plane_graph import (
+    PlaneNearTriangulation,
+    _cycle_sides,
+    face_vertices,
+    faces_of,
+    outer_face_index,
+    validate,
+)
 from z5color.propcheck import (
     derive_seed,
     random_near_triangulation,
@@ -40,6 +47,7 @@ from z5color.solver import (
     extend_three,
     extend_two,
     first_coloring,
+    is_path_proper,
     lemma1_alpha,
     lemma1_failure_table,
     marginal_counts,
@@ -209,17 +217,8 @@ def test_first_coloring_past_the_frame_cap():
     # elimination plan.  A CPU-time alarm makes a runaway search fail fast.
     g = random_near_triangulation(1011, 101, derive_seed(2, "near_tri", 1011))
     phi = PhiAssignment.zero(g.edges())
-
-    def expire(signum, frame):
-        raise TimeoutError("first_coloring ran past its CPU-time alarm")
-
-    previous = signal.signal(signal.SIGVTALRM, expire)
-    signal.setitimer(signal.ITIMER_VIRTUAL, 5.0)
-    try:
+    with cpu_time_limit(5.0):
         coloring = first_coloring(g, phi)
-    finally:
-        signal.setitimer(signal.ITIMER_VIRTUAL, 0)
-        signal.signal(signal.SIGVTALRM, previous)
     assert coloring is not None and is_proper(g, phi, coloring)
 
 
@@ -673,6 +672,69 @@ def test_extend_three_trichotomy_random(rng):
             assert is_proper(g, phi, result)
             assert all(result[v] in cs.available(v) for v in range(n))
     assert colorings > 0
+
+
+def _blocked_member_instance(seed):
+    """A blocked instance on a 6-vertex member, drawn the way the
+    extension-mix bench draws its blocked instances: a non-multi-wheel
+    member with an outer cycle of length 4 or 5, two forbidden colors on
+    every other outer vertex, precolored with a path-proper zero of its
+    failure table."""
+    members = [
+        m for m in built_family(6)
+        if m[1].vertex_count == 6
+        and len(m[1].outer_cycle) in (4, 5)
+        and not is_multi_wheel_descriptor(m[0])
+    ]
+    for i in itertools.count():
+        r = random.Random(derive_seed(seed, "blocked", i))
+        _, g, p = members[r.randrange(len(members))]
+        phi = random_phi(g.edges(), r, "uniform")
+        cs = ColorSystem.free(g.vertex_count)
+        for v in g.outer_cycle:
+            if v not in (p.tail, p.major, p.head):
+                cs = cs.with_forbidden(v, r.sample(range(5), 2))
+        table = lemma1_failure_table(g, phi, cs, p)
+        zeros = [t for t, c in sorted(table.items()) if not c and is_path_proper(g, phi, p, t)]
+        if zeros:
+            for v, c in zip((p.tail, p.major, p.head), r.choice(zeros)):
+                cs = cs.with_precolor(v, c)
+            return g, phi, cs, (p.tail, p.major, p.head)
+
+
+def _stacked(g, phi, cs, n, rng):
+    """Stack free vertices into inner faces (each into the newest face) up
+    to n vertices, with random labels on the new edges.  Adding vertices
+    and edges adds no coloring, so a blocked instance stays blocked."""
+    rotation = [list(r) for r in g.rotation]
+    outer = outer_face_index(g)
+    faces = [list(face_vertices(f)) for i, f in enumerate(faces_of(g)) if i != outer]
+    records = list(phi.records)
+    for w in range(g.vertex_count, n):
+        a, b, c = faces.pop()
+        rotation.append([a, c, b])
+        for x, p, q in ((a, c, b), (b, a, c), (c, b, a)):
+            rotation[x].insert(rotation[x].index(p) + 1, w)
+        records += [(x, w, rng.randrange(5)) for x in (a, b, c)]
+        faces += [[a, b, w], [b, c, w], [c, a, w]]
+    big = PlaneNearTriangulation.from_lists(rotation, g.outer_cycle)
+    free = (frozenset(),) * (n - g.vertex_count)
+    return big, PhiAssignment(5, tuple(records)), ColorSystem(5, cs.forbidden + free, cs.precoloring)
+
+
+@pytest.mark.parametrize("n", [14, 40])
+def test_extend_three_certifies_a_stacked_blocked_instance_fast(n):
+    # Building every family member up to n before trying the smallest costs
+    # minutes at n = 14, so the search must stop at the small member that
+    # blocks (a 4-vertex broken wheel here).
+    g, phi, cs, path = _blocked_member_instance(0)
+    g, phi, cs = _stacked(g, phi, cs, n, random.Random(n))
+    assert validate(g).ok
+    with cpu_time_limit(5.0):
+        result = extend_three(ExtensionProblem(g, phi, cs, path))
+        assert isinstance(result, ObstructionCertificate)
+        assert validate_obstruction(result) == []
+        assert count_colorings(g, phi, cs) == 0
 
 
 def _proper_path_colors(g, phi, path, rng):
