@@ -621,12 +621,18 @@ def parse_sexpr(text: str) -> FamilyDescriptor:
         pos += 1
         return tokens[pos - 1]
 
+    def number(token: str) -> int:
+        try:
+            return int(token)
+        except ValueError:
+            raise FamilyError(f"expected an integer, got {token!r}") from None
+
     def parse() -> FamilyDescriptor:
         if take() != "(":
             raise FamilyError("descriptor must start with '('")
         kind = take()
         if kind in ("broken", "wheel"):
-            size = int(take())
+            size = number(take())
             node: FamilyDescriptor = (
                 BrokenWheel(size) if kind == "broken" else Wheel(size)
             )
@@ -640,7 +646,7 @@ def parse_sexpr(text: str) -> FamilyDescriptor:
             j_tok = take()
             if not edge_tok.startswith("t") or not j_tok.startswith("j="):
                 raise FamilyError(f"bad insert arguments {edge_tok!r} {j_tok!r}")
-            node = InsertWheel(base, int(edge_tok[1:]), int(j_tok[2:]))
+            node = InsertWheel(base, number(edge_tok[1:]), number(j_tok[2:]))
         else:
             raise FamilyError(f"unknown constructor {kind!r}")
         if take() != ")":

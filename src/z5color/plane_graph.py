@@ -81,7 +81,7 @@ class PlaneNearTriangulation:
                     yield (u, v)
 
     def edge_count(self) -> int:
-        return sum(len(nb) for nb in self.rotation) // 2
+        return sum(map(len, self.rotation)) // 2
 
     def is_outer(self, v: int) -> bool:
         return v in self._outer_set

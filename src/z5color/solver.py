@@ -22,15 +22,16 @@ On top of those sit the constructive algorithms:
 - ``extend_two``: two precolored adjacent outer vertices, lists of size at
   least 3 on the rest of the boundary, full lists inside; always succeeds
   on valid input (chord split / boundary-vertex deletion induction, run on
-  an explicit stack of regions, so no recursion limit caps its depth; a
-  chord split finds its sides by a flood fill, not by re-tracing faces).
+  an explicit stack of (cycle, interior) regions, so no recursion limit
+  caps its depth; a chord split flood-fills one side's interior).
 - ``color_short_cycle``: fully precolored outer cycle of length at most 5;
   either extends or returns the exceptional hub (a vertex joined to all of
-  a 5-cycle whose forbidden-color images cover the whole group).  An
-  interior vertex that sees three or more cycle vertices is a center that
-  splits the region into wedges, whose sides come from the same flood fill
-  as a chord split's; where none does, each interior block is seeded and
-  colored by the same 2-extension engine, on host labels.
+  a 5-cycle whose forbidden-color images cover the whole group).  Regions
+  go on an explicit stack: a center, an interior vertex that sees three or
+  more cycle vertices, splits one into wedges (sides from the same flood
+  fill) and takes the lowest color that leaves no wedge a hub, so no color
+  is undone; where none does, each interior block is seeded and colored by
+  the same 2-extension engine, on host labels.
 - ``extend_three``: three precolored consecutive outer vertices, forbidden
   sets capped at two colors on the rest of the boundary; either a coloring
   or a validated obstruction certificate, found by anchored search over the
@@ -130,8 +131,12 @@ def _vertex_count(graph) -> int:
 
 
 def _avail_lists(
-    n: int, modulus: int, colors: ColorSystem | None
+    n: int, phi: PhiAssignment, colors: ColorSystem | None
 ) -> list[tuple[int, ...]]:
+    for t, h, _ in phi.records:
+        if not (0 <= t < n and 0 <= h < n):
+            raise ExtensionError(f"labeling names a vertex outside 0..{n - 1}")
+    modulus = phi.modulus
     if colors is None:
         return [tuple(range(modulus))] * n
     if colors.vertex_count != n:
@@ -320,7 +325,7 @@ def marginal_counts(
     """
     n = _vertex_count(graph)
     m = phi.modulus
-    avail = _avail_lists(n, m, colors)
+    avail = _avail_lists(n, phi, colors)
     keep = tuple(keep)
     if len(set(keep)) != len(keep):
         raise ExtensionError("keep vertices must be distinct")
@@ -383,7 +388,7 @@ def _backtrack(
     once it has pushed more than ``frame_cap`` frames (None: no cap)."""
     n = _vertex_count(graph)
     m = phi.modulus
-    avail = _avail_lists(n, m, colors)
+    avail = _avail_lists(n, phi, colors)
     order = list(order) if order is not None else coloring_order(graph)
     if sorted(order) != list(range(n)):
         raise ExtensionError("search order must be a permutation of the vertices")
@@ -467,7 +472,7 @@ def first_coloring(
     try:
         return next(search, None)
     except _FrameCapReached:
-        return _decode_coloring(n, phi, _avail_lists(n, phi.modulus, colors))
+        return _decode_coloring(n, phi, _avail_lists(n, phi, colors))
 
 
 def _decode_coloring(
@@ -511,11 +516,35 @@ def _check_path(graph: PlaneNearTriangulation, path: Sequence[int]) -> None:
         )
 
 
+def _size_mismatch(g: PlaneNearTriangulation, cs: ColorSystem) -> str | None:
+    if cs.vertex_count == g.vertex_count:
+        return None
+    return (
+        f"constraint system covers {cs.vertex_count} vertices, "
+        f"graph has {g.vertex_count}"
+    )
+
+
+def _labeling_mismatch(g: PlaneNearTriangulation, phi: PhiAssignment) -> str | None:
+    """Records are distinct edges, so as many records as ``g`` has edges,
+    each on an edge of ``g``, label every edge exactly once."""
+    n = g.vertex_count
+    differ = "labeling edges differ from the graph's edges"
+    if len(phi.records) != g.edge_count():
+        return differ
+    for t, h, _ in phi.records:
+        if not (0 <= t < n and g.has_edge(t, h)):
+            return differ
+    return None
+
+
 def validate_extension_problem(problem: ExtensionProblem) -> list[str]:
     """Every violated precondition of the extension contracts."""
     g, phi, cs, path = problem.graph, problem.phi, problem.colors, problem.path
     if len(path) not in (2, 3):
         return ["precolored path must have 2 or 3 vertices"]
+    if mismatch := _size_mismatch(g, cs):
+        return [mismatch]
     try:
         _check_path(g, path)
     except ExtensionError as exc:
@@ -527,7 +556,9 @@ def validate_extension_problem(problem: ExtensionProblem) -> list[str]:
     if set(pre) != set(path):
         issues.append("precoloring must cover exactly the path vertices")
         return issues
-    if len(path) == 2:
+    if mismatch := _labeling_mismatch(g, phi):  # the conflict tests need labels
+        issues.append(mismatch)
+    elif len(path) == 2:
         a, b = path
         if pre[b] == tau(phi, a, pre[a], b):
             issues.append("precolored pair conflicts on its edge")
@@ -606,7 +637,7 @@ def extend_two(problem: ExtensionProblem) -> Coloring:
         v: set(cs.available(v)) for v in range(g.vertex_count) if v not in assigned
     }
     outer = linear_from(g.outer_cycle, problem.path[0])
-    _extend_two_rec(g, phi, outer, set(range(g.vertex_count)), lists, assigned)
+    _extend_two_rec(g, phi, outer, set(g.interior_vertices()), lists, assigned)
 
     coloring = tuple(assigned[v] for v in range(g.vertex_count))
     if not is_proper(g, phi, coloring):
@@ -621,17 +652,18 @@ def _extend_two_rec(
     g: PlaneNearTriangulation,
     phi: PhiAssignment,
     outer: list[int],
-    alive: set[int],
+    interior: set[int],
     lists: dict[int, set[int]],
     assigned: dict[int, int],
 ) -> None:
     # One explicit stack of work items, so depth is bounded by memory, not by
-    # the interpreter's recursion limit.  A region (outer, alive) satisfies,
-    # when popped: outer[0], outer[1] are assigned, nothing else in `alive`
+    # the interpreter's recursion limit.  A region (outer, interior) is a
+    # cycle and the vertices strictly inside it, a set the region owns; when
+    # popped, outer[0], outer[1] are assigned and nothing else in the region
     # is; boundary lists have >= 3 colors, interior lists are full.  A
     # deletion's pick (vk, vkm1, alpha, beta) sits below its shrunk region,
     # so it runs once that region is colored.
-    stack: list[tuple] = [(outer, alive)]
+    stack: list[tuple] = [(outer, interior)]
     while stack:
         item = stack.pop()
         if len(item) == 4:
@@ -639,9 +671,9 @@ def _extend_two_rec(
             clash = tau(phi, vkm1, assigned[vkm1], vk)
             assigned[vk] = alpha if alpha != clash else beta
             continue
-        outer, alive = item
+        outer, interior = item
         k = len(outer)
-        if len(alive) == 3:
+        if k == 3 and not interior:
             v = outer[2]
             options = (
                 lists[v]
@@ -669,29 +701,28 @@ def _extend_two_rec(
             i, j = chord
             arc_one = outer[i : j + 1]
             arc_two = outer[j:] + outer[: i + 1]
-            interior = alive - set(outer)
             inside_one = _arc_inside(g, interior, arc_one)
-            inside_two = interior - inside_one
+            interior -= inside_one
             # The side holding the precolored pair (edge at positions 0-1) is
             # colored first; its arc is arc_one exactly when the chord starts
             # at position 0.
             if i == 0:
                 first_cycle, first_inside = arc_one, inside_one
-                second_cycle, second_inside = arc_two, inside_two
+                second_cycle, second_inside = arc_two, interior
             else:
-                first_cycle, first_inside = arc_two, inside_two
+                first_cycle, first_inside = arc_two, interior
                 second_cycle, second_inside = arc_one, inside_one
             # Both chord endpoints are colored once the first side is; they
             # close the second cycle.
             second_outer = linear_from(second_cycle, second_cycle[-1])
-            stack.append((second_outer, set(second_cycle) | second_inside))
+            stack.append((second_outer, second_inside))
             first_outer = linear_from(first_cycle, outer[0])
-            stack.append((first_outer, set(first_cycle) | first_inside))
+            stack.append((first_outer, first_inside))
             continue
 
         # No chord: delete the boundary neighbor of the first precolored
         # vertex, reserving two of its colors and knocking their images out
-        # of the lists of its interior neighbors.
+        # of the lists of its interior neighbors, which join the boundary.
         vk = outer[-1]
         v1, vkm1 = outer[0], outer[-2]
         options = sorted(lists[vk] - {tau(phi, v1, assigned[v1], vk)})
@@ -700,17 +731,19 @@ def _extend_two_rec(
                 "boundary list collapsed below two colors (solver defect)"
             )
         alpha, beta = options[0], options[1]
-        fan = linear_from([u for u in g.rotation[vk] if u in alive], v1)
+        # With no chord, v1 and vkm1 are vk's only neighbors on the boundary.
+        region = [u for u in g.rotation[vk] if u in interior or u in (v1, vkm1)]
+        fan = linear_from(region, v1)
         if fan[-1] != vkm1:
             raise RuntimeError("boundary fan does not end at the outer predecessor")
         inner_fan = fan[1:-1]
         for u in inner_fan:
             lists[u].discard(tau(phi, vk, alpha, u))
             lists[u].discard(tau(phi, vk, beta, u))
-        alive.remove(vk)
+        interior.difference_update(inner_fan)
         del lists[vk]
         stack.append((vk, vkm1, alpha, beta))
-        stack.append((outer[:-1] + inner_fan[::-1], alive))
+        stack.append((outer[:-1] + inner_fan[::-1], interior))
 
 
 # ---------------------------------------------------------------------------
@@ -722,12 +755,23 @@ def color_short_cycle(
     graph: PlaneNearTriangulation, phi: PhiAssignment, colors: ColorSystem
 ) -> Coloring | HubException:
     """Extend a proper precoloring of an outer cycle of length <= 5, or
-    return the exceptional hub that makes extension impossible."""
+    return the exceptional hub (the lowest-index one) that blocks it.
+
+    Regions (cycle, interior) are colored off one explicit stack.  The
+    center, the lowest interior vertex joined to three or more cycle
+    vertices, splits a region into wedges and takes the lowest free color
+    that leaves no wedge of length 5 with a hub; a region without one is
+    colored block by block.  No color is undone: by the short-cycle lemma a
+    colored cycle of length <= 5 extends unless it has a hub, and wedges
+    share only colored vertices, so the hub tests decide each color.
+    """
     oc = list(graph.outer_cycle)
     if len(oc) > 5:
         raise ExtensionError("outer cycle longer than 5")
     if phi.modulus != 5 or colors.modulus != 5:
         raise ExtensionError("color_short_cycle is specified for modulus 5 only")
+    if mismatch := _size_mismatch(graph, colors) or _labeling_mismatch(graph, phi):
+        raise ExtensionError(mismatch)
     pre = colors.precolor_map()
     if set(pre) != set(oc):
         raise ExtensionError("the outer cycle must be exactly the precolored set")
@@ -740,9 +784,39 @@ def color_short_cycle(
                 raise ExtensionError("precoloring improper on the outer cycle")
 
     assigned = dict(pre)
-    result = _short_rec(graph, phi, oc, set(graph.interior_vertices()), assigned)
-    if result is not None:
-        return result
+    interior = set(graph.interior_vertices())
+    if (hub := _hub(graph, phi, oc, interior, assigned)) is not None:
+        return HubException(hub)
+    stack = [(oc, interior)]
+    while stack:
+        cycle, interior = stack.pop()
+        ring = set(cycle)
+        center = min(
+            (v for v in interior if len(graph.adjacency(v) & ring) >= 3), default=None
+        )
+        if center is None:
+            # Every interior vertex sees at most two colored vertices: push
+            # the constraints into lists and color the interior block by block.
+            _color_interior_blocks(graph, phi, interior, assigned)
+            continue
+        interior.remove(center)
+        ends = [i for i, c in enumerate(cycle) if c in graph.adjacency(center)]
+        wedges = []
+        for p, q in zip(ends, ends[1:] + [ends[0] + len(cycle)]):
+            arc = (cycle * 2)[p : q + 1]
+            inside = _arc_inside(graph, interior, arc, center)
+            wedges.append((arc + [center], inside))
+        taken = {tau(phi, cycle[p], assigned[cycle[p]], center) for p in ends}
+        for color in sorted(set(range(5)) - taken):
+            assigned[center] = color
+            if all(_hub(graph, phi, *wedge, assigned) is None for wedge in wedges):
+                break
+        else:
+            raise RuntimeError(
+                "short-cycle extension found no center color (solver defect)"
+            )
+        stack.extend(wedge for wedge in reversed(wedges) if wedge[1])
+
     coloring = tuple(assigned[v] for v in range(graph.vertex_count))
     if not is_proper(graph, phi, coloring):
         raise RuntimeError(
@@ -751,64 +825,20 @@ def color_short_cycle(
     return coloring
 
 
-def _short_rec(
+def _hub(
     g: PlaneNearTriangulation,
     phi: PhiAssignment,
     cycle: list[int],
     interior: set[int],
     assigned: dict[int, int],
-) -> HubException | None:
-    """Color ``interior``, the vertices strictly inside the colored
-    ``cycle``, or return the blocking hub.  A center splits the region into
-    wedges whose insides ``_arc_inside`` finds once, before its colors are
-    tried."""
-    if not interior:
+) -> int | None:
+    """The lowest hub in ``interior`` of a colored ``cycle``, or None: a
+    vertex joined to all of a 5-cycle whose forbidden images cover Z_5."""
+    if len(cycle) != 5:
         return None
-
-    # The exception is checked before any recursion: a vertex joined to all
-    # of a colored 5-cycle whose forbidden images exhaust the group.
-    if len(cycle) == 5:
-        for v in sorted(interior):
-            if all(c in g.adjacency(v) for c in cycle):
-                if len({tau(phi, c, assigned[c], v) for c in cycle}) == 5:
-                    return HubException(v)
-
-    center = None
-    for v in sorted(interior):
-        if sum(1 for c in cycle if c in g.adjacency(v)) >= 3:
-            center = v
-            break
-
-    if center is None:
-        # Every interior vertex sees at most two colored vertices: push the
-        # constraints into lists and color the interior block by block.
-        _color_interior_blocks(g, phi, interior, assigned)
-        return None
-
-    pos = {c: i for i, c in enumerate(cycle)}
-    nbr_pos = sorted(pos[c] for c in cycle if c in g.adjacency(center))
-    taken = {tau(phi, cycle[p], assigned[cycle[p]], center) for p in nbr_pos}
-    rest = interior - {center}
-    wedges = []
-    for t, p in enumerate(nbr_pos):
-        span = (nbr_pos[(t + 1) % len(nbr_pos)] - p) % len(cycle)
-        arc = [cycle[(p + s) % len(cycle)] for s in range(span + 1)]
-        wedges.append((arc + [center], _arc_inside(g, rest, arc, center)))
-
-    for color in sorted(set(range(5)) - taken):
-        assigned[center] = color
-        trial = dict(assigned)
-        for wedge, inside in wedges:
-            if _short_rec(g, phi, wedge, inside, trial) is not None:
-                break
-        else:
-            assigned.update(trial)
-            return None
-        del assigned[center]
-    # Some color choice must work whenever no top-level hub exception fired.
-    raise RuntimeError(
-        "short-cycle extension exhausted every center color (solver defect)"
-    )
+    joined = interior.intersection(*map(g.adjacency, cycle))
+    hubs = [v for v in joined if len({tau(phi, c, assigned[c], v) for c in cycle}) == 5]
+    return min(hubs, default=None)
 
 
 def _color_interior_blocks(
@@ -845,7 +875,7 @@ def _color_interior_blocks(
             b = ring[1]
             assigned[b] = min(lists[b] - {tau(phi, a, assigned[a], b)})
         if len(verts) >= 3:
-            _extend_two_rec(g, phi, ring, set(verts), lists, assigned)
+            _extend_two_rec(g, phi, ring, set(verts) - set(ring), lists, assigned)
 
 
 def _block_boundary(g: PlaneNearTriangulation, verts: list[int]) -> tuple[int, ...]:

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from z5color.families import (
     BrokenWheel,
@@ -27,6 +29,7 @@ from z5color.families import (
 )
 from z5color.group_color import ColorSystem, PhiAssignment
 from z5color.plane_graph import PlaneNearTriangulation, validate
+from z5color.propcheck import replay
 from z5color.solver import lemma1_alpha
 
 
@@ -253,6 +256,47 @@ def test_sexpr_round_trip_and_errors():
     ]:
         assert parse_sexpr(to_sexpr(d)) == d
     for bad in ["wheel 5", "(spin 3)", "(wheel 5", "(wheel 5) extra",
-                "(insert (wheel 5) 3 j=1)"]:
+                "(insert (wheel 5) 3 j=1)", "(broken x)", "(wheel)",
+                "(insert (wheel 5) t1 j=x)", "(insert (wheel 5) tx j=1)"]:
         with pytest.raises(FamilyError):
             parse_sexpr(bad)
+    # The lemma5 packet format carries descriptors as text.
+    with pytest.raises(FamilyError):
+        replay("lemma5", "parts (broken x)\n")
+
+
+SEXPR_TOKENS = (
+    "(", ")", "broken", "wheel", "glue", "insert", "t0", "t2", "t-1", "t", "tx",
+    "j=0", "j=3", "j=", "j=x", "0", "3", "-1", "x", "1.5",
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.lists(
+        st.tuples(
+            st.sampled_from(("replace", "delete", "insert")),
+            st.integers(0, 10**6),
+            st.sampled_from(SEXPR_TOKENS),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_sexpr_token_mutations_parse_or_raise_family_error(pick, mutations):
+    members = list(enumerate_family(8))
+    text = to_sexpr(members[pick % len(members)])
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    for op, i, token in mutations:
+        if op == "insert":
+            tokens.insert(i % (len(tokens) + 1), token)
+        elif tokens and op == "replace":
+            tokens[i % len(tokens)] = token
+        elif tokens:
+            del tokens[i % len(tokens)]
+    try:
+        d = parse_sexpr(" ".join(tokens))
+    except FamilyError:
+        return
+    assert parse_sexpr(to_sexpr(d)) == d

@@ -3,11 +3,14 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from z5color.families import BrokenWheel, Wheel, build, built_family
 from z5color.plane_graph import (
     PlaneGraphError,
     PlaneNearTriangulation,
+    ValidationReport,
     _cycle_sides,
     blocks,
     chords,
@@ -115,6 +118,69 @@ def test_validate_rejects_bad_outer_cycle(w5):
         g.vertex_count, g.rotation, tuple(reversed(g.outer_cycle))
     )
     assert any("does not bound" in v for v in validate(reversed_outer).violations)
+
+
+FUZZ = settings(derandomize=True, max_examples=200, deadline=None)
+
+
+@FUZZ
+@given(
+    st.integers(0, 8),
+    st.lists(st.lists(st.integers(-1, 8), max_size=6), max_size=9),
+    st.lists(st.integers(-1, 8), max_size=6),
+)
+def test_validate_reports_on_raw_rotations(n, rotation, outer):
+    graph = PlaneNearTriangulation(n, tuple(map(tuple, rotation)), tuple(outer))
+    assert isinstance(validate(graph), ValidationReport)
+
+
+@FUZZ
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(
+        st.tuples(
+            st.sampled_from(("swap", "replace", "outer", "reverse", "count")),
+            st.integers(0, 10**6),
+            st.integers(0, 10**6),
+            st.integers(-1, 12),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_validate_reports_on_mutated_rotations(seed, mutations):
+    # Valid rotations with entries swapped or replaced, the outer cycle
+    # edited or reversed, or the vertex count changed: a report, never a raise.
+    n = 3 + seed % 10
+    g = random_near_triangulation(n, 3 + seed % (n - 2), seed)
+    rotation = [list(r) for r in g.rotation]
+    outer, count = list(g.outer_cycle), n
+    for op, i, j, x in mutations:
+        row = rotation[i % n]
+        if op == "swap" and row:
+            a, b = i % len(row), j % len(row)
+            row[a], row[b] = row[b], row[a]
+        elif op == "replace" and row:
+            row[j % len(row)] = x
+        elif op == "outer":
+            outer[j % len(outer)] = x
+        elif op == "reverse":
+            outer.reverse()
+        elif op == "count":
+            count = x
+    graph = PlaneNearTriangulation(count, tuple(map(tuple, rotation)), tuple(outer))
+    assert isinstance(validate(graph), ValidationReport)
+
+
+@FUZZ
+@given(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6))
+def test_validate_rejects_a_dropped_rotation_entry(pick, i, j):
+    members = built_family(8)
+    g = members[pick % len(members)][1]
+    rotation = [list(r) for r in g.rotation]
+    row = rotation[i % g.vertex_count]
+    del row[j % len(row)]
+    assert not validate(PlaneNearTriangulation.from_lists(rotation, g.outer_cycle)).ok
 
 
 def test_validate_family_members_and_random_triangulations():

@@ -192,7 +192,7 @@ def test_marginal_counts_match_literal_enumeration():
         keep = tuple(rng.sample(range(n), rng.randint(0, min(4, n))))
         graph = n if rng.random() < 0.3 else g
         table = marginal_counts(graph, phi, colors, keep)
-        avail = _avail_lists(n, m, colors)
+        avail = _avail_lists(n, phi, colors)
         assert list(table) == list(itertools.product(*(avail[u] for u in keep)))
         assert all(type(value) is int for value in table.values())
         brute = brute_marginals(n, phi, colors, keep)
@@ -232,7 +232,7 @@ def test_decoded_coloring_is_proper_or_none_exactly_without_colorings(rng):
             cs = cs.with_forbidden(v, rng.sample(range(5), rng.randint(0, 3)))
         for v in rng.sample(range(n), rng.randint(0, 3)):
             cs = cs.with_precolor(v, rng.randrange(5))
-        coloring = _decode_coloring(n, phi, _avail_lists(n, 5, cs))
+        coloring = _decode_coloring(n, phi, _avail_lists(n, phi, cs))
         if count_colorings(g, phi, cs) == 0:
             assert coloring is None
         else:
@@ -562,6 +562,102 @@ def test_short_cycle_rejects_improper_precoloring(k3):
         cs = cs.with_precolor(i, c)
     with pytest.raises(ExtensionError, match="improper"):
         color_short_cycle(g, phi, cs)
+
+
+def center_beside_a_wedge_hub():
+    """Outer 5-cycle 0-4, center 5 joined to 0, 1 and 2, and vertex 6
+    joined to 2, 3, 4, 0 and 5: a hub candidate of the center's wedge
+    2-3-4-0-5, but not of the outer cycle."""
+    def at(radius, degrees):
+        a = math.radians(degrees)
+        return (radius * math.cos(a), radius * math.sin(a))
+
+    points = [at(1, 72 * i) for i in range(5)] + [at(0.45, 72), at(0.25, 252)]
+    edges = [(i, (i + 1) % 5) for i in range(5)] + [(5, 0), (5, 1), (5, 2)]
+    edges += [(6, v) for v in (2, 3, 4, 0, 5)]
+    return plane_graph_from_points(points, edges, (0, 4, 3, 2, 1))
+
+
+def test_short_cycle_center_color_skips_a_wedge_hub(rng):
+    # The outer cycle has no hub, so every proper precoloring extends.  The
+    # center's lowest free color is passed over exactly when it would make
+    # 6 a hub of the wedge, and some precolorings reach that case.
+    g = center_beside_a_wedge_hub()
+    steps = [(i, (i + 1) % 5) for i in range(5)]
+    skipped = 0
+    for _ in range(4):
+        phi = random_phi_on(g, rng)
+        table = marginal_counts(g, phi, None, keep=tuple(range(5)))
+        for pre, cnt in sorted(table.items()):
+            if any(pre[j] == tau(phi, i, pre[i], j) for i, j in steps):
+                continue
+            result = color_short_cycle(g, phi, precolored(7, pre))
+            assert cnt > 0 and is_proper(g, phi, result)
+            assert result[:5] == pre
+            free = set(range(5)) - {tau(phi, c, pre[c], 5) for c in (0, 1, 2)}
+            skipped += result[5] > min(free)
+    assert skipped > 0
+
+
+def nested_stacking(n):
+    """Outer triangle 0, 2, 1 around the path 2, 3, ..., n - 1, each of
+    whose vertices is joined to 0 and 1: every vertex is stacked into the
+    newest face on edge 0-1, so the short-cycle regions nest n - 3 deep."""
+    rotation = [list(range(2, n)) + [1], [0] + list(range(n - 1, 1, -1))]
+    for w in range(2, n):
+        rotation.append([w - 1] * (w > 2) + [1] + [w + 1] * (w < n - 1) + [0])
+    return PlaneNearTriangulation.from_lists(rotation, (0, 2, 1))
+
+
+def test_short_cycle_nested_stacking_deeper_than_the_recursion_limit():
+    g = nested_stacking(1500)
+    assert validate(g).ok
+    phi = random_phi_on(g, random.Random(1500))
+    c2 = min(set(range(5)) - {tau(phi, 0, 0, 2)})
+    c1 = min(set(range(5)) - {tau(phi, 0, 0, 1), tau(phi, 2, c2, 1)})
+    cs = ColorSystem.free(1500).with_precolor(0, 0).with_precolor(2, c2)
+    with cpu_time_limit(15):
+        result = color_short_cycle(g, phi, cs.with_precolor(1, c1))
+    assert is_proper(g, phi, result)
+
+
+def precolored(n, colors):
+    """The free system on ``n`` vertices with vertex i precolored colors[i]."""
+    cs = ColorSystem.free(n)
+    for v, c in enumerate(colors):
+        cs = cs.with_precolor(v, c)
+    return cs
+
+
+def test_inconsistent_inputs_raise_extension_error(w5):
+    # A constraint system of the wrong size, labelings that miss an edge of
+    # the graph, and one that names a vertex the graph does not have.
+    g, _ = w5
+    phi = PhiAssignment.zero(g.edges())
+    for n in (5, 7):
+        size = f"covers {n} vertices, graph has 6"
+        with pytest.raises(ExtensionError, match=size):
+            extend_two(ExtensionProblem(g, phi, precolored(n, [0, 1]), (0, 1)))
+        with pytest.raises(ExtensionError, match=size):
+            extend_three(ExtensionProblem(g, phi, precolored(n, [0, 1, 0]), (0, 1, 2)))
+        with pytest.raises(ExtensionError, match=size):
+            color_short_cycle(g, phi, precolored(n, [0, 1, 0, 1, 2]))
+
+    assert not g.has_edge(0, 2)
+    moved = PhiAssignment.zero([(0, 2)] + [e for e in g.edges() if e != (2, 3)])
+    for labels in (moved, phi.remove_edge(2, 3)):
+        with pytest.raises(ExtensionError, match="labeling edges differ"):
+            extend_two(ExtensionProblem(g, labels, precolored(6, [0, 1]), (0, 1)))
+        with pytest.raises(ExtensionError, match="labeling edges differ"):
+            color_short_cycle(g, labels, precolored(6, [0, 1, 0, 1, 2]))
+
+    stray = PhiAssignment(5, phi.records + ((0, 9, 1),))
+    with pytest.raises(ExtensionError, match="outside"):
+        count_colorings(g, stray)
+    with pytest.raises(ExtensionError, match="outside"):
+        next(enumerate_colorings(g, stray))
+    with pytest.raises(ExtensionError, match="outside"):
+        first_coloring(g, stray)
 
 
 # ---------------------------------------------------------------------------
