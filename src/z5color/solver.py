@@ -7,11 +7,14 @@ Two independent routes compute with colorings:
   every proper coloring.
 - ``count_colorings`` / ``marginal_counts`` run exact variable elimination
   over the same constraints, in a minimum-degree order kept in a heap: a
-  structure phase records, per eliminated vertex, gather index lists into
-  its joint table, and an execution phase multiplies and sums flat lists
-  of Python ints (one axis of length m per vertex).  Fast enough to serve
-  as the brute-force oracle at desk scale.  The two routes are
-  cross-checked in the test suite.
+  structure phase records, per eliminated vertex, precompiled
+  ``itemgetter`` gathers into its joint table, and an execution phase
+  multiplies and sums flat lists of Python ints (one axis of length m per
+  vertex).  Adding one color to every vertex maps proper colorings to
+  proper colorings, so a step whose factors come only from edges and full
+  lists computes the 1/m slice of its table with first color 0 and spreads
+  it to the rest.  Fast enough to serve as the brute-force oracle at desk
+  scale.  The two routes are cross-checked in the test suite.
 
 ``first_coloring`` backtracks up to a fixed number of frames per vertex and
 past that decodes a coloring from the elimination plan, so it always
@@ -46,7 +49,7 @@ import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, Sequence
 
 from .families import (
@@ -162,17 +165,50 @@ def _gather(m: int, strides: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(index)
 
 
-def _gather_into(
-    m: int, scope: tuple[int, ...], axes: tuple[int, ...]
-) -> tuple[int, ...] | None:
-    """The gather list of a factor over ``scope`` into a table over
-    ``axes`` (a superset), or None when the two tables are laid out alike."""
-    if scope == axes:
-        return None
+def _getter(index: Sequence[int]) -> itemgetter:
+    """One ``itemgetter`` call that reads the cells ``index`` of a table and
+    always returns a sequence: a run of consecutive cells (a one-cell read
+    among them) is read as a slice."""
+    first = index[0]
+    if index == tuple(range(first, first + len(index))):
+        return itemgetter(slice(first, first + len(index)))
+    return itemgetter(*index)
+
+
+@lru_cache(maxsize=1024)
+def _reader(m: int, strides: tuple[int, ...], length: int) -> tuple[itemgetter, tuple]:
+    """``(take, gather)`` for ``gather = _gather(m, strides)``, where
+    ``take`` reads the cells of its first ``length`` entries out of a table
+    in one call."""
+    gather = _gather(m, strides)
+    return _getter(gather[:length]), gather
+
+
+@lru_cache(maxsize=64)
+def _spread(m: int, k: int) -> itemgetter:
+    """Expands the cells of a shift-free table over ``k`` axes whose first
+    coordinate is 0 (the first m^(k−1) cells) to the whole table: cell
+    (x0, x1, …, x_{k−1}) reads cell (0, x1 − x0, …, x_{k−1} − x0)."""
+    index: list[int] = []
+    for x0 in range(m):
+        cells = [0]
+        for axis in range(1, k):
+            stride = m ** (k - 1 - axis)
+            offsets = [(x - x0) % m * stride for x in range(m)]
+            cells = [i + o for i in cells for o in offsets]
+        index += cells
+    return _getter(tuple(index))
+
+
+def _read(
+    m: int, scope: tuple[int, ...], axes: tuple[int, ...], length: int
+) -> tuple[itemgetter, tuple[int, ...]]:
+    """``(take, gather)`` for a factor over ``scope`` read into a table over
+    ``axes`` (a superset): ``gather`` maps each cell of that table to a
+    cell of the factor, and ``take`` reads the first ``length`` of them."""
     last = len(scope) - 1
-    return _gather(
-        m, tuple(m ** (last - scope.index(u)) if u in scope else 0 for u in axes)
-    )
+    strides = [m ** (last - scope.index(u)) if u in scope else 0 for u in axes]
+    return _reader(m, tuple(strides), length)
 
 
 @lru_cache(maxsize=None)
@@ -195,29 +231,38 @@ def _elimination_plan(
     per eliminated vertex, and the factors left over ``keep``.
 
     Factor ids index the table list; the step eliminating ``v`` appends the
-    next id.  A step is ``(v, axes, merges, joins)``: ``axes`` is the joint
-    table's scope (v's neighbors, then v); each merge ``(dst, src,
-    gather)`` multiplies a factor into a touching factor whose scope holds
-    its own, and each join ``(f, gather)`` gathers a factor into the joint
-    table.  The final list holds ``(f, gather)`` into a table over ``keep``.
+    next id.  A step is ``(v, axes, merges, joins, spread)``: ``axes`` is
+    the joint table's scope (v's neighbors, then v); each merge ``(dst,
+    src, take)`` multiplies a factor into a touching factor whose scope
+    holds its own, and each join ``(f, take, gather)`` (see ``_read``)
+    gathers a factor into the joint table.  ``spread`` is None unless the
+    step is shift-free (see ``marginal_counts``): then its joins take only
+    the cells whose first axis is 0, and ``spread`` expands the summed
+    slice to the new factor's whole table.  The final list holds ``(f,
+    take, gather)`` into a table over ``keep``.
     """
     tables: list = []
     scopes: list[tuple[int, ...]] = []
     factor_ids: list[list[int]] = [[] for _ in range(n)]
     live: list[bool] = []
+    # Shift-free: unchanged when one color is added to every vertex of the
+    # scope; so is every edge table.
+    free: list[bool] = []
 
-    def add_factor(scope: tuple[int, ...], table) -> None:
+    def add_factor(scope: tuple[int, ...], table, shift_free: bool) -> None:
         for u in scope:
             factor_ids[u].append(len(scopes))
         scopes.append(scope)
         tables.append(table)
         live.append(True)
+        free.append(shift_free)
 
     nbrs: list[set[int]] = [set() for _ in range(n)]  # the interaction graph
     for tail, head, value in records:
         add_factor(
             (tail, head) if tail < head else (head, tail),
             _edge_table(m, value, tail > head),
+            True,
         )
         nbrs[tail].add(head)
         nbrs[head].add(tail)
@@ -225,7 +270,7 @@ def _elimination_plan(
     # changes no product, so it is needed only on an isolated vertex.
     for v, colors in enumerate(avail):
         if len(colors) < m or not nbrs[v]:
-            add_factor((v,), [int(c in colors) for c in range(m)])
+            add_factor((v,), [int(c in colors) for c in range(m)], len(colors) == m)
 
     keep_set = set(keep)
     heap = [(1 + len(nbrs[v]), v) for v in range(n) if v not in keep_set]
@@ -249,6 +294,8 @@ def _elimination_plan(
             if u not in keep_set:
                 heapq.heappush(heap, (1 + len(nbrs[u]), u))
         axes = out_scope + (v,)
+        shift_free = bool(out_scope) and all(free[f] for f in touching)
+        length = m ** (len(axes) - shift_free)
         # A factor whose scope lies inside a larger touching one is multiplied
         # into it at that smaller size; the rest are gathered into the joint.
         touching.sort(key=lambda f: len(scopes[f]))
@@ -257,19 +304,22 @@ def _elimination_plan(
             scope = scopes[f]
             for g in touching[i + 1 :]:
                 if len(scopes[g]) > len(scope) and all(u in scopes[g] for u in scope):
-                    merges.append((g, f, _gather_into(m, scope, scopes[g])))
+                    take, _ = _read(m, scope, scopes[g], m ** len(scopes[g]))
+                    merges.append((g, f, take))
                     break
             else:
-                joins.append((f, _gather_into(m, scope, axes)))
-        steps.append((v, axes, merges, joins))
+                joins.append((f, *_read(m, scope, axes, length)))
+        spread = _spread(m, len(out_scope)) if shift_free else None
+        steps.append((v, axes, merges, joins, spread))
         new_id = len(scopes)
         scopes.append(out_scope)
         live.append(True)
+        free.append(shift_free)
         for u in out_scope:
             factor_ids[u].append(new_id)
 
     final = [
-        (f, _gather_into(m, scope, keep))
+        (f, *_read(m, scope, keep, m ** len(keep)))
         for f, (scope, alive) in enumerate(zip(scopes, live))
         if alive
     ]
@@ -277,12 +327,12 @@ def _elimination_plan(
 
 
 def _product(tables: list, factors, size: int) -> Iterable[int]:
-    """The cells, in order, of the product of ``factors`` gathered into one
-    table of ``size`` cells; lazy, so no intermediate table is built."""
+    """The cells, in order, of the product of ``factors`` (``(f, take,
+    gather)`` entries) read into one table of ``size`` cells; lazy, so no
+    product table is built."""
     acc = None
-    for f, gather in factors:
-        table = tables[f]
-        column = table if gather is None else map(table.__getitem__, gather)
+    for f, take, _ in factors:
+        column = take(tables[f])
         acc = column if acc is None else map(mul, acc, column)
     return [1] * size if acc is None else acc
 
@@ -290,13 +340,16 @@ def _product(tables: list, factors, size: int) -> Iterable[int]:
 def _execute(tables: list, steps: list, m: int, combine) -> None:
     """Execution phase: run the plan's steps over flat tables, appending
     each step's new factor.  ``combine`` folds the ``m`` cells of the
-    eliminated vertex's axis: ``sum`` counts, ``any`` decides."""
-    for _, axes, merges, joins in steps:
-        for dst, src, gather in merges:
-            column = map(tables[src].__getitem__, gather)
-            tables[dst] = list(map(mul, tables[dst], column))
-        cells = iter(_product(tables, joins, m ** len(axes)))
-        tables.append(list(map(combine, zip(*[cells] * m))))
+    eliminated vertex's axis: ``sum`` counts, ``any`` decides.  A
+    shift-free step computes the slice of its new factor whose first axis
+    is 0 and spreads it; the others compute the whole table."""
+    for _, axes, merges, joins, spread in steps:
+        for dst, src, take in merges:
+            tables[dst] = list(map(mul, tables[dst], take(tables[src])))
+        size = m ** (len(axes) - (spread is not None))
+        cells = iter(_product(tables, joins, size))
+        table = list(map(combine, zip(*[cells] * m)))
+        tables.append(table if spread is None else spread(table))
 
 
 def marginal_counts(
@@ -317,11 +370,24 @@ def marginal_counts(
     so the order is kept in a heap of (1 + degree, vertex) entries,
     re-pushed as eliminations change degrees (stale entries are skipped).
     Each step records its joint scope and, for each touching factor, a
-    gather index list into the joint table (cached per modulus and
-    strides).  The execution phase runs over flat lists of Python ints, one
-    axis of length m per vertex in mixed radix, a forbidden color holding a
-    zero: a step multiplies its gathered factors cell by cell and sums each
-    run of m cells along the eliminated vertex's axis.
+    gather index list into the joint table with an ``operator.itemgetter``
+    that reads those cells in one call (both cached per modulus, strides
+    and length).  The execution phase runs over flat lists of Python ints,
+    one axis of length m per vertex in mixed radix (first axis slowest), a
+    forbidden color holding a zero: a step multiplies its gathered factors
+    cell by cell and sums each run of m cells along the eliminated vertex's
+    axis.
+
+    Shift-free steps do a 1/m share of that work.  c + s is proper exactly
+    when c is, for every shift s, so an edge table, a full list and any sum
+    of products of such factors is fixed by adding s to all of its
+    coordinates.  A step whose touching factors are all shift-free and
+    whose new factor has a nonempty scope multiplies only the joint cells
+    whose first axis is 0 (a prefix of each gather), sums them into the new
+    factor's cells with first coordinate 0, and spreads those to the whole
+    table with one cached gather: cell (x0, x1, …) reads cell (0, x1 − x0,
+    …).  Stored tables are whole, so the decoder and the final gathers read
+    them as before.
     """
     n = _vertex_count(graph)
     m = phi.modulus
@@ -486,13 +552,13 @@ def _decode_coloring(
     if not all(_product(tables, final, 1)):
         return None
     coloring = [0] * n
-    for v, axes, _, joins in reversed(steps):
+    for v, axes, _, joins, _ in reversed(steps):
         base = 0
         for u in axes[:-1]:
             base = base * m + coloring[u]
         for c in range(m):
             cell = base * m + c
-            if all(tables[f][cell if g is None else g[cell]] for f, g in joins):
+            if all(tables[f][g[cell]] for f, _, g in joins):
                 coloring[v] = c
                 break
         else:
@@ -1169,6 +1235,8 @@ def lemma1_alpha(
         path = principal_path(graph)
     if phi.modulus != 5 or colors.modulus != 5:
         raise ExtensionError("lemma1_alpha is specified for modulus 5 only")
+    if mismatch := _size_mismatch(graph, colors) or _labeling_mismatch(graph, phi):
+        raise ExtensionError(mismatch)
     if require_multi_wheel:
         d = recognize_generalized_multi_wheel(graph, path)
         if d is None or not is_multi_wheel_descriptor(d):

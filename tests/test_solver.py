@@ -40,6 +40,7 @@ from z5color.solver import (
     _arc_inside,
     _avail_lists,
     _decode_coloring,
+    _elimination_plan,
     classify_alpha,
     color_short_cycle,
     count_colorings,
@@ -240,6 +241,112 @@ def test_decoded_coloring_is_proper_or_none_exactly_without_colorings(rng):
             assert all(coloring[v] in cs.available(v) for v in range(n))
 
 
+def test_marginal_tables_are_fixed_by_a_common_shift(rng):
+    # c + s is proper exactly when c is, so with no lists every table of
+    # marginal counts is fixed by adding s to every kept color, and the
+    # total is a multiple of 5.
+    for _ in range(40):
+        n = rng.randint(3, 14)
+        g = random_near_triangulation(n, rng.randint(3, n), rng.randrange(10**6))
+        phi = random_phi_on(g, rng)
+        keep = tuple(rng.sample(range(n), rng.randint(0, min(3, n))))
+        table = marginal_counts(g, phi, None, keep)
+        assert len(table) == 5 ** len(keep)
+        for colors, value in table.items():
+            for s in range(1, 5):
+                assert table[tuple((c + s) % 5 for c in colors)] == value
+        assert sum(table.values()) % 5 == 0
+
+
+def test_counts_with_lists_on_some_vertices_match_both_oracles(rng):
+    # Lists on a random subset of the vertices leave a plan in which only
+    # the steps clear of them are shift-free; the counts must not notice.
+    for _ in range(30):
+        n = rng.randint(3, 6)
+        g = random_near_triangulation(n, rng.randint(3, n), rng.randrange(10**6))
+        phi = random_phi_on(g, rng)
+        cs = ColorSystem.free(n)
+        for v in rng.sample(range(n), rng.randint(1, n - 1)):
+            if rng.random() < 0.3:
+                cs = cs.with_precolor(v, rng.randrange(5))
+            else:
+                cs = cs.with_forbidden(v, rng.sample(range(5), rng.randint(1, 3)))
+        keep = tuple(rng.sample(range(n), rng.randint(0, 2)))
+        table = marginal_counts(g, phi, cs, keep)
+        brute = brute_marginals(n, phi, cs, keep)
+        assert table == {key: brute[key] for key in table}
+        total = sum(1 for _ in enumerate_colorings(g, phi, cs))
+        assert count_colorings(g, phi, cs) == brute_count(n, phi, cs) == total
+
+
+def test_plan_marks_shift_free_steps_on_wheels():
+    # Unlisted, every step of a wheel's plan that leaves a factor behind is
+    # shift-free.  A list on one rim vertex clears the mark on exactly the
+    # steps that consume its list factor or a factor built from it.
+    for k in (3, 5, 8, 13):
+        g, _ = build(Wheel(k))
+        n = g.vertex_count
+        phi = PhiAssignment.zero(g.edges())
+        full = [tuple(range(5))] * n
+        _, steps, _ = _elimination_plan(n, 5, full, phi.records, ())
+        for _, axes, _, _, spread in steps:
+            assert (spread is not None) == bool(axes[:-1])
+        for rim in (1, k // 2 + 1):
+            avail = list(full)
+            avail[rim] = (0, 2, 4)
+            tables, steps, _ = _elimination_plan(n, 5, avail, phi.records, ())
+            # Edge tables come first, then the one list factor.
+            descends = {len(phi.records)}
+            first_step_id = len(tables)
+            for i, (_, axes, merges, joins, spread) in enumerate(steps):
+                touching = {f for f, _, _ in joins}
+                touching.update(f for dst, src, _ in merges for f in (dst, src))
+                if touching & descends:
+                    descends.add(first_step_id + i)
+                    assert spread is None
+                else:
+                    assert (spread is not None) == bool(axes[:-1])
+            assert any(spread is not None for *_, spread in steps)
+            assert len(descends) > 1
+
+
+def test_decoded_coloring_from_spread_tables(rng, monkeypatch):
+    # Decoding reads the whole tables that shift-free steps spread out.
+    # With the frame cap at 0, first_coloring decodes at once.
+    monkeypatch.setattr("z5color.solver._FRAMES_PER_VERTEX", 0)
+    instances = []
+    for g, _ in (build(Wheel(300)), build(BrokenWheel(300))):
+        instances.append((g, PhiAssignment.zero(g.edges()), None))
+        instances.append((g, random_phi_on(g, rng), None))
+    for _ in range(30):
+        n = rng.randint(20, 60)
+        g = random_near_triangulation(n, rng.randint(3, n // 2), rng.randrange(10**6))
+        phi = random_phi_on(g, rng)
+        cs = ColorSystem.free(n)
+        for v in rng.sample(range(n), rng.randint(1, 6)):
+            if rng.random() < 0.5:
+                cs = cs.with_precolor(v, rng.randrange(5))
+            else:
+                cs = cs.with_forbidden(v, rng.sample(range(5), rng.randint(1, 3)))
+        if rng.random() < 0.3:  # an edge whose precolored ends clash
+            t, h, value = rng.choice(phi.records)
+            c = rng.randrange(5)
+            cs = cs.with_precolor(t, c).with_precolor(h, (c + value) % 5)
+        instances.append((g, phi, cs))
+    empty = 0
+    for g, phi, cs in instances:
+        n = g.vertex_count
+        decoded = _decode_coloring(n, phi, _avail_lists(n, phi, cs))
+        assert first_coloring(g, phi, cs) == decoded
+        if count_colorings(g, phi, cs) == 0:
+            assert decoded is None
+            empty += 1
+        else:
+            assert is_proper(g, phi, decoded)
+            assert cs is None or all(decoded[v] in cs.available(v) for v in range(n))
+    assert 0 < empty < len(instances)
+
+
 # ---------------------------------------------------------------------------
 # extend_two
 # ---------------------------------------------------------------------------
@@ -299,6 +406,21 @@ def test_count_closed_forms_at_3000_vertices():
     assert count_colorings(g, PhiAssignment.zero(g.edges())) == 20 * 3**2998
     g, _ = build(Wheel(3000))
     assert count_colorings(g, PhiAssignment.zero(g.edges())) == 5 * (3**3000 + 3)
+
+
+def test_count_closed_form_on_shifted_labels_at_2000_vertices():
+    # A near-triangulation with n vertices and outer length k has
+    # 20·3^(k−2)·2^(n−k) colorings under phi = 0, and shift_phi keeps the
+    # count, so the labels below (nonzero on the shifted vertices' edges)
+    # are checked at a size no brute oracle reaches.
+    for seed in (1, 2):
+        g = random_near_triangulation(2000, 200, seed)
+        rng = random.Random(seed)
+        phi = PhiAssignment.zero(g.edges())
+        for _ in range(8):
+            phi = shift_phi(phi, rng.randrange(2000), rng.randrange(1, 5))
+        assert any(value for _, _, value in phi.records)
+        assert count_colorings(g, phi) == 20 * 3**198 * 2**1800
 
 
 def test_extend_two_broken_wheel_3000():
@@ -947,3 +1069,9 @@ def test_lemma1_rejects_bad_input(w5):
         lemma1_alpha(g, phi, ColorSystem.free(6).with_forbidden(0, {1}), p)
     with pytest.raises(ExtensionError, match="precolorings"):
         lemma1_alpha(g, phi, ColorSystem.free(6).with_precolor(2, 1), p)
+    with pytest.raises(ExtensionError, match="covers 5 vertices, graph has 6"):
+        lemma1_alpha(g, phi, ColorSystem.free(5), p)
+    assert not g.has_edge(0, 2)
+    moved = PhiAssignment.zero([(0, 2)] + [e for e in g.edges() if e != (2, 3)])
+    with pytest.raises(ExtensionError, match="labeling edges differ"):
+        lemma1_alpha(g, moved, ColorSystem.free(6), p)
