@@ -21,8 +21,13 @@ from .families import FamilyError
 from .gcg import GcgError
 from .group_color import GroupColorError
 from .plane_graph import validate
-from .propcheck import CHECK_IDS, RandomInstanceConfig
-from .solver import ExtensionError, ExtensionProblem, ObstructionCertificate
+from .propcheck import CHECK_IDS, PropcheckError, RandomInstanceConfig
+from .solver import (
+    ExtensionError,
+    ExtensionProblem,
+    ObstructionCertificate,
+    SearchBudgetError,
+)
 
 
 class CliError(Exception):
@@ -237,7 +242,15 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (CliError, ExtensionError, FamilyError, GcgError, GroupColorError) as exc:
+    except (
+        CliError,
+        ExtensionError,
+        FamilyError,
+        GcgError,
+        GroupColorError,
+        PropcheckError,
+        SearchBudgetError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

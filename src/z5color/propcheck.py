@@ -5,7 +5,12 @@ hunts for counterexamples with the exact solvers.  Checks are organized as
 streams of self-contained instance packets (text payload plus a few
 auxiliary integers), so they can be partitioned across worker processes and
 replayed bit-exactly: the same seed always produces the same packets, and a
-counterexample's payload re-runs through ``replay`` standalone.
+counterexample's payload re-runs through ``replay`` standalone.  A stream
+depends only on the check id and the config's ``n_max``, ``samples``,
+``seed`` and ``phi_mode``.  Below its smallest instance a check raises
+``PropcheckError``; the smallest ``n_max`` is 3 for lemma2, lemma4, lemma5
+and corollary2, 4 for calculus, lemma1 and theorem4, 6 for lemma3a and
+cor1, and 7 for lemma3b.
 
 Property identifiers:
 
@@ -44,7 +49,6 @@ from . import gcg
 from .families import (
     FamilyDescriptor,
     PrincipalPath,
-    WheelString,
     build_wheel_string,
     built_family,
     facial_triangle_property,
@@ -79,10 +83,8 @@ class RandomInstanceConfig:
     """Sampling knobs shared by all checks.  The same seed always yields
     the same instance stream."""
 
-    n_min: int = 3
     n_max: int = 12
     phi_mode: str = "uniform"  # uniform | zero | sparse
-    forbid_cap: int = 2
     samples: int = 100
     seed: int = 0
 
@@ -208,21 +210,6 @@ def random_near_triangulation(n: int, outer: int, seed: int) -> PlaneNearTriangu
         wedge(c, b, a)
         faces += [[a, b, w], [b, c, w], [c, a, w]]
     return PlaneNearTriangulation.from_lists(rotation, range(outer))
-
-
-def _path_proper_precolor(
-    graph: PlaneNearTriangulation,
-    phi: PhiAssignment,
-    path: PrincipalPath,
-    rng: random.Random,
-) -> dict[int, int]:
-    cm = rng.randrange(5)
-    tails = [c for c in range(5) if c != tau(phi, path.major, cm, path.tail)]
-    ct = rng.choice(tails)
-    # At most two of the five head colors clash (with the major and, over a
-    # tail-head edge, with the tail), so the choice is never empty.
-    heads = [c for c in range(5) if is_path_proper(graph, phi, path, (ct, cm, c))]
-    return {path.tail: ct, path.major: cm, path.head: rng.choice(heads)}
 
 
 def exceptional_theorem4_config(
@@ -431,9 +418,7 @@ def _parse_string_payload(payload: str):
     return string, phi, ColorSystem(5, tuple(fb))
 
 
-def _string_payload(
-    parts, string: WheelString, phi: PhiAssignment, colors: ColorSystem
-) -> str:
+def _string_payload(parts, phi: PhiAssignment, colors: ColorSystem) -> str:
     lines = ["parts " + " ".join(to_sexpr(d) for d in parts)]
     # The payload has no rotation lines, so every edge is written, zeros too.
     for t, h, x in sorted(phi.records, key=lambda r: (min(r[:2]), max(r[:2]))):
@@ -447,18 +432,21 @@ def _string_payload(
 def _eval_lemma5(payload: str, aux) -> str | None:
     string, phi, colors = _parse_string_payload(payload)
     anchors = [string.clean[0], *string.cut, string.clean[1]]
-    majors = list(string.majors)
+    majors = string.majors
+
+    def clashes(v: int, c: int, chosen: dict[int, int]) -> bool:
+        """Color c is forbidden at v or clashes with a chosen neighbor."""
+        return c in colors.forbidden[v] or any(
+            u in chosen and c == tau(phi, u, chosen[u], v) for u in string.adjacency[v]
+        )
 
     def anchor_choices(idx: int, chosen: dict[int, int]):
         if idx == len(anchors):
             yield dict(chosen)
             return
         v = anchors[idx]
-        for c in sorted(set(range(5)) - colors.forbidden[v]):
-            if any(
-                u in chosen and c == tau(phi, u, chosen[u], v)
-                for u in string.adjacency[v]
-            ):
+        for c in range(5):
+            if clashes(v, c, chosen):
                 continue
             chosen[v] = c
             yield from anchor_choices(idx + 1, chosen)
@@ -468,26 +456,11 @@ def _eval_lemma5(payload: str, aux) -> str | None:
         cs = colors
         for v, c in chosen.items():
             cs = cs.with_precolor(v, c)
-        table = marginal_counts(string.vertex_count, phi, cs, keep=tuple(majors))
-        works = True
-        for assign, count in table.items():
-            bad = False
-            for v, c in zip(majors, assign):
-                if c in colors.forbidden[v]:
-                    bad = True
-                    break
-                if any(
-                    u in chosen and c == tau(phi, u, chosen[u], v)
-                    for u in string.adjacency[v]
-                ):
-                    bad = True
-                    break
-            if bad:
-                continue
-            if count == 0:
-                works = False
-                break
-        if works:
+        table = marginal_counts(string.vertex_count, phi, cs, keep=majors)
+        if all(
+            count or any(clashes(v, c, chosen) for v, c in zip(majors, assign))
+            for assign, count in table.items()
+        ):
             return None
     return "no clean/cut coloring protects every major coloring"
 
@@ -565,58 +538,61 @@ def _run_packets(packets, jobs: int) -> list[tuple[int, str, str]]:
 # ---------------------------------------------------------------------------
 
 
-def _lemma3a_graph(k: int, i: int) -> PlaneNearTriangulation:
-    """Two interior vertices u, v; u sees the boundary from the major round
-    to position i, v sees position i round to the major, and u-v is a chordal
-    split between the fans."""
-    if not (3 <= i <= k - 1) or k < 4:
-        raise PropcheckError("lemma3a needs 3 <= i <= k-1")
-    u, v = k, k + 1
-    rot: dict[int, list[int]] = {}
-    rot[0] = [1, u, v, k - 1]
-    rot[u] = list(range(0, i)) + [v]
-    rot[v] = list(range(i - 1, k)) + [0, u]
-    rot[1] = [2, u, 0]
-    for jj in range(2, k):
-        if jj < i - 1:
-            rot[jj] = [jj + 1, u, jj - 1]
-        elif jj == i - 1:
-            rot[jj] = [jj + 1, v, u, jj - 1]
-        elif jj < k - 1:
-            rot[jj] = [jj + 1, v, jj - 1]
-        else:
-            rot[jj] = [0, v, jj - 1]
-    rotation = [rot[x] for x in range(k + 2)]
-    return PlaneNearTriangulation.from_lists(rotation, range(k))
+def _need_n_max(cfg: RandomInstanceConfig, prop: str, smallest: int) -> None:
+    if cfg.n_max < smallest:
+        raise PropcheckError(f"{prop} needs n_max >= {smallest}, got {cfg.n_max}")
 
 
-def _lemma3b_graph(k: int, i: int) -> PlaneNearTriangulation:
-    """Two interior vertices u, v; u sees positions 1..i-1, v sees the major,
-    position 1, and positions i-1 round to the tail."""
-    if not (4 <= i <= k - 1) or k < 5:
-        raise PropcheckError("lemma3b needs 4 <= i <= k-1")
+def _lemma3_graph(prop: str, k: int, i: int) -> PlaneNearTriangulation:
+    """Two interior vertices u, v inside the outer cycle 0..k-1.  In lemma3a
+    (3 <= i <= k-1), u sees the boundary from the major round to position i,
+    v sees position i round to the major, and u-v is a chordal split between
+    the fans.  In lemma3b (4 <= i <= k-1), u sees positions 1..i-1, v sees
+    the major, position 1, and positions i-1 round to the tail."""
     u, v = k, k + 1
-    rot: dict[int, list[int]] = {}
-    rot[0] = [1, v, k - 1]
-    rot[u] = list(range(1, i)) + [v]
-    rot[v] = [0, 1, u] + list(range(i - 1, k))
-    rot[1] = [2, u, v, 0]
-    for jj in range(2, k):
-        if jj < i - 1:
-            rot[jj] = [jj + 1, u, jj - 1]
-        elif jj == i - 1:
-            rot[jj] = [jj + 1, v, u, jj - 1]
-        elif jj < k - 1:
-            rot[jj] = [jj + 1, v, jj - 1]
-        else:
-            rot[jj] = [0, v, jj - 1]
-    rotation = [rot[x] for x in range(k + 2)]
-    return PlaneNearTriangulation.from_lists(rotation, range(k))
+    if prop == "lemma3a":
+        rot = {0: [1, u, v, k - 1], 1: [2, u, 0],
+               u: [*range(0, i), v], v: [*range(i - 1, k), 0, u]}
+    else:
+        rot = {0: [1, v, k - 1], 1: [2, u, v, 0],
+               u: [*range(1, i), v], v: [0, 1, u, *range(i - 1, k)]}
+    for j in range(2, k):
+        fan = [u] if j < i - 1 else [v, u] if j == i - 1 else [v]
+        rot[j] = [(j + 1) % k, *fan, j - 1]
+    return PlaneNearTriangulation.from_lists([rot[x] for x in range(k + 2)], range(k))
+
+
+def _forbid_middles(
+    graph: PlaneNearTriangulation, path: PrincipalPath, rng: random.Random
+) -> ColorSystem:
+    """Up to two forbidden colors on every outer vertex off the principal
+    path; no other constraint."""
+    middles = [v for v in graph.outer_cycle if v not in (path.tail, path.major, path.head)]
+    return random_forbidden(ColorSystem.free(graph.vertex_count), middles, rng, 2)
+
+
+def _precolored_path(
+    graph: PlaneNearTriangulation,
+    phi: PhiAssignment,
+    path: PrincipalPath,
+    rng: random.Random,
+) -> ColorSystem:
+    """``_forbid_middles``, then a random path-proper precoloring of the
+    principal path."""
+    colors = _forbid_middles(graph, path, rng)
+    cm = rng.randrange(5)
+    ct = rng.choice([c for c in range(5) if c != tau(phi, path.major, cm, path.tail)])
+    # At most two of the five head colors clash (with the major and, over a
+    # tail-head edge, with the tail), so the choice is never empty.
+    heads = [c for c in range(5) if is_path_proper(graph, phi, path, (ct, cm, c))]
+    for v, c in ((path.tail, ct), (path.major, cm), (path.head, rng.choice(heads))):
+        colors = colors.with_precolor(v, c)
+    return colors
 
 
 def _member_packets(cfg: RandomInstanceConfig, prop: str, keep, constrain) -> list:
-    """Sampled (member, phi, forbidden[, precolor]) packets for the family
-    lemmas; `constrain` finishes the gcg document per property."""
+    """Sampled family-member packets for the family lemmas; ``constrain``
+    returns each packet's (colors, aux)."""
     # Only the first `samples` members that pass are ever drawn; one is
     # looked for even at samples=0, so that an empty filter still raises.
     passing = (item for item in family_members(cfg.n_max) if keep(*item))
@@ -628,26 +604,34 @@ def _member_packets(cfg: RandomInstanceConfig, prop: str, keep, constrain) -> li
         d, g, p = members[index % len(members)]
         sub_rng = random.Random(derive_seed(cfg.seed, prop, index))
         phi = random_phi(g.edges(), sub_rng, cfg.phi_mode)
-        payload, aux = constrain(d, g, p, phi, sub_rng, index)
+        cs, aux = constrain(g, p, phi, sub_rng, index)
+        payload = gcg.write_gcg(g, phi, cs, descriptor=to_sexpr(d))
         packets.append((prop, index, payload, aux))
     return packets
 
 
-def _forbid_middles(
-    cfg: RandomInstanceConfig,
-    graph: PlaneNearTriangulation,
-    path: PrincipalPath,
-    rng: random.Random,
-) -> ColorSystem:
-    """Up to two forbidden colors on every outer vertex off the principal
-    path; no other constraint."""
-    middles = [v for v in graph.outer_cycle if v not in (path.tail, path.major, path.head)]
-    return random_forbidden(
-        ColorSystem.free(graph.vertex_count), middles, rng, min(cfg.forbid_cap, 2)
-    )
+def _triangulation_packets(
+    cfg: RandomInstanceConfig, prop: str, smallest: int, constrain
+) -> list:
+    """Packets for the counting bounds: one random triangulation per 50
+    samples, each under up to 50 labelings; ``constrain`` returns each
+    packet's (colors, aux) from its labeling index."""
+    _need_n_max(cfg, prop, smallest)
+    packets = []
+    for gi in range(max(1, cfg.samples // 50)):
+        rng_g = random.Random(derive_seed(cfg.seed, f"{prop}-graph", gi))
+        n = rng_g.randint(smallest, cfg.n_max)
+        g = random_triangulation(n, derive_seed(cfg.seed, prop, gi))
+        for pi in range(min(cfg.samples, 50)):
+            rng = random.Random(derive_seed(cfg.seed, f"{prop}-phi", gi, pi))
+            phi = random_phi(g.edges(), rng, cfg.phi_mode)
+            cs, aux = constrain(g, phi, rng, pi)
+            packets.append((prop, len(packets), gcg.write_gcg(g, phi, cs), aux))
+    return packets
 
 
 def _calculus_packets(cfg: RandomInstanceConfig) -> list:
+    _need_n_max(cfg, "calculus", 4)
     packets = [
         ("calculus/obs1", 0, "", ()),
         ("calculus/prop2", 1, "", ()),
@@ -655,12 +639,10 @@ def _calculus_packets(cfg: RandomInstanceConfig) -> list:
     ]
     for index in range(cfg.samples):
         rng = random.Random(derive_seed(cfg.seed, "calculus", index))
-        n = rng.randint(max(cfg.n_min, 4), min(cfg.n_max, 8))
+        n = rng.randint(4, min(cfg.n_max, 8))
         g = random_triangulation(n, derive_seed(cfg.seed, "calculus-graph", index))
         phi = random_phi(g.edges(), rng, cfg.phi_mode)
-        cs = random_forbidden(
-            ColorSystem.free(n), list(g.outer_cycle), rng, cfg.forbid_cap
-        )
+        cs = random_forbidden(ColorSystem.free(n), g.outer_cycle, rng, 2)
         payload = gcg.write_gcg(g, phi, cs)
         # The count bijection re-maps the shifted vertex's color, so that
         # vertex must be free of forbidden colors.
@@ -671,10 +653,9 @@ def _calculus_packets(cfg: RandomInstanceConfig) -> list:
 
 
 def _lemma1_packets(cfg: RandomInstanceConfig) -> list:
-    def constrain(d, g, p, phi, rng, index):
-        cs = _forbid_middles(cfg, g, p, rng)
-        payload = gcg.write_gcg(g, phi, cs, descriptor=to_sexpr(d))
-        return payload, (derive_seed(cfg.seed, "lemma1-reroll", index),)
+    def constrain(g, p, phi, rng, index):
+        reroll = derive_seed(cfg.seed, "lemma1-reroll", index)
+        return _forbid_middles(g, p, rng), (reroll,)
 
     return _member_packets(
         cfg, "lemma1", lambda d, g, p: is_multi_wheel_descriptor(d), constrain
@@ -682,28 +663,24 @@ def _lemma1_packets(cfg: RandomInstanceConfig) -> list:
 
 
 def _lemma2_packets(cfg: RandomInstanceConfig) -> list:
-    def constrain(d, g, p, phi, rng, index):
-        cs = _forbid_middles(cfg, g, p, rng)
-        for v, c in _path_proper_precolor(g, phi, p, rng).items():
-            cs = cs.with_precolor(v, c)
-        return gcg.write_gcg(g, phi, cs, descriptor=to_sexpr(d)), ()
-
     return _member_packets(
-        cfg, "lemma2", lambda d, g, p: not separating_cycles(g, 3), constrain
+        cfg,
+        "lemma2",
+        lambda d, g, p: not separating_cycles(g, 3),
+        lambda g, p, phi, rng, index: (_precolored_path(g, phi, p, rng), ()),
     )
 
 
 def _lemma3_packets(cfg: RandomInstanceConfig, name: str) -> list:
-    builder = _lemma3a_graph if name == "lemma3a" else _lemma3b_graph
     low = 3 if name == "lemma3a" else 4
+    _need_n_max(cfg, name, low + 3)
     packets = []
     for index in range(cfg.samples):
         rng = random.Random(derive_seed(cfg.seed, name, index))
-        k = rng.randint(low + 1, max(low + 1, min(cfg.n_max - 2, 12)))
-        i = rng.randint(low, k - 1)
-        g = builder(k, i)
+        k = rng.randint(low + 1, min(cfg.n_max - 2, 12))
+        g = _lemma3_graph(name, k, rng.randint(low, k - 1))
         phi = random_phi(g.edges(), rng, cfg.phi_mode)
-        cs = _forbid_middles(cfg, g, principal_path(g), rng)
+        cs = _forbid_middles(g, principal_path(g), rng)
         packets.append((name, index, gcg.write_gcg(g, phi, cs), ()))
     return packets
 
@@ -718,24 +695,26 @@ def _cor1_packets(cfg: RandomInstanceConfig) -> list:
             and not separating_cycles(g, 3)
         )
 
-    def constrain(d, g, p, phi, rng, index):
-        cs = _forbid_middles(cfg, g, p, rng)
-        return gcg.write_gcg(g, phi, cs, descriptor=to_sexpr(d)), ()
-
-    return _member_packets(cfg, "cor1", keep, constrain)
+    return _member_packets(
+        cfg,
+        "cor1",
+        keep,
+        lambda g, p, phi, rng, index: (_forbid_middles(g, p, rng), ()),
+    )
 
 
 def _lemma4_packets(cfg: RandomInstanceConfig) -> list:
-    def constrain(d, g, p, phi, rng, index):
-        cs = ColorSystem.free(g.vertex_count)
+    def constrain(g, p, phi, rng, index):
         eligible = [v for v in g.outer_cycle if v not in (p.major, p.head)]
-        cs = random_forbidden(cs, eligible, rng, min(cfg.forbid_cap, 2))
-        return gcg.write_gcg(g, phi, cs, descriptor=to_sexpr(d)), ()
+        return random_forbidden(ColorSystem.free(g.vertex_count), eligible, rng, 2), ()
 
     return _member_packets(cfg, "lemma4", lambda d, g, p: True, constrain)
 
 
 def _lemma5_packets(cfg: RandomInstanceConfig) -> list:
+    # Every member has at least 3 vertices and the members drawn have at
+    # most max(3, n_max - 3), so from n_max = 3 one part always fits.
+    _need_n_max(cfg, "lemma5", 3)
     members = built_family(max(3, cfg.n_max - 3))
     packets = []
     for index in range(cfg.samples):
@@ -752,62 +731,30 @@ def _lemma5_packets(cfg: RandomInstanceConfig) -> list:
         for v in string.boundary:
             cap = 3 if v in string.clean else 2
             cs = cs.with_forbidden(v, rng.sample(range(5), rng.randint(0, cap)))
-        payload = _string_payload(parts, string, phi, cs)
-        packets.append(("lemma5", index, payload, ()))
+        packets.append(("lemma5", index, _string_payload(parts, phi, cs), ()))
     return packets
 
 
 def _theorem4_packets(cfg: RandomInstanceConfig) -> list:
-    packets = []
-    graphs = max(1, cfg.samples // 50)
-    phis = min(cfg.samples, 50)
-    index = 0
-    for gi in range(graphs):
-        rng_g = random.Random(derive_seed(cfg.seed, "theorem4-graph", gi))
-        n = rng_g.randint(max(cfg.n_min, 4), cfg.n_max)
-        g = random_triangulation(n, derive_seed(cfg.seed, "theorem4", gi))
-        oc = list(g.outer_cycle)
-        for pi in range(phis):
-            rng = random.Random(derive_seed(cfg.seed, "theorem4-phi", gi, pi))
-            phi = random_phi(g.edges(), rng, cfg.phi_mode)
-            mode = 2 if pi % 2 == 0 else 3
-            if mode == 2:
-                eligible = [v for v in oc if v not in (oc[0], oc[1])]
-                cs = random_forbidden(
-                    ColorSystem.free(n), eligible, rng, min(cfg.forbid_cap, 2)
-                )
-                cm = rng.randrange(5)
-                ch = rng.choice(
-                    [c for c in range(5) if c != tau(phi, oc[0], cm, oc[1])]
-                )
-                cs = cs.with_precolor(oc[0], cm).with_precolor(oc[1], ch)
-            else:
-                p = principal_path(g)
-                cs = _forbid_middles(cfg, g, p, rng)
-                for v, c in _path_proper_precolor(g, phi, p, rng).items():
-                    cs = cs.with_precolor(v, c)
-            packets.append(("theorem4", index, gcg.write_gcg(g, phi, cs), (mode,)))
-            index += 1
-    return packets
+    def constrain(g, phi, rng, pi):
+        if pi % 2:
+            return _precolored_path(g, phi, principal_path(g), rng), (3,)
+        oc = g.outer_cycle
+        cs = random_forbidden(ColorSystem.free(g.vertex_count), oc[2:], rng, 2)
+        cm = rng.randrange(5)
+        ch = rng.choice([c for c in range(5) if c != tau(phi, oc[0], cm, oc[1])])
+        return cs.with_precolor(oc[0], cm).with_precolor(oc[1], ch), (2,)
+
+    return _triangulation_packets(cfg, "theorem4", 4, constrain)
 
 
 def _corollary2_packets(cfg: RandomInstanceConfig) -> list:
-    packets = []
-    graphs = max(1, cfg.samples // 50)
-    phis = min(cfg.samples, 50)
-    index = 0
-    for gi in range(graphs):
-        rng_g = random.Random(derive_seed(cfg.seed, "corollary2-graph", gi))
-        n = rng_g.randint(max(cfg.n_min, 3), cfg.n_max)
-        g = random_triangulation(n, derive_seed(cfg.seed, "corollary2", gi))
-        for pi in range(phis):
-            rng = random.Random(derive_seed(cfg.seed, "corollary2-phi", gi, pi))
-            phi = random_phi(g.edges(), rng, cfg.phi_mode)
-            packets.append(
-                ("corollary2", index, gcg.write_gcg(g, phi, ColorSystem.free(n)), ())
-            )
-            index += 1
-    return packets
+    return _triangulation_packets(
+        cfg,
+        "corollary2",
+        3,
+        lambda g, phi, rng, pi: (ColorSystem.free(g.vertex_count), ()),
+    )
 
 
 # One driver per property identifier: it builds the property's seeded packet
@@ -844,8 +791,16 @@ def run_check(property_id: str, cfg: RandomInstanceConfig, jobs: int = 1) -> Che
     start = time.perf_counter()
     packets = CHECKS[property_id](cfg)
     failures = _run_packets(packets, jobs)
-    return _report(
-        property_id, cfg, packets, failures, start, _NOTES.get(property_id, ())
+    return CheckReport(
+        name=property_id,
+        seed=cfg.seed,
+        instances=len(packets),
+        counterexamples=tuple(
+            payload + f"# failure: {note}\n# packet: {index}\n"
+            for index, payload, note in failures
+        ),
+        seconds=time.perf_counter() - start,
+        notes=_NOTES.get(property_id, ()),
     )
 
 
@@ -869,24 +824,3 @@ def check_theorem4_bound(cfg: RandomInstanceConfig, jobs: int = 1) -> CheckRepor
 def check_corollary(cfg: RandomInstanceConfig, jobs: int = 1) -> CheckReport:
     return run_check("corollary2", cfg, jobs)
 
-
-def _report(
-    name: str,
-    cfg: RandomInstanceConfig,
-    packets,
-    failures,
-    start: float,
-    notes: tuple[str, ...] = (),
-) -> CheckReport:
-    ces = tuple(
-        payload + f"# failure: {note}\n# packet: {index}\n"
-        for index, payload, note in failures
-    )
-    return CheckReport(
-        name=name,
-        seed=cfg.seed,
-        instances=len(packets),
-        counterexamples=ces,
-        seconds=time.perf_counter() - start,
-        notes=notes,
-    )

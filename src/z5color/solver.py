@@ -76,6 +76,10 @@ class ExtensionError(ValueError):
     """Invalid extension problem (caps or structure violated)."""
 
 
+class SearchBudgetError(RuntimeError):
+    """The obstruction search used up its node budget before it finished."""
+
+
 @dataclass(frozen=True)
 class ExtensionProblem:
     """Graph, labeling, constraint system, and the precolored outer path
@@ -972,7 +976,7 @@ def extend_three(
     Members are tried smallest first, in ``enumerate_family`` order, and the
     search stops at the first one whose anchored copy has no coloring; the
     larger sizes are never built.  ``node_budget`` caps the embedding nodes
-    visited over the whole walk.
+    visited over the whole walk; using it up raises ``SearchBudgetError``.
 
     Finding neither is impossible for valid input, so exhausting the search
     raises instead of returning a silent negative.
@@ -1101,7 +1105,7 @@ def _anchored_embeddings(
     def place(idx: int) -> Iterator[list[int]]:
         budget[0] -= 1
         if budget[0] <= 0:
-            raise RuntimeError("obstruction search exceeded its node budget")
+            raise SearchBudgetError("obstruction search exceeded its node budget")
         if idx == len(free):
             yield list(mapping)
             return

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from z5color import solver
 from z5color.cli import main
 from z5color.families import BrokenWheel, Wheel, build
 from z5color.gcg import parse_gcg, write_gcg
@@ -190,3 +191,25 @@ def test_usage_errors_exit_one(capsys, k3_file):
     assert main(["check", "not-a-property"]) == 1
     assert main([]) == 1
     assert main(["extend2", k3_file]) == 1  # no precolored pair in file
+
+
+@pytest.mark.parametrize("prop", ["lemma1", "theorem4"])
+def test_check_below_the_smallest_instance_is_an_error(capsys, prop):
+    code, out, err = run_cli(capsys, "check", prop, "--n-max", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "n_max" in err
+
+
+def test_extend3_budget_exhaustion_is_an_error(capsys, blocked_bw4_file):
+    code, out, err = run_cli(capsys, "extend3", blocked_bw4_file, "--budget", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: obstruction search exceeded its node budget\n"
+
+
+def test_solver_defects_still_propagate(monkeypatch, blocked_bw4_file):
+    def defect(problem, node_budget):
+        raise RuntimeError("solver defect")
+
+    monkeypatch.setattr(solver, "extend_three", defect)
+    with pytest.raises(RuntimeError, match="solver defect"):
+        main(["extend3", blocked_bw4_file])

@@ -1,11 +1,15 @@
+import hashlib
+
 import pytest
 
+from conftest import cpu_time_limit
 from z5color.families import BrokenWheel, Wheel, build
 from z5color.gcg import parse_gcg, write_gcg
 from z5color.group_color import ColorSystem, PhiAssignment
 from z5color.plane_graph import validate
 from z5color.propcheck import (
     CHECK_IDS,
+    CHECKS,
     CheckReport,
     PropcheckError,
     RandomInstanceConfig,
@@ -202,3 +206,40 @@ def test_lemma5_report_notes_cap_reading():
     report = check_lemma(5, RandomInstanceConfig(n_max=8, samples=4, seed=2))
     assert any("three forbidden colors" in n for n in report.notes)
     assert "# note:" in report.render()
+
+
+def test_packet_streams_are_pinned():
+    # sha256 over repr of every packet of every check, in CHECK_IDS order.
+    # Refactoring how a check draws its packets, or adding a check id, must
+    # leave it unchanged.
+    configs = (
+        RandomInstanceConfig(n_max=9, samples=60, seed=0, phi_mode="uniform"),
+        RandomInstanceConfig(n_max=12, samples=120, seed=2026, phi_mode="sparse"),
+        RandomInstanceConfig(n_max=7, samples=6, seed=77, phi_mode="zero"),
+    )
+    digest = hashlib.sha256()
+    for cfg in configs:
+        for prop in CHECK_IDS:
+            for packet in CHECKS[prop](cfg):
+                digest.update(repr(packet).encode())
+    assert digest.hexdigest() == (
+        "9b0a0cfcdc71dae532ddb8dae5bbca0ceb9478b55fe41f5e82e400d38c52d850"
+    )
+
+
+@pytest.mark.parametrize(
+    "prop, smallest",
+    [("calculus", 4), ("lemma3a", 6), ("lemma3b", 7), ("lemma5", 3),
+     ("theorem4", 4), ("corollary2", 3)],
+)
+def test_checks_reject_n_max_below_their_smallest_instance(prop, smallest):
+    # lemma5 used to loop forever below n_max = 3, so every case runs
+    # under a CPU-time alarm.
+    with cpu_time_limit(10):
+        with pytest.raises(PropcheckError, match="n_max"):
+            run_check(prop, RandomInstanceConfig(n_max=smallest - 1, samples=3))
+        packets = CHECKS[prop](RandomInstanceConfig(n_max=smallest, samples=3))
+    assert len(packets) >= 3
+    for _, _, payload, _ in packets:
+        if payload and prop != "lemma5":
+            assert parse_gcg(payload).graph.vertex_count <= smallest
