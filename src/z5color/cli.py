@@ -39,6 +39,10 @@ def _load(path: str) -> gcg.GcgDocument:
         return gcg.parse_gcg(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise CliError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     except (GcgError, GroupColorError) as exc:
         raise CliError(f"{path}: {exc}") from None
 

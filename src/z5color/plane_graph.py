@@ -13,10 +13,11 @@ arguments need live here: chords, separating short cycles, splitting along
 a path, block decomposition, and extraction of the closed region enclosed
 by a cycle.  ``cycle_side`` (a dual BFS over traced faces) is the oracle
 for which vertices a cycle encloses.  The solver does not trace its
-shrinking sub-regions: it finds the side of a chord split or a center wedge
-by a flood fill on the host rotation, and traces faces (``trace_faces``,
-which also takes a ``{vertex: neighbors}`` sub-rotation) only for the
-boundary of an interior block.
+shrinking sub-regions: a 2-extension chord split needs no side at all (the
+boundary is relinked), a center wedge's side is a flood fill on the host
+rotation, and faces are traced (``trace_faces``, which also takes a
+``{vertex: neighbors}`` sub-rotation) only for the boundary of an interior
+block.
 """
 
 from __future__ import annotations

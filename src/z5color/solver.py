@@ -24,17 +24,19 @@ On top of those sit the constructive algorithms:
 
 - ``extend_two``: two precolored adjacent outer vertices, lists of size at
   least 3 on the rest of the boundary, full lists inside; always succeeds
-  on valid input (chord split / boundary-vertex deletion induction, run on
-  an explicit stack of (cycle, interior) regions, so no recursion limit
-  caps its depth; a chord split flood-fills one side's interior).
+  on valid input (chord split / boundary-vertex deletion induction in
+  linear time: the region boundary is kept as links, chords are looked for
+  only at the vertex before the precolored edge, and the other side of a
+  split waits on an explicit stack as an O(1) relink record, so no
+  recursion limit caps its depth).
 - ``color_short_cycle``: fully precolored outer cycle of length at most 5;
   either extends or returns the exceptional hub (a vertex joined to all of
   a 5-cycle whose forbidden-color images cover the whole group).  Regions
   go on an explicit stack: a center, an interior vertex that sees three or
-  more cycle vertices, splits one into wedges (sides from the same flood
-  fill) and takes the lowest color that leaves no wedge a hub, so no color
-  is undone; where none does, each interior block is seeded and colored by
-  the same 2-extension engine, on host labels.
+  more cycle vertices, splits one into wedges (sides by a flood fill) and
+  takes the lowest color that leaves no wedge a hub, so no color is
+  undone; where none does, each interior block is seeded and colored by the
+  same 2-extension engine, on host labels.
 - ``extend_three``: three precolored consecutive outer vertices, forbidden
   sets capped at two colors on the rest of the boundary; either a coloring
   or a validated obstruction certificate, found by anchored search over the
@@ -726,94 +728,71 @@ def _extend_two_rec(
     lists: dict[int, set[int]],
     assigned: dict[int, int],
 ) -> None:
-    # One explicit stack of work items, so depth is bounded by memory, not by
-    # the interpreter's recursion limit.  A region (outer, interior) is a
-    # cycle and the vertices strictly inside it, a set the region owns; when
-    # popped, outer[0], outer[1] are assigned and nothing else in the region
-    # is; boundary lists have >= 3 colors, interior lists are full.  A
-    # deletion's pick (vk, vkm1, alpha, beta) sits below its shrunk region,
-    # so it runs once that region is colored.
-    stack: list[tuple] = [(outer, interior)]
-    while stack:
-        item = stack.pop()
-        if len(item) == 4:
-            vk, vkm1, alpha, beta = item
-            clash = tau(phi, vkm1, assigned[vkm1], vk)
-            assigned[vk] = alpha if alpha != clash else beta
-            continue
-        outer, interior = item
-        k = len(outer)
-        if k == 3 and not interior:
-            v = outer[2]
-            options = (
-                lists[v]
-                - {tau(phi, outer[0], assigned[outer[0]], v)}
-                - {tau(phi, outer[1], assigned[outer[1]], v)}
-            )
-            if not options:
-                raise RuntimeError("triangle base case has no color (solver defect)")
-            assigned[v] = min(options)
-            del lists[v]
-            continue
-
-        chord = None
-        for i in range(k):
-            for j in range(i + 2, k):
-                if (i, j) == (0, k - 1):
-                    continue
-                if g.has_edge(outer[i], outer[j]):
-                    chord = (i, j)
-                    break
-            if chord:
-                break
-
-        if chord:
-            i, j = chord
-            arc_one = outer[i : j + 1]
-            arc_two = outer[j:] + outer[: i + 1]
-            inside_one = _arc_inside(g, interior, arc_one)
-            interior -= inside_one
-            # The side holding the precolored pair (edge at positions 0-1) is
-            # colored first; its arc is arc_one exactly when the chord starts
-            # at position 0.
-            if i == 0:
-                first_cycle, first_inside = arc_one, inside_one
-                second_cycle, second_inside = arc_two, interior
+    # The current region is a cycle kept as links nxt/prv and read from its
+    # first vertex f: f and nxt[f] are assigned, nothing else on it is, and
+    # boundary lists have >= 3 colors.  ``interior`` is shared by all
+    # regions and holds the vertices not yet on any boundary, so inside a
+    # region it is that region's interior (lists full).  Only the last
+    # vertex x = prv[f] is examined, by reading its rotation from f towards
+    # prv[x]: that arc lies in the region, so its first vertex not in
+    # ``interior`` is prv[x] or the chord end w nearest f.  A chord splits
+    # off the side w..prv[x], x as the relink record (x, w, nxt[w], prv[x]),
+    # whose region is later read from x once x and w are colored; the side
+    # f..w, x stays current, and x has no chord in it.  With no chord x is
+    # deleted: two of its colors are reserved, their images leave the lists
+    # of its inner fan, and the fan is spliced into the links.  A pick
+    # (x, prv[x], (alpha, beta)) sits on the stack below everything pushed
+    # after it, so it runs once prv[x] is colored.  Each rotation is read
+    # at most twice, so the work is linear; no recursion bounds the depth.
+    nxt = dict(zip(outer, outer[1:] + outer[:1]))
+    prv = {b: a for a, b in nxt.items()}
+    f = outer[0]
+    stack: list[tuple] = []
+    while True:
+        x = prv[f]
+        if x == nxt[f]:  # the region is down to the colored edge f-x
+            if not stack:
+                return
+            item = stack.pop()
+            if len(item) == 3:
+                vk, vkm1, (alpha, beta) = item
+                clash = tau(phi, vkm1, assigned[vkm1], vk)
+                assigned[vk] = alpha if alpha != clash else beta
             else:
-                first_cycle, first_inside = arc_two, interior
-                second_cycle, second_inside = arc_one, inside_one
-            # Both chord endpoints are colored once the first side is; they
-            # close the second cycle.
-            second_outer = linear_from(second_cycle, second_cycle[-1])
-            stack.append((second_outer, second_inside))
-            first_outer = linear_from(first_cycle, outer[0])
-            stack.append((first_outer, first_inside))
+                f, w, nxt_w, prv_f = item
+                nxt[f], prv[w], nxt[w], prv[f] = w, f, nxt_w, prv_f
             continue
-
-        # No chord: delete the boundary neighbor of the first precolored
-        # vertex, reserving two of its colors and knocking their images out
-        # of the lists of its interior neighbors, which join the boundary.
-        vk = outer[-1]
-        v1, vkm1 = outer[0], outer[-2]
-        options = sorted(lists[vk] - {tau(phi, v1, assigned[v1], vk)})
+        y = prv[x]
+        rot = g.rotation[x]
+        i = rot.index(f)
+        fan = []
+        for w in rot[i + 1 :] + rot[:i]:
+            if w not in interior:
+                break
+            fan.append(w)
+        else:
+            raise RuntimeError(
+                "boundary fan misses the outer predecessor (solver defect)"
+            )
+        if w != y:
+            stack.append((x, w, nxt[w], y))
+            nxt[w], prv[x] = x, w
+            continue
+        options = sorted(lists.pop(x) - {tau(phi, f, assigned[f], x)})
         if len(options) < 2:
             raise RuntimeError(
                 "boundary list collapsed below two colors (solver defect)"
             )
         alpha, beta = options[0], options[1]
-        # With no chord, v1 and vkm1 are vk's only neighbors on the boundary.
-        region = [u for u in g.rotation[vk] if u in interior or u in (v1, vkm1)]
-        fan = linear_from(region, v1)
-        if fan[-1] != vkm1:
-            raise RuntimeError("boundary fan does not end at the outer predecessor")
-        inner_fan = fan[1:-1]
-        for u in inner_fan:
-            lists[u].discard(tau(phi, vk, alpha, u))
-            lists[u].discard(tau(phi, vk, beta, u))
-        interior.difference_update(inner_fan)
-        del lists[vk]
-        stack.append((vk, vkm1, alpha, beta))
-        stack.append((outer[:-1] + inner_fan[::-1], interior))
+        stack.append((x, y, (alpha, beta)))
+        last = f
+        for u in fan:
+            lists[u].discard(tau(phi, x, alpha, u))
+            lists[u].discard(tau(phi, x, beta, u))
+            interior.remove(u)
+            nxt[u], prv[last] = last, u
+            last = u
+        nxt[y], prv[last] = last, y
 
 
 # ---------------------------------------------------------------------------
@@ -950,16 +929,14 @@ def _color_interior_blocks(
 
 def _block_boundary(g: PlaneNearTriangulation, verts: list[int]) -> tuple[int, ...]:
     """The boundary cycle of a 2-connected block of interior vertices: the
-    first face of its traced sub-rotation whose vertex set is not a
-    triangular face of ``g``, or its first face if there is none (a block
-    that is itself a face of ``g``)."""
+    first face of its traced sub-rotation that is not a face of ``g``, dart
+    for dart.  It is traced in the sense of the outer cycle, so a ring
+    vertex's rotation read from its successor runs into the block, also
+    for a block that is one triangle of ``g`` (traced both ways)."""
     vset = set(verts)
     faces = trace_faces({v: [u for u in g.rotation[v] if u in vset] for v in verts})
-    triangles = {frozenset(face_vertices(f)) for f in faces_of(g) if len(f) == 3}
-    for f in faces:
-        if len(f) != 3 or frozenset(face_vertices(f)) not in triangles:
-            return face_vertices(f)
-    return face_vertices(faces[0])
+    triangles = {frozenset(f) for f in faces_of(g) if len(f) == 3}
+    return next(face_vertices(f) for f in faces if frozenset(f) not in triangles)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
+import io
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from z5color import solver
 from z5color.cli import main
@@ -213,3 +217,65 @@ def test_solver_defects_still_propagate(monkeypatch, blocked_bw4_file):
     monkeypatch.setattr(solver, "extend_three", defect)
     with pytest.raises(RuntimeError, match="solver defect"):
         main(["extend3", blocked_bw4_file])
+
+
+def test_unreadable_paths_are_errors(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "count", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot read ")
+    latin1 = tmp_path / "latin1.gcg"
+    latin1.write_bytes("# café\nn 3\n".encode("latin-1"))
+    code, out, err = run_cli(capsys, "count", str(latin1))
+    assert (code, out) == (1, "")
+    assert err == f"error: {latin1}: not UTF-8 text (byte 5)\n"
+
+
+def test_unreadable_path_is_invalid_for_validate(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "validate", str(tmp_path))
+    assert (code, err) == (1, "")
+    assert out.startswith("invalid: cannot read ")
+
+
+def _pair_document() -> bytes:
+    g, _ = build(Wheel(5))
+    cs = (
+        ColorSystem.free(6)
+        .with_forbidden(2, {2, 3})
+        .with_precolor(0, 0)
+        .with_precolor(1, 1)
+    )
+    return write_gcg(g, PhiAssignment.zero(g.edges()), cs).encode()
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "mutant.gcg"
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(("replace", "delete", "insert")),
+            st.integers(0, 10**4),
+            st.integers(0, 255),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_byte_mutations_exit_with_a_code(fuzz_file, mutations):
+    # Any bytes at all, valid UTF-8 or not: each reader command answers
+    # with an exit code and raises nothing.
+    data = bytearray(_pair_document())
+    for op, i, byte in mutations:
+        if op == "insert":
+            data.insert(i % (len(data) + 1), byte)
+        elif data and op == "replace":
+            data[i % len(data)] = byte
+        elif data:
+            del data[i % len(data)]
+    fuzz_file.write_bytes(bytes(data))
+    for command in ("validate", "count", "extend2"):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main([command, str(fuzz_file)]) in (0, 1, 2)

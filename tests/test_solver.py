@@ -507,6 +507,54 @@ def test_arc_inside_matches_cycle_sides():
     assert flipped >= 10 and checked > 300 and nonempty > 100
 
 
+def test_extend_two_on_flipped_near_triangulations():
+    # Flipped graphs are not stacked: their chords sit anywhere on the
+    # boundary, and the engine defers each one until an end of it is the
+    # vertex before the precolored edge.
+    flipped = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.randint(20, 60)
+        g = random_near_triangulation(n, rng.randint(4, 16), seed)
+        h = flipped_near_triangulation(g, rng, 3 * n)
+        flipped += h.rotation != g.rotation
+        g = h
+        phi = random_phi_on(g, rng)
+        oc = g.outer_cycle
+        i = rng.randrange(len(oc))
+        a, b = oc[i], oc[(i + 1) % len(oc)]
+        cs = ColorSystem.free(n)
+        for v in oc:
+            if v not in (a, b):
+                cs = cs.with_forbidden(v, rng.sample(range(5), rng.randint(0, 2)))
+        ca = rng.randrange(5)
+        cb = rng.choice([c for c in range(5) if c != tau(phi, a, ca, b)])
+        cs = cs.with_precolor(a, ca).with_precolor(b, cb)
+        coloring = extend_two(ExtensionProblem(g, phi, cs, (a, b)))
+        assert is_proper(g, phi, coloring)
+        assert all(coloring[v] in cs.available(v) for v in range(n))
+    assert flipped >= 55
+
+
+@pytest.mark.parametrize("family", [Wheel, BrokenWheel])
+def test_extend_two_is_linear(family):
+    # Chords are looked for only at the vertex before the precolored edge
+    # and the boundary is relinked in O(1), so 20000 vertices take well
+    # under a second; a quadratic step would blow the alarm on the wheel.
+    g, _ = build(family(20000))
+    n = g.vertex_count
+    phi = PhiAssignment.zero(g.edges())
+    a, b = g.outer_cycle[0], g.outer_cycle[1]
+    forbidden = [
+        frozenset({v % 5, (v + 1) % 5} if g.is_outer(v) else ()) for v in range(n)
+    ]
+    cs = ColorSystem(5, tuple(forbidden)).with_precolor(a, 0).with_precolor(b, 1)
+    with cpu_time_limit(3):
+        coloring = extend_two(ExtensionProblem(g, phi, cs, (a, b)))
+    assert is_proper(g, phi, coloring)
+    assert all(coloring[v] in cs.available(v) for v in range(n))
+
+
 def test_extend_two_validates_input(bw4):
     g, _ = bw4
     phi = PhiAssignment.zero(g.edges())
@@ -674,6 +722,25 @@ def test_short_cycle_agrees_with_counts(rng):
                 else:
                     assert cnt > 0
                     assert is_proper(g, phi, result)
+
+
+def test_short_cycle_triangle_blocks_at_every_rotation_start(rng):
+    # Each triangle block of the bowtie is a face of the graph, so its ring
+    # is traced both ways; which orbit comes first follows the start of the
+    # cut vertex's rotation.  The ring must run against the face for the
+    # 2-extension engine to read the block's inside, at every start.
+    g0 = bowtie_in_square()
+    m = 4
+    for shift in range(g0.degree(m)):
+        rotation = [list(r) for r in g0.rotation]
+        rotation[m] = rotation[m][shift:] + rotation[m][:shift]
+        g = PlaneNearTriangulation.from_lists(rotation, g0.outer_cycle)
+        phi = random_phi_on(g, rng)
+        table = marginal_counts(g, phi, None, keep=(0, 1, 2, 3))
+        for pre, cnt in sorted(table.items()):
+            if cnt:
+                result = color_short_cycle(g, phi, precolored(9, pre))
+                assert is_proper(g, phi, result) and result[:4] == pre
 
 
 def test_short_cycle_rejects_improper_precoloring(k3):
