@@ -462,34 +462,42 @@ def facial_triangle_property(
 
 @lru_cache(maxsize=32)
 def _members_of_size(size: int) -> tuple[tuple[FamilyDescriptor, PlaneNearTriangulation], ...]:
+    """One ``(descriptor, graph)`` pair per member with ``size`` vertices.
+
+    Offers come in a fixed order: the broken wheel, the wheel, then every
+    Glue by ascending left size (each left member against each right
+    member), then every InsertWheel by ascending base size (each base
+    member at each insertion site).  The first offer of an embedding
+    signature wins.  An offer's graph is made from the graphs already
+    stored for its parts, which is what ``build`` would rebuild
+    recursively from their descriptors."""
     found: list[tuple[FamilyDescriptor, PlaneNearTriangulation]] = []
     seen: set[tuple] = set()
 
-    def offer(d: FamilyDescriptor) -> None:
-        g, p = build(d)
-        sig = embedding_signature(g, p)
+    def offer(d: FamilyDescriptor, g: PlaneNearTriangulation) -> None:
+        sig = embedding_signature(g, principal_path(g))
         if sig not in seen:
             seen.add(sig)
             found.append((d, g))
 
     if size >= 3:
-        offer(BrokenWheel(size))
+        offer(BrokenWheel(size), _build_broken_wheel(size))
     if size >= 4:
-        offer(Wheel(size - 1))
+        offer(Wheel(size - 1), _build_wheel(size - 1))
     for left_size in range(3, size):
         right_size = size + 2 - left_size
         if right_size < 3:
             continue
-        for dl, _ in _members_of_size(left_size):
-            for dr, _ in _members_of_size(right_size):
-                offer(Glue(dl, dr))
+        for dl, gl in _members_of_size(left_size):
+            for dr, gr in _members_of_size(right_size):
+                offer(Glue(dl, dr), _glue(gl, gr))
     for base_size in range(4, size):
         j = size - base_size - 1
         if j < 0:
             continue
         for db, gb in _members_of_size(base_size):
             for site in insertion_sites(gb):
-                offer(InsertWheel(db, site, j))
+                offer(InsertWheel(db, site, j), _insert_wheel(gb, site, j))
     return tuple(found)
 
 

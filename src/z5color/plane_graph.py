@@ -12,7 +12,8 @@ Vertices are dense indices 0..n-1.  All structural queries the extension
 arguments need live here: chords, separating short cycles, splitting along
 a path, block decomposition, and extraction of the closed region enclosed
 by a cycle.  ``cycle_side`` (a dual BFS over traced faces) is the oracle
-for which vertices a cycle encloses.  The solver does not trace its
+for which vertices a cycle encloses; separating triangles need no BFS and
+are decided from the face list alone.  The solver does not trace its
 shrinking sub-regions: a 2-extension chord split needs no side at all (the
 boundary is relinked), a center wedge's side is a flood fill on the host
 rotation, and faces are traced (``trace_faces``, which also takes a
@@ -374,31 +375,37 @@ def _cycle_sides(
 
 def separating_cycles(graph: PlaneNearTriangulation, length: int) -> list[tuple[int, ...]]:
     """All cycles of the given length (3 or 4) with vertices strictly on
-    both sides.  A triangle is separating iff it is not facial and at least
-    one vertex lies outside it; the outer cycle itself never counts."""
+    both sides; the outer cycle itself never counts.
+
+    A triangle separates iff its vertex set is not that of a traced 3-face.
+    A triangle that bounds no face encloses a vertex, since the region it
+    bounds is triangulated and its own three edges cannot split it; and
+    only the outer cycle has nothing outside it, since every outer vertex
+    off a triangle lies outside it.  So one set of facial triangles decides
+    every triangle.  A 4-cycle is decided by a dual BFS (``cycle_side``)."""
     if length not in (3, 4):
         raise PlaneGraphError("only lengths 3 and 4 are supported")
-    found = []
+    faces, outer_idx = faces_of(graph), _traced_outer(graph)
     n = graph.vertex_count
     if length == 3:
-        candidates = [
+        facial = {frozenset(face_vertices(f)) for f in faces if len(f) == 3}
+        return [
             (u, v, w)
             for u in range(n)
             for v in graph._adj[u]
             if v > u
             for w in graph._adj[u]
-            if w > v and graph.has_edge(v, w)
+            if w > v and graph.has_edge(v, w) and frozenset((u, v, w)) not in facial
         ]
-    else:
-        candidates = []
-        for a in range(n):
-            nb = sorted(x for x in graph._adj[a] if x > a)
-            for i, b in enumerate(nb):
-                for d in nb[i + 1 :]:
-                    for c in graph._adj[b]:
-                        if c > a and c != d and c in graph._adj[d]:
-                            candidates.append((a, b, c, d))
-    faces, outer_idx = faces_of(graph), _traced_outer(graph)
+    candidates = []
+    for a in range(n):
+        nb = sorted(x for x in graph._adj[a] if x > a)
+        for i, b in enumerate(nb):
+            for d in nb[i + 1 :]:
+                for c in graph._adj[b]:
+                    if c > a and c != d and c in graph._adj[d]:
+                        candidates.append((a, b, c, d))
+    found = []
     face_of_dart = dart_faces(faces)
     for cyc in candidates:
         inside, _ = cycle_side(faces, face_of_dart, outer_idx, cyc)

@@ -657,27 +657,25 @@ def _arc_inside(
     g: PlaneNearTriangulation,
     interior: set[int],
     arc: Sequence[int],
-    center: int | None = None,
+    center: int,
 ) -> set[int]:
-    """Interior vertices on the side of a split that ``arc`` bounds, in a
-    region whose interior vertices are ``interior``: the side of the chord
-    ``arc[0]``-``arc[-1]`` or, given ``center`` (left out of ``interior``),
-    the wedge closed by the path ``arc[-1]``-``center``-``arc[0]``.
+    """Interior vertices of the wedge closed by the path
+    ``arc[-1]``-``center``-``arc[0]``, in a region whose interior vertices
+    are ``interior`` (``center`` left out).
 
     A flood fill over ``interior``, seeded by the interior neighbors of the
     arc's inner vertices and by the center's neighbors strictly between
     ``arc[0]`` and ``arc[-1]`` in its clockwise rotation.  It cannot leave
-    the side, whose boundary is not in ``interior``, and it reaches all of
-    it: inner faces are triangles, so each interior component of the side
-    is ringed by its neighbors on the side's boundary.  A component that
+    the wedge, whose boundary is not in ``interior``, and it reaches all of
+    it: inner faces are triangles, so each interior component of the wedge
+    is ringed by its neighbors on the wedge's boundary.  A component that
     touches no inner arc vertex is ringed by ``arc[0]``, ``arc[-1]`` and the
     center (two vertices ring nothing in a simple graph), so it sits inside
-    that triangle and touches the center.  The cost is that of the side,
+    that triangle and touches the center.  The cost is that of the wedge,
     not of the whole region."""
     todo = [u for a in arc[1:-1] for u in g.rotation[a] if u in interior]
-    if center is not None:
-        fan = linear_from(g.rotation[center], arc[0])
-        todo.extend(u for u in fan[1 : fan.index(arc[-1])] if u in interior)
+    fan = linear_from(g.rotation[center], arc[0])
+    todo.extend(u for u in fan[1 : fan.index(arc[-1])] if u in interior)
     inside: set[int] = set()
     while todo:
         u = todo.pop()

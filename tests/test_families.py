@@ -1,9 +1,11 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from z5color import families
 from z5color.families import (
     BrokenWheel,
     FamilyError,
@@ -193,6 +195,27 @@ def test_family_members_stream_the_built_family():
     first = list(itertools.islice(family_members(40), 3))
     assert [to_sexpr(d) for d, _, _ in first] == ["(broken 3)", "(broken 4)", "(wheel 3)"]
     assert _members_of_size.cache_info().currsize == 2
+
+
+def test_members_are_made_from_their_parts_graphs(monkeypatch):
+    # Generation never rebuilds a part from its descriptor: every offer is
+    # made from the graphs already stored for its parts.
+    def no_build(d):
+        raise AssertionError(f"build called for {to_sexpr(d)}")
+
+    _members_of_size.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(families, "build", no_build)
+        for size in range(3, 11):
+            _members_of_size(size)
+    for size in range(3, 11):
+        for d, g in _members_of_size(size):
+            assert g == build(d)[0]
+
+
+def test_member_counts_are_catalan():
+    for size in range(3, 12):
+        assert len(_members_of_size(size)) == math.comb(2 * (size - 2), size - 2) // (size - 1)
 
 
 def test_enumerate_family_no_duplicates():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from z5color import plane_graph
 from z5color.families import BrokenWheel, Wheel, build, built_family
 from z5color.plane_graph import (
     PlaneGraphError,
@@ -14,8 +15,11 @@ from z5color.plane_graph import (
     _cycle_sides,
     blocks,
     chords,
+    cycle_side,
+    dart_faces,
     enclosed_region,
     faces_of,
+    outer_face_index,
     separating_cycles,
     split_along,
     trace_faces,
@@ -232,11 +236,11 @@ def region_cycles(g, boundary, alive):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_region_local_inside_matches_host_cycle_sides(seed):
-    # The solver finds the side of a chord split or a center wedge by a
-    # flood fill inside the current region; it must match the dual BFS on
-    # the host graph, in the host and in every region the solver recurses
-    # into.  A wedge over one boundary edge has no inner arc vertex: only
-    # the center's neighbors seed what it encloses.
+    # The solver finds the side of a center wedge by a flood fill inside
+    # the current region; it must match the dual BFS on the host graph, in
+    # the host and in every region that a chord or a wedge cuts off.  A
+    # wedge over one boundary edge has no inner arc vertex: only the
+    # center's neighbors seed what it encloses.
     rng = random.Random(seed)
     n = rng.randint(8, 18)
     g = random_near_triangulation(n, rng.randint(4, min(n, 9)), seed)
@@ -255,9 +259,10 @@ def test_region_local_inside_matches_host_cycle_sides(seed):
     for boundary, alive in regions:
         interior = alive - set(boundary)
         for arc, c in region_cycles(g, boundary, alive):
-            cyc = arc if c is None else arc + [c]
-            assert _arc_inside(g, interior - {c}, arc, c) == _cycle_sides(g, cyc)[0]
-            checked += 1
+            if c is not None:
+                inside = _cycle_sides(g, arc + [c])[0]
+                assert _arc_inside(g, interior - {c}, arc, c) == inside
+                checked += 1
     assert len(regions) > 1 and checked > len(regions)
 
 
@@ -309,6 +314,49 @@ def test_nonseparating_triangles_are_facial():
         for tri in itertools.combinations(range(g.vertex_count), 3):
             if all(g.has_edge(a, b) for a, b in itertools.combinations(tri, 2)):
                 assert tri in facial
+
+
+def bfs_separating_triangles(g):
+    """Oracle: a triangle separates iff the dual BFS from the outer face
+    leaves a vertex inside it and one outside it."""
+    faces = faces_of(g)
+    face_of_dart, outer_idx = dart_faces(faces), outer_face_index(g)
+    found = []
+    for tri in itertools.combinations(range(g.vertex_count), 3):
+        if all(g.has_edge(a, b) for a, b in itertools.combinations(tri, 2)):
+            inside, _ = cycle_side(faces, face_of_dart, outer_idx, tri)
+            if inside and len(inside) + 3 < g.vertex_count:
+                found.append(tri)
+    return found
+
+
+def test_separating_triangles_match_the_dual_bfs_oracle():
+    graphs = [g for _, g, _ in built_family(9)]
+    graphs += [
+        random_near_triangulation(n, k, seed)
+        for seed in range(6)
+        for k in range(3, 7)
+        for n in (k, k + 5, 25)
+    ]
+    graphs += [random_triangulation(n, seed) for seed in range(6) for n in (5, 12, 30)]
+    graphs += [build(BrokenWheel(3))[0], build(Wheel(3))[0], octahedron(), stacked_k4()]
+    separating = 0
+    for g in graphs:
+        expected = bfs_separating_triangles(g)
+        assert sorted(separating_cycles(g, 3)) == expected
+        separating += len(expected)
+    assert len(graphs) > 200 and separating > 100
+
+
+def test_separating_triangles_are_found_without_a_dual_bfs(monkeypatch):
+    def no_bfs(*args):
+        raise AssertionError("cycle_side called for a triangle")
+
+    graphs = [random_triangulation(20, seed) for seed in range(3)] + [stacked_k4()]
+    expected = [separating_cycles(g, 3) for g in graphs]
+    monkeypatch.setattr(plane_graph, "cycle_side", no_bfs)
+    assert [separating_cycles(g, 3) for g in graphs] == expected
+    assert all(expected)
 
 
 # ---------------------------------------------------------------------------

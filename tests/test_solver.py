@@ -473,9 +473,11 @@ def flipped_near_triangulation(g, rng, tries):
 
 
 def test_arc_inside_matches_cycle_sides():
-    # The chord split's flood fill against the dual BFS of plane_graph, on
-    # both sides of every chord of the outer cycle, then again in the
-    # regions that splitting at the first chord leaves, as extend_two does.
+    # The center wedge's flood fill against the dual BFS of plane_graph, on
+    # stacked and flipped near-triangulations: every interior vertex with
+    # two or more boundary neighbors closes one wedge per pair of
+    # consecutive ones, and the wedges of the least such vertex become the
+    # regions checked next, as color_short_cycle recurses.
     checked = nonempty = flipped = 0
     for seed in range(24):
         rng = random.Random(seed)
@@ -488,22 +490,23 @@ def test_arc_inside_matches_cycle_sides():
             g = h
         regions = [(list(g.outer_cycle), set(range(n)) - set(g.outer_cycle))]
         while regions:
-            outer, interior = regions.pop()
-            k = len(outer)
-            chords = [
-                (i, j)
-                for i in range(k)
-                for j in range(i + 2, k)
-                if (i, j) != (0, k - 1) and g.has_edge(outer[i], outer[j])
-            ]
-            for i, j in chords:
-                for arc in (outer[i : j + 1], outer[j:] + outer[: i + 1]):
-                    inside = _arc_inside(g, interior, arc)
-                    assert inside == set(_cycle_sides(g, arc)[0])
+            boundary, interior = regions.pop()
+            k = len(boundary)
+            split = None
+            for c in sorted(interior):
+                ends = [p for p in range(k) if g.has_edge(c, boundary[p])]
+                if len(ends) < 2:
+                    continue
+                wedges = []
+                for p, q in zip(ends, ends[1:] + [ends[0] + k]):
+                    arc = (boundary * 2)[p : q + 1]
+                    inside = _arc_inside(g, interior - {c}, arc, c)
+                    assert inside == set(_cycle_sides(g, arc + [c])[0])
                     checked += 1
                     nonempty += bool(inside)
-                    if (i, j) == chords[0]:
-                        regions.append((arc, inside))
+                    wedges.append((arc + [c], inside))
+                split = split or wedges
+            regions.extend(wedge for wedge in split or [] if wedge[1])
     assert flipped >= 10 and checked > 300 and nonempty > 100
 
 
