@@ -47,6 +47,13 @@ def _load(path: str) -> gcg.GcgDocument:
         raise CliError(f"{path}: {exc}") from None
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _precolored_path(doc: gcg.GcgDocument, want: int) -> tuple[int, ...]:
     pre = doc.colors.precolor_map()
     oc = list(doc.graph.outer_cycle)
@@ -125,7 +132,7 @@ def _cmd_extend3(args) -> int:
                 comment="obstruction certificate; embedding into the input graph: "
                 + " ".join(f"{m}->{g}" for m, g in enumerate(result.embedding)),
             )
-            Path(args.emit_certificate).write_text(text, encoding="utf-8")
+            _write(args.emit_certificate, text)
             print(f"certificate: {args.emit_certificate}")
         return 2
     print("coloring: " + " ".join(str(c) for c in result))
@@ -173,7 +180,7 @@ def _cmd_check(args) -> int:
     text = report.render()
     sys.stdout.write(text)
     if args.report:
-        Path(args.report).write_text(text, encoding="utf-8")
+        _write(args.report, text)
     return 0 if report.passed else 2
 
 

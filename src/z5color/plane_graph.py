@@ -15,10 +15,10 @@ by a cycle.  ``cycle_side`` (a dual BFS over traced faces) is the oracle
 for which vertices a cycle encloses; separating triangles need no BFS and
 are decided from the face list alone.  The solver does not trace its
 shrinking sub-regions: a 2-extension chord split needs no side at all (the
-boundary is relinked), a center wedge's side is a flood fill on the host
-rotation, and faces are traced (``trace_faces``, which also takes a
-``{vertex: neighbors}`` sub-rotation) only for the boundary of an interior
-block.
+boundary is relinked), a short-cycle region is read from the rotations of
+its cycle's vertices, and faces are traced (``trace_faces``, which also
+takes a ``{vertex: neighbors}`` sub-rotation) only for the boundary of an
+interior block.
 """
 
 from __future__ import annotations

@@ -39,6 +39,7 @@ Property identifiers:
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -519,12 +520,14 @@ def replay(evaluator_id: str, payload: str, aux=()) -> str | None:
 
 def _run_packets(packets, jobs: int) -> list[tuple[int, str, str]]:
     """(index, payload, note) of every failing packet, in packet order;
-    ``pool.map`` keeps that order too."""
+    ``pool.map`` keeps that order too.  The pool starts all its workers at
+    once, so it gets no more than there are packets or CPUs."""
     args = [[p[0] for p in packets], [p[2] for p in packets], [p[3] for p in packets]]
-    if jobs <= 1:
+    workers = min(jobs, len(packets), os.cpu_count() or 1)
+    if workers <= 1:
         notes = list(map(replay, *args))
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             notes = list(pool.map(replay, *args, chunksize=4))
     return [
         (index, payload, note)

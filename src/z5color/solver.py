@@ -32,11 +32,11 @@ On top of those sit the constructive algorithms:
 - ``color_short_cycle``: fully precolored outer cycle of length at most 5;
   either extends or returns the exceptional hub (a vertex joined to all of
   a 5-cycle whose forbidden-color images cover the whole group).  Regions
-  go on an explicit stack: a center, an interior vertex that sees three or
-  more cycle vertices, splits one into wedges (sides by a flood fill) and
-  takes the lowest color that leaves no wedge a hub, so no color is
-  undone; where none does, each interior block is seeded and colored by the
-  same 2-extension engine, on host labels.
+  go on an explicit stack as bare cycles, read from the rotations of their
+  vertices: a center, an interior vertex that sees three or more cycle
+  vertices, splits one into wedges and takes the lowest color that leaves
+  no wedge a hub, so no color is undone; where none does, each interior
+  block is seeded and colored by the same 2-extension engine, on host labels.
 - ``extend_three``: three precolored consecutive outer vertices, forbidden
   sets capped at two colors on the rest of the boundary; either a coloring
   or a validated obstruction certificate, found by anchored search over the
@@ -68,7 +68,6 @@ from .plane_graph import (
     PlaneNearTriangulation,
     blocks,
     face_vertices,
-    faces_of,
     linear_from,
     trace_faces,
 )
@@ -653,38 +652,6 @@ def validate_extension_problem(problem: ExtensionProblem) -> list[str]:
     return issues
 
 
-def _arc_inside(
-    g: PlaneNearTriangulation,
-    interior: set[int],
-    arc: Sequence[int],
-    center: int,
-) -> set[int]:
-    """Interior vertices of the wedge closed by the path
-    ``arc[-1]``-``center``-``arc[0]``, in a region whose interior vertices
-    are ``interior`` (``center`` left out).
-
-    A flood fill over ``interior``, seeded by the interior neighbors of the
-    arc's inner vertices and by the center's neighbors strictly between
-    ``arc[0]`` and ``arc[-1]`` in its clockwise rotation.  It cannot leave
-    the wedge, whose boundary is not in ``interior``, and it reaches all of
-    it: inner faces are triangles, so each interior component of the wedge
-    is ringed by its neighbors on the wedge's boundary.  A component that
-    touches no inner arc vertex is ringed by ``arc[0]``, ``arc[-1]`` and the
-    center (two vertices ring nothing in a simple graph), so it sits inside
-    that triangle and touches the center.  The cost is that of the wedge,
-    not of the whole region."""
-    todo = [u for a in arc[1:-1] for u in g.rotation[a] if u in interior]
-    fan = linear_from(g.rotation[center], arc[0])
-    todo.extend(u for u in fan[1 : fan.index(arc[-1])] if u in interior)
-    inside: set[int] = set()
-    while todo:
-        u = todo.pop()
-        if u not in inside:
-            inside.add(u)
-            todo.extend(w for w in g.rotation[u] if w in interior and w not in inside)
-    return inside
-
-
 # ---------------------------------------------------------------------------
 # extend_two
 # ---------------------------------------------------------------------------
@@ -804,13 +771,19 @@ def color_short_cycle(
     """Extend a proper precoloring of an outer cycle of length <= 5, or
     return the exceptional hub (the lowest-index one) that blocks it.
 
-    Regions (cycle, interior) are colored off one explicit stack.  The
+    Regions (bare cycles) are colored off one explicit stack.  The
     center, the lowest interior vertex joined to three or more cycle
     vertices, splits a region into wedges and takes the lowest free color
     that leaves no wedge of length 5 with a hub; a region without one is
     colored block by block.  No color is undone: by the short-cycle lemma a
     colored cycle of length <= 5 extends unless it has a hub, and wedges
     share only colored vertices, so the hub tests decide each color.
+
+    Only the inner arcs of the k - 2 least-degree cycle vertices are read:
+    an interior component's cycle neighbors, in order round it, form a
+    closed walk with no 2-cycle, so each component (and center) touches 3
+    of the k.  A wedge's hub lies in its center's inner arc there, and a
+    triangle wedge is empty iff that arc is.
     """
     oc = list(graph.outer_cycle)
     if len(oc) > 5:
@@ -831,38 +804,41 @@ def color_short_cycle(
                 raise ExtensionError("precoloring improper on the outer cycle")
 
     assigned = dict(pre)
-    interior = set(graph.interior_vertices())
-    if (hub := _hub(graph, phi, oc, interior, assigned)) is not None:
+    if (hub := _hub(graph, phi, oc, assigned)) is not None:
         return HubException(hub)
-    stack = [(oc, interior)]
+    stack = [oc]
     while stack:
-        cycle, interior = stack.pop()
+        cycle = stack.pop()
         ring = set(cycle)
+        least = sorted((graph.degree(c), i) for i, c in enumerate(cycle))[:-2]
+        near = {u for _, i in least for u in _inner_arc(graph, cycle, i)} - ring
         center = min(
-            (v for v in interior if len(graph.adjacency(v) & ring) >= 3), default=None
+            (v for v in near if len(graph.adjacency(v) & ring) >= 3), default=None
         )
         if center is None:
-            # Every interior vertex sees at most two colored vertices: push
-            # the constraints into lists and color the interior block by block.
+            # Every interior vertex sees at most two colored vertices: list
+            # them by a fill from ``near`` and color them block by block.
+            interior, todo = set(), list(near)
+            while todo:
+                u = todo.pop()
+                if u not in interior:
+                    interior.add(u)
+                    todo.extend(w for w in graph.rotation[u] if w not in assigned)
             _color_interior_blocks(graph, phi, interior, assigned)
             continue
-        interior.remove(center)
         ends = [i for i, c in enumerate(cycle) if c in graph.adjacency(center)]
-        wedges = []
-        for p, q in zip(ends, ends[1:] + [ends[0] + len(cycle)]):
-            arc = (cycle * 2)[p : q + 1]
-            inside = _arc_inside(graph, interior, arc, center)
-            wedges.append((arc + [center], inside))
+        pairs = zip(ends, ends[1:] + [ends[0] + len(cycle)])
+        wedges = [(cycle * 2)[p : q + 1] + [center] for p, q in pairs]
         taken = {tau(phi, cycle[p], assigned[cycle[p]], center) for p in ends}
         for color in sorted(set(range(5)) - taken):
             assigned[center] = color
-            if all(_hub(graph, phi, *wedge, assigned) is None for wedge in wedges):
+            if all(_hub(graph, phi, wedge, assigned) is None for wedge in wedges):
                 break
         else:
             raise RuntimeError(
                 "short-cycle extension found no center color (solver defect)"
             )
-        stack.extend(wedge for wedge in reversed(wedges) if wedge[1])
+        stack.extend(w for w in reversed(wedges) if len(w) > 3 or _inner_arc(graph, w, -1))
 
     coloring = tuple(assigned[v] for v in range(graph.vertex_count))
     if not is_proper(graph, phi, coloring):
@@ -872,18 +848,26 @@ def color_short_cycle(
     return coloring
 
 
+def _inner_arc(g: PlaneNearTriangulation, cycle: Sequence[int], i: int) -> tuple[int, ...]:
+    """Neighbors of ``cycle[i]`` inside the clockwise ``cycle`` (or across a
+    chord): its rotation strictly from ``cycle[i + 1]`` to ``cycle[i - 1]``."""
+    rot = g.rotation[cycle[i]]
+    start, stop = rot.index(cycle[i + 1 - len(cycle)]) + 1, rot.index(cycle[i - 1])
+    return rot[start:stop] if start <= stop else rot[start:] + rot[:stop]
+
+
 def _hub(
     g: PlaneNearTriangulation,
     phi: PhiAssignment,
     cycle: list[int],
-    interior: set[int],
     assigned: dict[int, int],
 ) -> int | None:
-    """The lowest hub in ``interior`` of a colored ``cycle``, or None: a
-    vertex joined to all of a 5-cycle whose forbidden images cover Z_5."""
+    """The lowest hub inside a colored ``cycle``, or None: a vertex joined to
+    all of a 5-cycle whose forbidden images cover Z_5 (so it is in the inner
+    arc of every cycle vertex)."""
     if len(cycle) != 5:
         return None
-    joined = interior.intersection(*map(g.adjacency, cycle))
+    joined = set(_inner_arc(g, cycle, -1)).intersection(*map(g.adjacency, cycle))
     hubs = [v for v in joined if len({tau(phi, c, assigned[c], v) for c in cycle}) == 5]
     return min(hubs, default=None)
 
@@ -927,14 +911,19 @@ def _color_interior_blocks(
 
 def _block_boundary(g: PlaneNearTriangulation, verts: list[int]) -> tuple[int, ...]:
     """The boundary cycle of a 2-connected block of interior vertices: the
-    first face of its traced sub-rotation that is not a face of ``g``, dart
-    for dart.  It is traced in the sense of the outer cycle, so a ring
+    first face of its traced sub-rotation that is not a face of ``g``.  The
+    face of ``g`` on a dart between interior vertices is a triangle, so a
+    traced triangle is one iff ``g`` turns the same way at its first
+    corner.  It is traced in the sense of the outer cycle, so a ring
     vertex's rotation read from its successor runs into the block, also
     for a block that is one triangle of ``g`` (traced both ways)."""
     vset = set(verts)
-    faces = trace_faces({v: [u for u in g.rotation[v] if u in vset] for v in verts})
-    triangles = {frozenset(f) for f in faces_of(g) if len(f) == 3}
-    return next(face_vertices(f) for f in faces if frozenset(f) not in triangles)
+    for face in trace_faces({v: [u for u in g.rotation[v] if u in vset] for v in verts}):
+        (u, v), (_, w) = face[:2]
+        rot = g.rotation[v]
+        if len(face) > 3 or rot[(rot.index(u) + 1) % len(rot)] != w:
+            return face_vertices(face)
+    raise RuntimeError("interior block without a boundary face (solver defect)")
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,28 @@ def test_unreadable_paths_are_errors(capsys, tmp_path):
     assert err == f"error: {latin1}: not UTF-8 text (byte 5)\n"
 
 
+@pytest.mark.parametrize("target", ["directory", "missing/report.txt"])
+def test_unwritable_report_paths_are_errors(capsys, tmp_path, target):
+    # The report is printed before it is written, then the write fails.
+    (tmp_path / "directory").mkdir()
+    path = tmp_path / target
+    code, out, err = run_cli(
+        capsys, "check", "theorem4", "--n-max", "5", "--samples", "2",
+        "--report", str(path),
+    )
+    assert code == 1 and out.rstrip().endswith("PASS")
+    assert err.startswith(f"error: cannot write {path}: ")
+
+
+def test_unwritable_certificate_path_is_an_error(capsys, blocked_bw4_file, tmp_path):
+    path = tmp_path / "missing" / "cert.gcg"
+    code, out, err = run_cli(
+        capsys, "extend3", blocked_bw4_file, "--emit-certificate", str(path)
+    )
+    assert code == 1 and out.startswith("obstruction: (broken 4)")
+    assert err.startswith(f"error: cannot write {path}: ")
+
+
 def test_unreadable_path_is_invalid_for_validate(capsys, tmp_path):
     code, out, err = run_cli(capsys, "validate", str(tmp_path))
     assert (code, err) == (1, "")

@@ -26,7 +26,7 @@ from z5color.plane_graph import (
     validate,
 )
 from z5color.propcheck import random_near_triangulation, random_triangulation
-from z5color.solver import _arc_inside
+from z5color.solver import _inner_arc
 
 
 def nx_face_count(graph):
@@ -236,11 +236,13 @@ def region_cycles(g, boundary, alive):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_region_local_inside_matches_host_cycle_sides(seed):
-    # The solver finds the side of a center wedge by a flood fill inside
-    # the current region; it must match the dual BFS on the host graph, in
-    # the host and in every region that a chord or a wedge cuts off.  A
-    # wedge over one boundary edge has no inner arc vertex: only the
-    # center's neighbors seed what it encloses.
+    # The solver reads a region's inside from the inner arcs of its cycle
+    # vertices (host rotations between their two cycle neighbors); each must
+    # hold only vertices inside the cycle or on it, and its entries off the
+    # cycle must be exactly the vertex's neighbors inside, by the dual BFS
+    # on the host graph.  This holds in the host and in every region that a
+    # chord or a wedge cuts off, at the center of a wedge too, also for a
+    # wedge over one boundary edge.
     rng = random.Random(seed)
     n = rng.randint(8, 18)
     g = random_near_triangulation(n, rng.randint(4, min(n, 9)), seed)
@@ -257,13 +259,15 @@ def test_region_local_inside_matches_host_cycle_sides(seed):
             regions.append((cyc, alive))
     checked = 0
     for boundary, alive in regions:
-        interior = alive - set(boundary)
         for arc, c in region_cycles(g, boundary, alive):
-            if c is not None:
-                inside = _cycle_sides(g, arc + [c])[0]
-                assert _arc_inside(g, interior - {c}, arc, c) == inside
+            cyc = arc if c is None else arc + [c]
+            inside = _cycle_sides(g, cyc)[0]
+            for i, v in enumerate(cyc):
+                entries = set(_inner_arc(g, cyc, i))
+                assert entries <= inside | set(cyc)
+                assert entries - set(cyc) == g.adjacency(v) & inside
                 checked += 1
-    assert len(regions) > 1 and checked > len(regions)
+    assert len(regions) > 1 and checked > 10 * len(regions)
 
 
 def test_chords_examples(bw4):

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from conftest import cpu_time_limit
+from z5color import propcheck
 from z5color.families import BrokenWheel, Wheel, build
 from z5color.gcg import parse_gcg, write_gcg
 from z5color.group_color import ColorSystem, PhiAssignment
@@ -14,6 +15,7 @@ from z5color.propcheck import (
     PropcheckError,
     RandomInstanceConfig,
     _EVALUATORS,
+    _run_packets,
     check_calculus,
     check_corollary,
     check_lemma,
@@ -134,6 +136,37 @@ def test_jobs_do_not_change_results():
     assert report_body(solo) == report_body(quad)
 
 
+def test_jobs_are_capped_at_packets_and_cpus(monkeypatch):
+    # A fake pool records its size and maps in this process, so no worker
+    # is ever started.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(propcheck, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setitem(_EVALUATORS, "synthetic", lambda payload, aux: None)
+    packets = [("synthetic", i, "", ()) for i in range(5)]
+    for cpus, jobs, count, size in [
+        (3, 10**9, 5, 3), (8, 10**9, 2, 2), (8, 4, 5, 4), (None, 10**9, 5, None),
+        (8, 1, 5, None),
+    ]:
+        sizes.clear()
+        monkeypatch.setattr(propcheck.os, "cpu_count", lambda: cpus)
+        assert _run_packets(packets[:count], jobs) == []
+        assert sizes == ([size] if size else [])
+
+
 def test_counterexamples_render_and_replay(monkeypatch):
     # Wire a synthetic always-failing evaluator through the real harness to
     # prove counterexamples are captured, rendered, and replayable.
@@ -142,8 +175,6 @@ def test_counterexamples_render_and_replay(monkeypatch):
         return f"synthetic failure on {doc.graph.vertex_count} vertices"
 
     monkeypatch.setitem(_EVALUATORS, "synthetic", broken)
-    from z5color.propcheck import _run_packets
-
     g = random_triangulation(5, seed=2)
     payload = write_gcg(g, PhiAssignment.zero(g.edges()), ColorSystem.free(5))
     failures = _run_packets([("synthetic", 0, payload, ())], jobs=1)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -37,10 +38,10 @@ from z5color.solver import (
     ExtensionProblem,
     HubException,
     ObstructionCertificate,
-    _arc_inside,
     _avail_lists,
     _decode_coloring,
     _elimination_plan,
+    _inner_arc,
     classify_alpha,
     color_short_cycle,
     count_colorings,
@@ -473,11 +474,13 @@ def flipped_near_triangulation(g, rng, tries):
 
 
 def test_arc_inside_matches_cycle_sides():
-    # The center wedge's flood fill against the dual BFS of plane_graph, on
-    # stacked and flipped near-triangulations: every interior vertex with
-    # two or more boundary neighbors closes one wedge per pair of
-    # consecutive ones, and the wedges of the least such vertex become the
-    # regions checked next, as color_short_cycle recurses.
+    # Inner arcs against the dual BFS of plane_graph, on stacked and flipped
+    # near-triangulations, in the regions color_short_cycle walks: an inner
+    # arc holds only vertices inside the cycle or on it, and its entries off
+    # the cycle are exactly the vertex's neighbors inside.  The arcs of the
+    # k - 2 cycle vertices of least degree reach every interior component
+    # and every vertex with three or more cycle neighbors, and a triangle
+    # wedge is empty exactly when the center's arc in it is.
     checked = nonempty = flipped = 0
     for seed in range(24):
         rng = random.Random(seed)
@@ -488,25 +491,48 @@ def test_arc_inside_matches_cycle_sides():
             assert validate(h).ok
             flipped += h.rotation != g.rotation
             g = h
-        regions = [(list(g.outer_cycle), set(range(n)) - set(g.outer_cycle))]
+        regions = [list(g.outer_cycle)]
         while regions:
-            boundary, interior = regions.pop()
-            k = len(boundary)
+            cycle = regions.pop()
+            k, ring = len(cycle), set(cycle)
+            inside = set(_cycle_sides(g, cycle)[0])
+            arcs = [_inner_arc(g, cycle, i) for i in range(k)]
+            for c, arc in zip(cycle, arcs):
+                assert set(arc) <= inside | ring
+                assert set(arc) - ring == g.adjacency(c) & inside
+                checked += 1
+            least = sorted(range(k), key=lambda i: g.degree(cycle[i]))[: k - 2]
+            near = {u for i in least for u in arcs[i]} - ring
+            assert {v for v in inside if len(g.adjacency(v) & ring) >= 3} <= near
+            unseen = set(inside)
+            while unseen:
+                component, todo = set(), [unseen.pop()]
+                while todo:
+                    u = todo.pop()
+                    if u in inside and u not in component:
+                        component.add(u)
+                        todo.extend(g.rotation[u])
+                assert component & near
+                unseen -= component
+            # Every vertex with two or more cycle neighbors closes one wedge
+            # per pair of consecutive ones; the nonempty wedges of the least
+            # such vertex are the regions checked next.
             split = None
-            for c in sorted(interior):
-                ends = [p for p in range(k) if g.has_edge(c, boundary[p])]
+            for c in sorted(inside):
+                ends = [p for p in range(k) if g.has_edge(c, cycle[p])]
                 if len(ends) < 2:
                     continue
                 wedges = []
                 for p, q in zip(ends, ends[1:] + [ends[0] + k]):
-                    arc = (boundary * 2)[p : q + 1]
-                    inside = _arc_inside(g, interior - {c}, arc, c)
-                    assert inside == set(_cycle_sides(g, arc + [c])[0])
-                    checked += 1
-                    nonempty += bool(inside)
-                    wedges.append((arc + [c], inside))
+                    wedge = (cycle * 2)[p : q + 1] + [c]
+                    fan = _inner_arc(g, wedge, -1)
+                    wedge_inside = set(_cycle_sides(g, wedge)[0])
+                    assert set(fan) - set(wedge) == g.adjacency(c) & wedge_inside
+                    assert len(wedge) > 3 or bool(fan) == bool(wedge_inside)
+                    nonempty += bool(wedge_inside)
+                    wedges += [wedge] * bool(wedge_inside)
                 split = split or wedges
-            regions.extend(wedge for wedge in split or [] if wedge[1])
+            regions.extend(split or [])
     assert flipped >= 10 and checked > 300 and nonempty > 100
 
 
@@ -802,15 +828,129 @@ def nested_stacking(n):
 
 
 def test_short_cycle_nested_stacking_deeper_than_the_recursion_limit():
-    g = nested_stacking(1500)
-    assert validate(g).ok
-    phi = random_phi_on(g, random.Random(1500))
-    c2 = min(set(range(5)) - {tau(phi, 0, 0, 2)})
-    c1 = min(set(range(5)) - {tau(phi, 0, 0, 1), tau(phi, 2, c2, 1)})
-    cs = ColorSystem.free(1500).with_precolor(0, 0).with_precolor(2, c2)
-    with cpu_time_limit(15):
-        result = color_short_cycle(g, phi, cs.with_precolor(1, c1))
-    assert is_proper(g, phi, result)
+    # Linear in n: each level reads the inner arc of its newest vertex, not
+    # the rotations of 0 and 1, whose degree is n - 1.
+    assert validate(nested_stacking(1500)).ok
+    for n in (1500, 20000):
+        g = nested_stacking(n)
+        phi = random_phi_on(g, random.Random(n))
+        c2 = min(set(range(5)) - {tau(phi, 0, 0, 2)})
+        c1 = min(set(range(5)) - {tau(phi, 0, 0, 1), tau(phi, 2, c2, 1)})
+        cs = ColorSystem.free(n).with_precolor(0, 0).with_precolor(2, c2)
+        with cpu_time_limit(5):
+            result = color_short_cycle(g, phi, cs.with_precolor(1, c1))
+        assert is_proper(g, phi, result)
+
+
+def chained_triangle_blocks(m):
+    """Outer square a, b, c, d = 0-3 around the path v_0 .. v_m (4 .. 4 + m)
+    and m triangles v_(i-1) u_i v_i (u_i = 4 + m + i), u_i above the path for
+    odd i and below it for even i: a chain of triangle blocks joined at cut
+    vertices.  The vertices above the path are joined to a up to one upper
+    apex and to b from there on, those below to d and c likewise; every
+    interior vertex sees at most two of a, b, c, d."""
+    a, b, c, d = range(4)
+    v = list(range(4, 5 + m))
+    u = [None] + list(range(5 + m, 5 + 2 * m))
+    up, low = [v[0]], [v[0]]
+    for i in range(1, m + 1):
+        (up if i % 2 else low).append(u[i])
+        up.append(v[i])
+        low.append(v[i])
+    top, bottom = up.index(u[2 * (m // 4) + 1]), low.index(u[2 * (m // 4) + 2])
+    tops = {x: [a] * (t <= top) + [b] * (t >= top) for t, x in enumerate(up)}
+    bottoms = {x: [c] * (t >= bottom) + [d] * (t <= bottom) for t, x in enumerate(low)}
+    rotation = [
+        [b] + up[top::-1] + [d],
+        [a, c] + up[top:][::-1],
+        [b, d] + low[bottom:],
+        [c, a] + low[: bottom + 1],
+    ]
+    for i in range(m + 1):
+        right = [] if i == m else [u[i + 1], v[i + 1]][:: 1 if i % 2 == 0 else -1]
+        left = [] if i == 0 else [v[i - 1], u[i]][:: 1 if i % 2 else -1]
+        rotation.append(tops[v[i]] + right + bottoms[v[i]] + left)
+    for i in range(1, m + 1):
+        if i % 2:
+            rotation.append([v[i], v[i - 1]] + tops[u[i]])
+        else:
+            rotation.append([v[i - 1], v[i]] + bottoms[u[i]])
+    return PlaneNearTriangulation.from_lists(rotation, (a, b, c, d))
+
+
+def test_short_cycle_chained_triangle_blocks_at_16009_vertices():
+    # One leaf region with 8002 triangle blocks: each block's boundary must
+    # cost what the block costs, not what the whole graph does.
+    assert validate(chained_triangle_blocks(33)).ok
+    g = chained_triangle_blocks(8002)
+    phi = random_phi_on(g, random.Random(8002))
+    pre = next(iter(outer_precolorings(g, phi)))
+    with cpu_time_limit(5):
+        result = color_short_cycle(g, phi, precolored(g.vertex_count, pre))
+    assert is_proper(g, phi, result) and result[:4] == pre
+
+
+def outer_precolorings(g, phi, rng=None):
+    """The colorings of the outer vertices 0 .. k - 1 that are proper on the
+    edges among them: every one in lexicographic order, or, given ``rng``,
+    an endless stream of random ones."""
+    k = len(g.outer_cycle)
+    steps = [(u, w) for u in range(k) for w in g.rotation[u] if w < k]
+    draws = itertools.product(range(5), repeat=k)
+    if rng is not None:
+        draws = (tuple(rng.choices(range(5), k=k)) for _ in itertools.count())
+    for pre in draws:
+        if all(pre[w] != tau(phi, u, pre[u], w) for u, w in steps):
+            yield pre
+
+
+def short_cycle_sweep():
+    """Seeded (graph, phi, precoloring) instances of color_short_cycle:
+    stacked near-triangulations with outer cycles of length 3 to 5 and
+    their flips, every proper precoloring of three graphs with hubs (one a
+    5-wheel with vertices stacked round its hub), and
+    small members of the nested stacking and the chained triangle blocks."""
+    rng = random.Random(18)
+    for seed in range(60):
+        k = 3 + seed % 3
+        n = rng.randint(k + 1, 40)
+        g = random_near_triangulation(n, k, seed)
+        for h in (g, flipped_near_triangulation(g, rng, 4 * n)):
+            phi = random_phi_on(h, rng)
+            for pre in itertools.islice(outer_precolorings(h, phi, rng), 12):
+                yield h, phi, pre
+    w5 = build(Wheel(5))[0]
+    w5 = _stacked(w5, PhiAssignment.zero(w5.edges()), ColorSystem.free(6), 9, rng)[0]
+    # Read from 3, the inner arc of the first outer vertex has the hub last.
+    w5 = PlaneNearTriangulation.from_lists(w5.rotation, (3, 4, 0, 1, 2))
+    hubs = [w5, antiprism_with_hub(), center_beside_a_wedge_hub()]
+    for g in hubs:
+        phi = random_phi_on(g, rng)
+        for pre in outer_precolorings(g, phi):
+            yield g, phi, pre
+    guards = [nested_stacking(n) for n in (4, 7, 12, 40, 150)]
+    guards += [chained_triangle_blocks(m) for m in (2, 3, 6, 21, 80)]
+    for g in guards:
+        phi = random_phi_on(g, rng)
+        for pre in itertools.islice(outer_precolorings(g, phi, rng), 12):
+            yield g, phi, pre
+
+
+def test_short_cycle_answers_are_pinned():
+    # sha256 over repr of every answer of the sweep, computed before regions
+    # were read from inner arcs; a rewrite of the region walk must keep
+    # every center, color and hub.
+    digest = hashlib.sha256()
+    hubs = calls = 0
+    for g, phi, pre in short_cycle_sweep():
+        result = color_short_cycle(g, phi, precolored(g.vertex_count, pre))
+        digest.update(repr(result).encode())
+        calls += 1
+        hubs += isinstance(result, HubException)
+    assert (calls, hubs) == (4635, 25)
+    assert digest.hexdigest() == (
+        "1351edef1d59a9fb186a5c2b10916e5a9b65a717f7b2f60930da6ca86d46e7b5"
+    )
 
 
 def precolored(n, colors):
