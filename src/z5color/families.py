@@ -24,7 +24,9 @@ inserted hubs in reverse, and bottom out at wheels and broken wheels.
 
 from __future__ import annotations
 
+import gc
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence, Union
@@ -112,8 +114,8 @@ def _relabel(
     rotation: dict[int, list[int]], outer: list[int], interiors: list[int]
 ) -> PlaneNearTriangulation:
     order = outer + interiors
-    new = {old: i for i, old in enumerate(order)}
-    rot = tuple(tuple(new[u] for u in rotation[v]) for v in order)
+    new = {old: i for i, old in enumerate(order)}.__getitem__
+    rot = tuple([tuple(map(new, rotation[v])) for v in order])
     return PlaneNearTriangulation(len(order), rot, tuple(range(len(outer))))
 
 
@@ -141,35 +143,24 @@ def _build_wheel(k: int) -> PlaneNearTriangulation:
 def _glue(left: PlaneNearTriangulation, right: PlaneNearTriangulation) -> PlaneNearTriangulation:
     nl, kl = left.vertex_count, len(left.outer_cycle)
     nr, kr = right.vertex_count, len(right.outer_cycle)
-
-    def map_r(v: int) -> int:
-        if v == 0:
-            return 0  # shared major
-        if v == kr - 1:
-            return 1  # right tail lands on left head
-        return nl + (v - 1 if v < kr - 1 else v - 2)
-
-    rotation: dict[int, list[int]] = {
-        v: list(left.rotation[v]) for v in range(2, nl)
-    }
-    for v in range(1, nr):
-        if v != kr - 1:
-            rotation[map_r(v)] = [map_r(u) for u in right.rotation[v]]
-
-    # Major: right fan (head..tail) then left fan minus its duplicated head.
-    right_major = [map_r(u) for u in linear_from(right.rotation[0], 1)]
-    left_major = linear_from(left.rotation[0], 1)
-    rotation[0] = right_major + left_major[1:]
-
-    # Shared vertex: left side from its outer successor around to the major,
-    # then the right side continuing to its outer predecessor.
-    left_shared = linear_from(left.rotation[1], 2)
-    right_shared = [map_r(u) for u in linear_from(right.rotation[kr - 1], 0)]
-    rotation[1] = left_shared + right_shared[1:]
-
-    outer = [0] + [map_r(v) for v in range(1, kr)] + list(range(2, kl))
-    interiors = [map_r(v) for v in range(kr, nr)] + list(range(kl, nl))
-    return _relabel(rotation, outer, interiors)
+    # Glued labels, canonical from the start: the shared major, the right
+    # part's outer vertices up to its tail (which lands on the left head),
+    # the rest of the left outer cycle, then right and left interiors.
+    to_r = [*range(kr), *range(kl + kr - 2, kl + nr - 2)].__getitem__
+    to_l = [0, kr - 1, *range(kr, kr + kl - 2), *range(nr + kl - 2, nr + nl - 2)].__getitem__
+    rr, lr = right.rotation, left.rotation
+    rows = [
+        # Major: right fan (head..tail) then left fan minus its duplicated head.
+        (*map(to_r, linear_from(rr[0], 1)), *map(to_l, linear_from(lr[0], 1)[1:])),
+        *[tuple(map(to_r, rr[v])) for v in range(1, kr - 1)],
+        # Shared vertex: left side from its outer successor around to the
+        # major, then the right side continuing to its outer predecessor.
+        (*map(to_l, linear_from(lr[1], 2)), *map(to_r, linear_from(rr[kr - 1], 0)[1:])),
+        *[tuple(map(to_l, lr[v])) for v in range(2, kl)],
+        *[tuple(map(to_r, rr[v])) for v in range(kr, nr)],
+        *[tuple(map(to_l, lr[v])) for v in range(kl, nl)],
+    ]
+    return PlaneNearTriangulation(nl + nr - 2, tuple(rows), tuple(range(kl + kr - 2)))
 
 
 def insertion_sites(graph: PlaneNearTriangulation) -> list[int]:
@@ -207,35 +198,27 @@ def _insert_wheel(
             f"outer edge {x}-{y} has no interior facial triangle to insert into"
         )
 
-    path = [n + t for t in range(j)]  # subdividing vertices x..y
+    # New labels, canonical from the start: the base's vertices up to x,
+    # the path of j subdividers, the rest of the base, then the hub.
+    to_new = [*range(x + 1), *range(x + 1 + j, n + j)].__getitem__
+    rows = [list(map(to_new, r)) for r in base.rotation]  # by base vertex
+    rx, ry, ru = rows[x], rows[y], rows[u]
+    x, y, u = to_new(x), to_new(y), to_new(u)  # the path is x + 1 .. y - 1
     hub = n + j
-    rotation = {v: list(base.rotation[v]) for v in range(n)}
 
-    ry = rotation[u]
-    ry.insert(ry.index(x) + 1, hub)
-
-    rx = rotation[x]
+    ru.insert(ru.index(x) + 1, hub)
     if j == 0:
         rx.insert(rx.index(y) + 1, hub)
-    else:
-        pos = rx.index(y)
-        rotation[x] = rx[:pos] + [path[0], hub] + rx[pos + 1 :]
-    ry = rotation[y]
-    if j == 0:
         ry.insert(ry.index(u) + 1, hub)
     else:
+        pos = rx.index(y)
+        rx[pos : pos + 1] = [x + 1, hub]
         pos = ry.index(x)
-        rotation[y] = ry[:pos] + [hub, path[-1]] + ry[pos + 1 :]
+        ry[pos : pos + 1] = [hub, y - 1]
 
-    for t, w in enumerate(path):
-        before = path[t - 1] if t > 0 else x
-        after = path[t + 1] if t + 1 < j else y
-        rotation[w] = [after, hub, before]
-    rotation[hub] = [x, *path, y, u]
-
-    outer = list(base.outer_cycle[: edge + 1]) + path + list(base.outer_cycle[edge + 1 :])
-    interiors = [v for v in range(k, n)] + [hub]
-    return _relabel(rotation, outer, interiors)
+    rows[x + 1 : x + 1] = [[w + 1, hub, w - 1] for w in range(x + 1, y)]
+    rows.append([*range(x, y + 1), u])
+    return PlaneNearTriangulation(n + j + 1, tuple(map(tuple, rows)), tuple(range(k + j)))
 
 
 def build(d: FamilyDescriptor) -> tuple[PlaneNearTriangulation, PrincipalPath]:
@@ -460,45 +443,137 @@ def facial_triangle_property(
 # ---------------------------------------------------------------------------
 
 
+class _Level(tuple):
+    """The members of one size as ``(descriptor, graph)`` pairs, plus what
+    generating the larger sizes reads from them.
+
+    ``hubs[i]`` lists the hubs of member i whose removal leaves a member,
+    the ones its last insertion could have added (none unless it is an
+    InsertWheel: a wheel's own hub stays).  A hub with ``j``
+    subdividers whose outer arc starts at canonical vertex ``x``, and
+    whose removal leaves member ``rest`` of size ``len - 1 - j``, is kept
+    as ``(-j, rest, x)``: its place among the offers that make member i.
+    ``offers`` maps an insertion ``(base index, site, j)`` that makes a
+    graph of this size to the index of its member; it holds every
+    insertion made and, as they are asked for, skipped ones."""
+
+    hubs: tuple[tuple[tuple[int, int, int], ...], ...]
+    offers: dict[tuple[int, int, int], int]
+
+
+def _offer_hubs(size: int, base: int, site: int, j: int) -> list[tuple[int, int, int]]:
+    """The hubs of the graph that inserting a wheel with ``j`` subdividers
+    at ``site`` of member ``base`` (of size ``size - 1 - j``) makes, the new
+    hub first, each as ``_Level.hubs`` keeps it.
+
+    A hub of the base stays removable unless the new hub sits on its arc
+    (it is then the new hub's third vertex).  Otherwise the two insertions
+    commute: removing the base hub leaves the insertion at the same site,
+    shifted left by the base hub's subdividers when they lie before it."""
+    hubs = [(-j, base, site)]
+    for neg_j, rest, x in _members_of_size(size - 1 - j).hubs[base]:
+        if x > site:
+            hubs.append((neg_j, _offer_member(size + neg_j - 1, rest, site, j), x + j))
+        elif x - neg_j < site:
+            hubs.append((neg_j, _offer_member(size + neg_j - 1, rest, site + neg_j, j), x))
+    return hubs
+
+
+def _offer_member(size: int, base: int, site: int, j: int) -> int:
+    """Index, among the members of ``size``, of the graph that the
+    insertion ``(base, site, j)`` makes: that of the first offer removing
+    one of its hubs."""
+    offers = _members_of_size(size).offers
+    found = offers.get((base, site, j))
+    if found is None:
+        neg_j, rest, x = min(_offer_hubs(size, base, site, j))
+        found = offers[(base, site, j)] = offers[(rest, x, -neg_j)]
+    return found
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector and restore its state after.
+
+    Generation allocates about a million tuples and objects for sizes
+    3-13 and makes no reference cycle, so refcounting frees all its
+    garbage; the collector's passes over the young objects took a third of
+    its time."""
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_on:
+            gc.enable()
+
+
 @lru_cache(maxsize=32)
-def _members_of_size(size: int) -> tuple[tuple[FamilyDescriptor, PlaneNearTriangulation], ...]:
+def _members_of_size(size: int) -> _Level:
     """One ``(descriptor, graph)`` pair per member with ``size`` vertices.
 
-    Offers come in a fixed order: the broken wheel, the wheel, then every
-    Glue by ascending left size (each left member against each right
-    member), then every InsertWheel by ascending base size (each base
-    member at each insertion site).  The first offer of an embedding
-    signature wins.  An offer's graph is made from the graphs already
-    stored for its parts, which is what ``build`` would rebuild
-    recursively from their descriptors."""
+    Members come in the order of their first offer among all offers of
+    their parts: the broken wheel, the wheel, then every Glue by ascending
+    left size (each left member against each right member), then every
+    InsertWheel by ascending base size (each base member at each insertion
+    site).  Only first offers are made, so no two members share a graph
+    and no embeddings are compared.  An offer is skipped when another
+    offer of its graph comes before it:
+
+    - ``Glue(left, right)`` when ``left`` has a chord, that is, it is a
+      Glue or a broken wheel of size >= 4.  Glue is associative and a
+      broken wheel is a Glue of triangles, so the split at the chord
+      nearest the tail, with the smallest left size, comes first.
+    - ``Glue(BrokenWheel(3), BrokenWheel(k))``, which is the broken wheel
+      of size k + 1.
+    - ``InsertWheel`` on a broken wheel (it has no site) or on a Glue: that
+      is a Glue with the insertion made in one of its parts.
+    - ``InsertWheel(base, site, j)`` when another hub of the result, whose
+      removal leaves a member, comes first: one with more subdividers
+      (a smaller base), or as many and a base of lower index, or the same
+      base and a lower site.  ``_offer_hubs`` finds these hubs from the
+      base's own.
+
+    An offer's graph is made from the graphs already stored for its parts,
+    which is what ``build`` would rebuild recursively from their
+    descriptors."""
+    with _collector_paused():
+        return _generate(size)
+
+
+def _generate(size: int) -> _Level:
     found: list[tuple[FamilyDescriptor, PlaneNearTriangulation]] = []
-    seen: set[tuple] = set()
-
-    def offer(d: FamilyDescriptor, g: PlaneNearTriangulation) -> None:
-        sig = embedding_signature(g, principal_path(g))
-        if sig not in seen:
-            seen.add(sig)
-            found.append((d, g))
-
     if size >= 3:
-        offer(BrokenWheel(size), _build_broken_wheel(size))
+        found.append((BrokenWheel(size), _build_broken_wheel(size)))
     if size >= 4:
-        offer(Wheel(size - 1), _build_wheel(size - 1))
+        found.append((Wheel(size - 1), _build_wheel(size - 1)))
+    triangle = BrokenWheel(3)
     for left_size in range(3, size):
-        right_size = size + 2 - left_size
-        if right_size < 3:
-            continue
+        right = _members_of_size(size + 2 - left_size)
         for dl, gl in _members_of_size(left_size):
-            for dr, gr in _members_of_size(right_size):
-                offer(Glue(dl, dr), _glue(gl, gr))
+            if isinstance(dl, (Glue, BrokenWheel)) and dl != triangle:
+                continue
+            for dr, gr in right:
+                if dl != triangle or not isinstance(dr, BrokenWheel):
+                    found.append((Glue(dl, dr), _glue(gl, gr)))
+    hubs: list[tuple[tuple[int, int, int], ...]] = [()] * len(found)
+    offers: dict[tuple[int, int, int], int] = {}
     for base_size in range(4, size):
         j = size - base_size - 1
-        if j < 0:
-            continue
-        for db, gb in _members_of_size(base_size):
-            for site in insertion_sites(gb):
-                offer(InsertWheel(db, site, j), _insert_wheel(gb, site, j))
-    return tuple(found)
+        for base, (db, gb) in enumerate(_members_of_size(base_size)):
+            if not isinstance(db, (Wheel, InsertWheel)):
+                continue
+            # With no chord, every outer edge off the major is a site.
+            for site in range(1, len(gb.outer_cycle) - 1):
+                made = _offer_hubs(size, base, site, j)
+                if min(made) == made[0]:
+                    offers[(base, site, j)] = len(found)
+                    found.append((InsertWheel(db, site, j), _insert_wheel(gb, site, j)))
+                    hubs.append(tuple(made))
+    level = _Level(found)
+    level.hubs = tuple(hubs)
+    level.offers = offers
+    return level
 
 
 def enumerate_family(max_n: int) -> Iterator[FamilyDescriptor]:

@@ -12,13 +12,13 @@ Vertices are dense indices 0..n-1.  All structural queries the extension
 arguments need live here: chords, separating short cycles, splitting along
 a path, block decomposition, and extraction of the closed region enclosed
 by a cycle.  ``cycle_side`` (a dual BFS over traced faces) is the oracle
-for which vertices a cycle encloses; separating triangles need no BFS and
-are decided from the face list alone.  The solver does not trace its
-shrinking sub-regions: a 2-extension chord split needs no side at all (the
-boundary is relinked), a short-cycle region is read from the rotations of
-its cycle's vertices, and faces are traced (``trace_faces``, which also
-takes a ``{vertex: neighbors}`` sub-rotation) only for the boundary of an
-interior block.
+for which vertices a cycle encloses; separating triangles need neither a
+BFS nor a traced face and are decided from the rotations alone.  The
+solver does not trace its shrinking sub-regions: a 2-extension chord split
+needs no side at all (the boundary is relinked), a short-cycle region is
+read from the rotations of its cycle's vertices, and faces are traced
+(``trace_faces``, which also takes a ``{vertex: neighbors}`` sub-rotation)
+only for the boundary of an interior block.
 """
 
 from __future__ import annotations
@@ -45,6 +45,15 @@ class PlaneNearTriangulation:
     vertex_count: int
     rotation: tuple[tuple[int, ...], ...]
     outer_cycle: tuple[int, ...]
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # Hashed once per instance: ``faces_of`` and other caches keyed by
+        # the graph would otherwise rehash every rotation on every hit.
+        return hash((self.vertex_count, self.rotation, self.outer_cycle))
 
     @cached_property
     def _adj(self) -> tuple[frozenset[int], ...]:
@@ -171,8 +180,8 @@ def face_vertices(face: Sequence[Dart]) -> tuple[int, ...]:
 
 def linear_from(seq: Sequence[int], start: int) -> list[int]:
     """The cyclic sequence read from ``start`` (rotate-to-start)."""
-    i = list(seq).index(start)
-    return list(seq[i:]) + list(seq[:i])
+    i = seq.index(start)
+    return [*seq[i:], *seq[:i]]
 
 
 def _cyclic_equal(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -377,33 +386,42 @@ def separating_cycles(graph: PlaneNearTriangulation, length: int) -> list[tuple[
     """All cycles of the given length (3 or 4) with vertices strictly on
     both sides; the outer cycle itself never counts.
 
-    A triangle separates iff its vertex set is not that of a traced 3-face.
-    A triangle that bounds no face encloses a vertex, since the region it
-    bounds is triangulated and its own three edges cannot split it; and
-    only the outer cycle has nothing outside it, since every outer vertex
-    off a triangle lies outside it.  So one set of facial triangles decides
-    every triangle.  A 4-cycle is decided by a dual BFS (``cycle_side``)."""
+    A triangle separates iff it bounds no face, that is, neither of its
+    orientations is a dart orbit: the rotations alone decide it, with no
+    face traced.  A triangle that bounds no face encloses a vertex, since
+    the region it bounds is triangulated and its own three edges cannot
+    split it; and only the outer cycle has nothing outside it, since every
+    outer vertex off a triangle lies outside it, and the outer cycle bounds
+    the outer face.  A 4-cycle is decided by a dual BFS (``cycle_side``)."""
     if length not in (3, 4):
         raise PlaneGraphError("only lengths 3 and 4 are supported")
-    faces, outer_idx = faces_of(graph), _traced_outer(graph)
-    n = graph.vertex_count
+    n, rot, adj = graph.vertex_count, graph.rotation, graph._adj
     if length == 3:
-        facial = {frozenset(face_vertices(f)) for f in faces if len(f) == 3}
+
+        def turns(a: int, b: int, c: int) -> bool:
+            """The face on dart (a, b) goes on to c."""
+            nb = rot[b]
+            return nb[(nb.index(a) + 1) % len(nb)] == c
+
         return [
             (u, v, w)
             for u in range(n)
-            for v in graph._adj[u]
+            for v in adj[u]
             if v > u
-            for w in graph._adj[u]
-            if w > v and graph.has_edge(v, w) and frozenset((u, v, w)) not in facial
+            for w in adj[u]
+            if w > v
+            and w in adj[v]
+            and not (turns(u, v, w) and turns(v, w, u) and turns(w, u, v))
+            and not (turns(v, u, w) and turns(u, w, v) and turns(w, v, u))
         ]
+    faces, outer_idx = faces_of(graph), _traced_outer(graph)
     candidates = []
     for a in range(n):
-        nb = sorted(x for x in graph._adj[a] if x > a)
+        nb = sorted(x for x in adj[a] if x > a)
         for i, b in enumerate(nb):
             for d in nb[i + 1 :]:
-                for c in graph._adj[b]:
-                    if c > a and c != d and c in graph._adj[d]:
+                for c in adj[b]:
+                    if c > a and c != d and c in adj[d]:
                         candidates.append((a, b, c, d))
     found = []
     face_of_dart = dart_faces(faces)

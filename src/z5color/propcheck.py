@@ -42,7 +42,6 @@ import hashlib
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 
@@ -527,6 +526,10 @@ def _run_packets(packets, jobs: int) -> list[tuple[int, str, str]]:
     if workers <= 1:
         notes = list(map(replay, *args))
     else:
+        # Imported here: it loads multiprocessing, which a process that
+        # never starts a pool (a bench worker, say) need not pay for.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             notes = list(pool.map(replay, *args, chunksize=4))
     return [

@@ -11,6 +11,7 @@ import pytest
 import z5color
 from z5color.families import build, BrokenWheel, Wheel
 from z5color.group_color import ColorSystem, PhiAssignment
+from z5color.plane_graph import PlaneNearTriangulation, validate
 
 
 def brute_count(n, phi, colors=None):
@@ -48,6 +49,33 @@ def cpu_time_limit(seconds):
     finally:
         signal.setitimer(signal.ITIMER_VIRTUAL, 0)
         signal.signal(signal.SIGVTALRM, previous)
+
+
+def flipped_near_triangulation(g, rng, tries):
+    """``g`` after random flips of inner edges (each kept only if the result
+    is still a valid near-triangulation), so it is no longer stacked."""
+    rot = [list(r) for r in g.rotation]
+    outer = list(g.outer_cycle)
+    k = len(outer)
+    outer_edges = {frozenset((outer[i], outer[(i + 1) % k])) for i in range(k)}
+    for _ in range(tries):
+        u = rng.randrange(len(rot))
+        v = rng.choice(rot[u])
+        if frozenset((u, v)) in outer_edges:
+            continue
+        # The faces on the two sides of uv are (u, v, x) and (v, u, y).
+        x = rot[v][(rot[v].index(u) + 1) % len(rot[v])]
+        y = rot[u][(rot[u].index(v) + 1) % len(rot[u])]
+        if x == y or y in rot[x]:
+            continue
+        new = [list(r) for r in rot]
+        new[u].remove(v)
+        new[v].remove(u)
+        new[x].insert(new[x].index(v) + 1, y)
+        new[y].insert(new[y].index(u) + 1, x)
+        if validate(PlaneNearTriangulation.from_lists(new, outer)).ok:
+            rot = new
+    return PlaneNearTriangulation.from_lists(rot, outer)
 
 
 def random_phi_on(graph, rng, modulus=5):

@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import itertools
 import math
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cpu_time_limit
 from z5color import families
 from z5color.families import (
     BrokenWheel,
@@ -213,17 +216,86 @@ def test_members_are_made_from_their_parts_graphs(monkeypatch):
             assert g == build(d)[0]
 
 
+def catalan(m):
+    return math.comb(2 * m, m) // (m + 1)
+
+
 def test_member_counts_are_catalan():
-    for size in range(3, 12):
-        assert len(_members_of_size(size)) == math.comb(2 * (size - 2), size - 2) // (size - 1)
+    for size in range(3, 14):
+        assert len(_members_of_size(size)) == catalan(size - 2)
+    _members_of_size.cache_clear()  # sizes 3-13 hold about 150 MB
 
 
 def test_enumerate_family_no_duplicates():
     seen = set()
-    for d in enumerate_family(8):
+    for d in enumerate_family(11):
         sig = embedding_signature(*build(d))
         assert sig not in seen
         seen.add(sig)
+
+
+def test_member_order_is_pinned():
+    # Every descriptor and its place within its size, as generated when
+    # each offer was still checked against the signatures of all before it.
+    digest = hashlib.sha256()
+    for d, _, _ in family_members(12):
+        digest.update(to_sexpr(d).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "1a130c844cfba62f69a5b74455b87624eb36af13d50f6fc0a7e69bf642550516"
+    )
+
+
+def test_each_member_is_offered_once(monkeypatch):
+    # Every graph that generation makes is kept: C(size - 2) of each size.
+    made = []
+
+    def counted(make):
+        def wrapper(*args):
+            made.append(args)
+            return make(*args)
+
+        return wrapper
+
+    _members_of_size.cache_clear()
+    with monkeypatch.context() as m:
+        for name in ("_build_broken_wheel", "_build_wheel", "_glue", "_insert_wheel"):
+            m.setattr(families, name, counted(getattr(families, name)))
+        for size in range(3, 14):
+            before = len(made)
+            _members_of_size(size)
+            assert len(made) - before == catalan(size - 2), size
+    _members_of_size.cache_clear()
+
+
+def test_generation_computes_no_signature(monkeypatch):
+    def no_signature(*args):
+        raise AssertionError("embedding_signature called during generation")
+
+    _members_of_size.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(families, "embedding_signature", no_signature)
+        for size in range(3, 12):
+            _members_of_size(size)
+    assert len(_members_of_size(11)) == catalan(9)
+
+
+def test_generation_leaves_the_garbage_collector_as_it_found_it():
+    for was_on in (True, False):
+        (gc.enable if was_on else gc.disable)()
+        try:
+            _members_of_size.cache_clear()
+            assert len(_members_of_size(7)) == catalan(5)
+            assert gc.isenabled() == was_on
+        finally:
+            gc.enable()
+
+
+def test_sizes_to_thirteen_from_a_cold_cache_are_fast():
+    _members_of_size.cache_clear()
+    with cpu_time_limit(3):
+        for size in range(3, 14):
+            _members_of_size(size)
+    _members_of_size.cache_clear()
 
 
 def test_broken_wheel_is_never_a_multi_wheel():

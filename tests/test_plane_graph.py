@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cpu_time_limit, flipped_near_triangulation
 from z5color import plane_graph
 from z5color.families import BrokenWheel, Wheel, build, built_family
 from z5color.plane_graph import (
@@ -18,6 +19,7 @@ from z5color.plane_graph import (
     cycle_side,
     dart_faces,
     enclosed_region,
+    face_vertices,
     faces_of,
     outer_face_index,
     separating_cycles,
@@ -350,6 +352,49 @@ def test_separating_triangles_match_the_dual_bfs_oracle():
         assert sorted(separating_cycles(g, 3)) == expected
         separating += len(expected)
     assert len(graphs) > 200 and separating > 100
+
+
+def traced_separating_triangles(g):
+    """Oracle: a triangle separates iff its vertex set is not that of a
+    traced 3-face (the outer face included)."""
+    facial = {frozenset(face_vertices(f)) for f in faces_of(g) if len(f) == 3}
+    return [
+        tri
+        for tri in itertools.combinations(range(g.vertex_count), 3)
+        if all(g.has_edge(a, b) for a, b in itertools.combinations(tri, 2))
+        and frozenset(tri) not in facial
+    ]
+
+
+def test_separating_triangles_match_the_traced_faces():
+    rng = random.Random(20261019)
+    stacked = [random_triangulation(n, seed) for seed in range(8) for n in (4, 9, 16, 30)]
+    flipped = [flipped_near_triangulation(g, rng, 3 * g.vertex_count) for g in stacked]
+    flipped += [
+        flipped_near_triangulation(random_near_triangulation(n, k, seed), rng, 2 * n)
+        for seed in range(4)
+        for k in (3, 5)
+        for n in (k + 4, 20)
+    ]
+    graphs = stacked + flipped + [g for _, g, _ in built_family(9)]
+    separating = 0
+    for g in graphs:
+        expected = traced_separating_triangles(g)
+        assert separating_cycles(g, 3) == expected
+        separating += len(expected)
+    assert sum(h != g for h, g in zip(flipped, stacked)) > 20
+    assert separating > 100
+
+
+def test_faces_of_hits_do_not_rehash_the_graph():
+    g = build(Wheel(19999))[0]
+    copy = PlaneNearTriangulation(g.vertex_count, g.rotation, g.outer_cycle)
+    assert copy == g and hash(copy) == hash(g)
+    assert hash(g) == hash((g.vertex_count, g.rotation, g.outer_cycle))
+    faces = faces_of(g)
+    with cpu_time_limit(2):
+        for _ in range(10_000):
+            assert faces_of(g) is faces
 
 
 def test_separating_triangles_are_found_without_a_dual_bfs(monkeypatch):

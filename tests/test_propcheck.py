@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 
 import pytest
@@ -154,7 +155,8 @@ def test_jobs_are_capped_at_packets_and_cpus(monkeypatch):
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(propcheck, "ProcessPoolExecutor", RecordingPool)
+    # ``_run_packets`` imports the pool class when it starts a pool.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setitem(_EVALUATORS, "synthetic", lambda payload, aux: None)
     packets = [("synthetic", i, "", ()) for i in range(5)]
     for cpus, jobs, count, size in [

@@ -5,7 +5,13 @@ import random
 
 import pytest
 
-from conftest import brute_count, brute_marginals, cpu_time_limit, random_phi_on
+from conftest import (
+    brute_count,
+    brute_marginals,
+    cpu_time_limit,
+    flipped_near_triangulation,
+    random_phi_on,
+)
 from z5color.families import (
     BrokenWheel,
     Glue,
@@ -444,33 +450,6 @@ def test_first_coloring_deeper_than_the_recursion_limit():
     phi = PhiAssignment.zero(g.edges())
     coloring = first_coloring(g, phi)
     assert coloring is not None and is_proper(g, phi, coloring)
-
-
-def flipped_near_triangulation(g, rng, tries):
-    """``g`` after random flips of inner edges (each kept only if the result
-    is still a valid near-triangulation), so it is no longer stacked."""
-    rot = [list(r) for r in g.rotation]
-    outer = list(g.outer_cycle)
-    k = len(outer)
-    outer_edges = {frozenset((outer[i], outer[(i + 1) % k])) for i in range(k)}
-    for _ in range(tries):
-        u = rng.randrange(len(rot))
-        v = rng.choice(rot[u])
-        if frozenset((u, v)) in outer_edges:
-            continue
-        # The faces on the two sides of uv are (u, v, x) and (v, u, y).
-        x = rot[v][(rot[v].index(u) + 1) % len(rot[v])]
-        y = rot[u][(rot[u].index(v) + 1) % len(rot[u])]
-        if x == y or y in rot[x]:
-            continue
-        new = [list(r) for r in rot]
-        new[u].remove(v)
-        new[v].remove(u)
-        new[x].insert(new[x].index(v) + 1, y)
-        new[y].insert(new[y].index(u) + 1, x)
-        if validate(PlaneNearTriangulation.from_lists(new, outer)).ok:
-            rot = new
-    return PlaneNearTriangulation.from_lists(rot, outer)
 
 
 def test_arc_inside_matches_cycle_sides():
