@@ -10,11 +10,15 @@ Two independent routes compute with colorings:
   structure phase records, per eliminated vertex, precompiled
   ``itemgetter`` gathers into its joint table, and an execution phase
   multiplies and sums flat lists of Python ints (one axis of length m per
-  vertex).  Adding one color to every vertex maps proper colorings to
-  proper colorings, so a step whose factors come only from edges and full
-  lists computes the 1/m slice of its table with first color 0 and spreads
-  it to the rest.  Fast enough to serve as the brute-force oracle at desk
-  scale.  The two routes are cross-checked in the test suite.
+  vertex).  An edge vu whose far end u no other factor of the step covers
+  stays out of the joint table: the sum over v of the other factors'
+  product, less that product at the one color of v the edge forbids, is
+  the new factor, so the step works on a table m times smaller.  Adding
+  one color to every vertex maps proper colorings to proper colorings, so
+  a step whose factors come only from edges and full lists computes the
+  1/m slice of its table with first color 0 and spreads it to the rest.
+  Fast enough to serve as the brute-force oracle at desk scale.  The two
+  routes are cross-checked in the test suite.
 
 ``first_coloring`` backtracks up to a fixed number of frames per vertex and
 past that decodes a coloring from the elimination plan, so it always
@@ -51,7 +55,7 @@ import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from operator import itemgetter, mul
+from operator import itemgetter, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .families import (
@@ -225,6 +229,22 @@ def _edge_table(m: int, value: int, reversed_record: bool) -> tuple[int, ...]:
     )
 
 
+@lru_cache(maxsize=1024)
+def _cut(m: int, shift: int, length: int) -> tuple[itemgetter, itemgetter]:
+    """``(rest, banned)`` for a step that sums the edge vu out by
+    subtraction.  Its body table has axes (r, v) and its new factor axes
+    (r, u), where r runs over v's other neighbors.  For each of the first
+    ``length`` cells (r, c_u) of the new factor, ``rest`` reads cell r of
+    the body summed over v, and ``banned`` reads the body's cell (r, c_u +
+    ``shift``): v at the one color the edge forbids."""
+    rest, banned = [], []
+    for cell in range(length):
+        r, c = divmod(cell, m)
+        rest.append(r)
+        banned.append(r * m + (c + shift) % m)
+    return _getter(tuple(rest)), _getter(tuple(banned))
+
+
 def _elimination_plan(
     n: int,
     m: int,
@@ -236,15 +256,21 @@ def _elimination_plan(
     per eliminated vertex, and the factors left over ``keep``.
 
     Factor ids index the table list; the step eliminating ``v`` appends the
-    next id.  A step is ``(v, axes, merges, joins, spread)``: ``axes`` is
-    the joint table's scope (v's neighbors, then v); each merge ``(dst,
-    src, take)`` multiplies a factor into a touching factor whose scope
-    holds its own, and each join ``(f, take, gather)`` (see ``_read``)
-    gathers a factor into the joint table.  ``spread`` is None unless the
-    step is shift-free (see ``marginal_counts``): then its joins take only
-    the cells whose first axis is 0, and ``spread`` expands the summed
-    slice to the new factor's whole table.  The final list holds ``(f,
-    take, gather)`` into a table over ``keep``.
+    next id, a table over v's neighbors.  A step is ``(v, axes, merges,
+    joins, spread, cut)``: ``axes`` is the scope of the joint table the
+    joins are gathered into, v's neighbors (less ``cut``'s u) and then v;
+    each merge ``(dst, src, take)`` multiplies a factor into a touching
+    factor whose scope holds its own, and each join ``(f, take, gather)``
+    (see ``_read``) gathers a factor into the joint table.  ``cut`` is None
+    unless the step leaves an edge vu out of the joint (see
+    ``marginal_counts``): then it is ``(u, shift, rest, banned)``, where
+    c_u + ``shift`` is the color of v the edge forbids and ``rest`` and
+    ``banned`` are ``_cut``'s reads, and the new factor's scope is
+    ``axes[:-1] + (u,)``; otherwise it is ``axes[:-1]``.  ``spread`` is
+    None unless the step is shift-free: then its joins take only the cells
+    whose first axis is 0, and ``spread`` expands the new factor's slice to
+    its whole table.  The final list holds ``(f, take, gather)`` into a
+    table over ``keep``.
     """
     tables: list = []
     scopes: list[tuple[int, ...]] = []
@@ -263,6 +289,7 @@ def _elimination_plan(
         free.append(shift_free)
 
     nbrs: list[set[int]] = [set() for _ in range(n)]  # the interaction graph
+    # Edge tables come first: factor f < len(records) is records[f]'s.
     for tail, head, value in records:
         add_factor(
             (tail, head) if tail < head else (head, tail),
@@ -271,6 +298,7 @@ def _elimination_plan(
         )
         nbrs[tail].add(head)
         nbrs[head].add(tail)
+    edge_count = len(records)
     # A vertex's list is a factor of zeros and ones; one of all ones
     # changes no product, so it is needed only on an isolated vertex.
     for v, colors in enumerate(avail):
@@ -298,8 +326,25 @@ def _elimination_plan(
             nbrs[u].discard(u)
             if u not in keep_set:
                 heapq.heappush(heap, (1 + len(nbrs[u]), u))
-        axes = out_scope + (v,)
         shift_free = bool(out_scope) and all(free[f] for f in touching)
+        # The first edge vu whose far end u no other touching factor covers
+        # is summed out by subtraction, so no list is merged into it.  The
+        # new factor then takes u as its last axis; a shift-free step needs
+        # another axis before it, so that the body keeps its 1/m prefix.
+        axes, new_scope, cut = out_scope + (v,), out_scope, None
+        if len(out_scope) > shift_free:
+            for f in touching:
+                if f >= edge_count:
+                    continue
+                tail, head, value = records[f]
+                u = head if v == tail else tail
+                if not any(u in scopes[g] for g in touching if g != f):
+                    touching.remove(f)
+                    others = tuple(w for w in out_scope if w != u)
+                    axes, new_scope = others + (v,), others + (u,)
+                    shift = -value % m if v == tail else value
+                    cut = (u, shift, *_cut(m, shift, m ** (len(out_scope) - shift_free)))
+                    break
         length = m ** (len(axes) - shift_free)
         # A factor whose scope lies inside a larger touching one is multiplied
         # into it at that smaller size; the rest are gathered into the joint.
@@ -315,9 +360,9 @@ def _elimination_plan(
             else:
                 joins.append((f, *_read(m, scope, axes, length)))
         spread = _spread(m, len(out_scope)) if shift_free else None
-        steps.append((v, axes, merges, joins, spread))
+        steps.append((v, axes, merges, joins, spread, cut))
         new_id = len(scopes)
-        scopes.append(out_scope)
+        scopes.append(new_scope)
         live.append(True)
         free.append(shift_free)
         for u in out_scope:
@@ -342,18 +387,30 @@ def _product(tables: list, factors, size: int) -> Iterable[int]:
     return [1] * size if acc is None else acc
 
 
-def _execute(tables: list, steps: list, m: int, combine) -> None:
+def _execute(tables: list, steps: list, m: int, decide: bool) -> None:
     """Execution phase: run the plan's steps over flat tables, appending
-    each step's new factor.  ``combine`` folds the ``m`` cells of the
-    eliminated vertex's axis: ``sum`` counts, ``any`` decides.  A
-    shift-free step computes the slice of its new factor whose first axis
-    is 0 and spreads it; the others compute the whole table."""
-    for _, axes, merges, joins, spread in steps:
+    each step's new factor.  Counts sum the ``m`` cells of the eliminated
+    vertex's axis; ``decide`` keeps only whether a cell is nonzero (every
+    cell 0 or 1).  A shift-free step computes the slice of its new factor
+    whose first axis is 0 and spreads it; the others compute the whole
+    table.  A step with a cut sums its joint table (the body) over v and
+    takes away the body's cell at the color of v the cut edge forbids;
+    deciding, it then clamps each cell to 0 or 1."""
+    combine = any if decide else sum
+    for _, axes, merges, joins, spread, cut in steps:
         for dst, src, take in merges:
             tables[dst] = list(map(mul, tables[dst], take(tables[src])))
         size = m ** (len(axes) - (spread is not None))
-        cells = iter(_product(tables, joins, size))
-        table = list(map(combine, zip(*[cells] * m)))
+        cells = _product(tables, joins, size)
+        if cut is None:
+            table = list(map(combine, zip(*[iter(cells)] * m)))
+        else:
+            _, _, rest, banned = cut
+            body = list(cells)
+            sums = list(map(sum, zip(*[iter(body)] * m)))
+            table = list(map(sub, rest(sums), banned(body)))
+            if decide:
+                table = list(map(bool, table))
         tables.append(table if spread is None else spread(table))
 
 
@@ -383,6 +440,16 @@ def marginal_counts(
     cell by cell and sums each run of m cells along the eliminated vertex's
     axis.
 
+    Cut steps leave one edge out of the joint table.  If an edge vu is the
+    only touching factor that covers u, the step gathers the others into a
+    body table B over v's other neighbors and v, m times smaller than the
+    joint.  The edge forbids exactly one color t(c_u) = c_u + shift of v,
+    and Σ_cv B·[cv ≠ t] = Σ_cv B − B(t), so the new factor at (…, c_u) is
+    B summed over v less B at (…, t(c_u)): two cached reads (``_cut``,
+    keyed by modulus, shift and length) and one subtraction.  Its scope
+    puts u last.  Deciding (see ``first_coloring``) clamps those cells to
+    0 or 1, and the decoder skips the color t(c_u).
+
     Shift-free steps do a 1/m share of that work.  c + s is proper exactly
     when c is, for every shift s, so an edge table, a full list and any sum
     of products of such factors is fixed by adding s to all of its
@@ -402,7 +469,7 @@ def marginal_counts(
         raise ExtensionError("keep vertices must be distinct")
 
     tables, steps, final = _elimination_plan(n, m, avail, phi.records, keep)
-    _execute(tables, steps, m, sum)
+    _execute(tables, steps, m, False)
     acc = list(_product(tables, final, m ** len(keep)))
     cells = [0]
     for u in keep:
@@ -517,11 +584,12 @@ def _backtrack(
 
 # The backtracking in ``first_coloring`` may push this many frames per
 # vertex before the decode takes over.  A frame costs about 3 us and the
-# decode about 0.2 ms per vertex (2-core x86-64, Python 3.11), so a capped
-# search costs about what the decode does, and a capped call about twice
-# the decode: 0.4 s at 1,000 vertices.  Of 1,920 random near-triangulations
-# with 100 to 1,029 vertices, all but ten were colored within 31 frames per
-# vertex (most within one); two needed 180 and 207, eight more than 400.
+# decode about 0.05 ms per vertex (43-70 us on a 1,011-vertex random
+# near-triangulation; 2-core x86-64, Python 3.11), so a capped search
+# costs about four times the decode, and a capped call 0.2-0.3 s at 1,000
+# vertices.  Of 1,920 random near-triangulations with 100 to 1,029
+# vertices, all but ten were colored within 31 frames per vertex (most
+# within one); two needed 180 and 207, eight more than 400.
 _FRAMES_PER_VERTEX = 64
 
 
@@ -533,11 +601,11 @@ def first_coloring(
     The backtracking search is capped at ``_FRAMES_PER_VERTEX`` pushed
     frames per vertex; below the cap the answer is the search's.  Past it,
     a coloring is decoded from the elimination plan of ``marginal_counts``
-    run with ``any`` in place of ``sum`` (so every cell is 0 or 1): the
-    steps are walked backwards and each vertex takes the lowest color whose
-    product of gathered factors is nonzero, given the vertices eliminated
-    after it.  This takes time linear in the plan, so the call always
-    finishes."""
+    run deciding instead of counting (so every cell is 0 or 1): the steps
+    are walked backwards and each vertex takes the lowest color whose
+    product of gathered factors is nonzero and that its step's cut edge, if
+    any, allows, given the vertices eliminated after it.  This takes time
+    linear in the plan, so the call always finishes."""
     n = _vertex_count(graph)
     search = _backtrack(graph, phi, colors, None, _FRAMES_PER_VERTEX * n)
     try:
@@ -553,17 +621,18 @@ def _decode_coloring(
     none, decoded from the elimination plan (see ``first_coloring``)."""
     m = phi.modulus
     tables, steps, final = _elimination_plan(n, m, avail, phi.records, ())
-    _execute(tables, steps, m, any)
+    _execute(tables, steps, m, True)
     if not all(_product(tables, final, 1)):
         return None
     coloring = [0] * n
-    for v, axes, _, joins, _ in reversed(steps):
+    for v, axes, _, joins, _, cut in reversed(steps):
         base = 0
         for u in axes[:-1]:
             base = base * m + coloring[u]
+        banned = -1 if cut is None else (coloring[cut[0]] + cut[1]) % m
         for c in range(m):
             cell = base * m + c
-            if all(tables[f][g[cell]] for f, _, g in joins):
+            if c != banned and all(tables[f][g[cell]] for f, _, g in joins):
                 coloring[v] = c
                 break
         else:

@@ -175,13 +175,16 @@ def test_marginal_counts_order_and_totals(rng, w5):
 
 
 def test_marginal_counts_match_literal_enumeration():
-    # Moduli 3, 5 and 7; bare vertex counts; records stored either way
-    # round and in any order, some edges left unconstrained; forbidden sets
-    # and precolorings; keep of 0-4 vertices in any order.
+    # Moduli 2, 3, 4, 5 and 7; bare vertex counts; records stored either
+    # way round and in any order, some edges left unconstrained; forbidden
+    # sets and precolorings; keep of 0-4 vertices in any order.  Many steps
+    # sum an edge out by subtraction instead of gathering it into the joint
+    # table, and the sweep must run that path.
     rng = random.Random(909)
-    for _ in range(60):
-        m = rng.choice((3, 5, 7))
-        n = rng.randint(3, {3: 9, 5: 6, 7: 5}[m])
+    cut_steps = 0
+    for _ in range(120):
+        m = rng.choice((2, 3, 4, 5, 7))
+        n = rng.randint(3, {2: 11, 3: 9, 4: 7, 5: 6, 7: 5}[m])
         g = random_near_triangulation(n, rng.randint(3, n), rng.randrange(10**6))
         records = [
             (u, v, rng.randrange(m)) if rng.random() < 0.5 else (v, u, rng.randrange(m))
@@ -205,6 +208,9 @@ def test_marginal_counts_match_literal_enumeration():
         assert all(type(value) is int for value in table.values())
         brute = brute_marginals(n, phi, colors, keep)
         assert table == {key: brute[key] for key in table}
+        _, steps, _ = _elimination_plan(n, m, avail, phi.records, keep)
+        cut_steps += sum(cut is not None for *_, cut in steps)
+    assert cut_steps > 100
 
 
 def test_counters_reject_a_constraint_system_of_another_modulus(k3):
@@ -289,15 +295,20 @@ def test_counts_with_lists_on_some_vertices_match_both_oracles(rng):
 def test_plan_marks_shift_free_steps_on_wheels():
     # Unlisted, every step of a wheel's plan that leaves a factor behind is
     # shift-free.  A list on one rim vertex clears the mark on exactly the
-    # steps that consume its list factor or a factor built from it.
+    # steps that consume its list factor or a factor built from it.  A cut
+    # step leaves its edge's far end u out of the joint's axes, so the new
+    # factor's scope is the joint's axes less v, plus u.
+    def leaves_a_factor(axes, cut):
+        return bool(axes[:-1]) or cut is not None
+
     for k in (3, 5, 8, 13):
         g, _ = build(Wheel(k))
         n = g.vertex_count
         phi = PhiAssignment.zero(g.edges())
         full = [tuple(range(5))] * n
         _, steps, _ = _elimination_plan(n, 5, full, phi.records, ())
-        for _, axes, _, _, spread in steps:
-            assert (spread is not None) == bool(axes[:-1])
+        for _, axes, _, _, spread, cut in steps:
+            assert (spread is not None) == leaves_a_factor(axes, cut)
         for rim in (1, k // 2 + 1):
             avail = list(full)
             avail[rim] = (0, 2, 4)
@@ -305,16 +316,17 @@ def test_plan_marks_shift_free_steps_on_wheels():
             # Edge tables come first, then the one list factor.
             descends = {len(phi.records)}
             first_step_id = len(tables)
-            for i, (_, axes, merges, joins, spread) in enumerate(steps):
+            for i, (_, axes, merges, joins, spread, cut) in enumerate(steps):
                 touching = {f for f, _, _ in joins}
                 touching.update(f for dst, src, _ in merges for f in (dst, src))
                 if touching & descends:
                     descends.add(first_step_id + i)
                     assert spread is None
                 else:
-                    assert (spread is not None) == bool(axes[:-1])
-            assert any(spread is not None for *_, spread in steps)
+                    assert (spread is not None) == leaves_a_factor(axes, cut)
+            assert any(spread is not None for *_, spread, _ in steps)
             assert len(descends) > 1
+        assert k == 3 or any(cut is not None for *_, cut in steps)
 
 
 def test_decoded_coloring_from_spread_tables(rng, monkeypatch):
@@ -352,6 +364,38 @@ def test_decoded_coloring_from_spread_tables(rng, monkeypatch):
             assert is_proper(g, phi, decoded)
             assert cs is None or all(decoded[v] in cs.available(v) for v in range(n))
     assert 0 < empty < len(instances)
+
+
+def test_decoded_colorings_are_pinned(monkeypatch):
+    # sha256 over repr of every decoded coloring of a sweep of listed
+    # instances (forbidden sets of one to m - 1 colors on up to half the
+    # vertices), computed before steps summed an edge out by subtraction;
+    # "lowest color whose gathered factors are nonzero" fixes each decoded
+    # coloring, so a change in how a step is computed must keep every one.
+    monkeypatch.setattr("z5color.solver._FRAMES_PER_VERTEX", 0)
+    digest = hashlib.sha256()
+    empty = calls = 0
+    for m in (5, 3):
+        rng = random.Random(derive_seed(7331, "listed", m))
+        for _ in range(150):
+            n = rng.randint(3, 40)
+            g = random_near_triangulation(n, rng.randint(3, n), rng.randrange(10**6))
+            phi = random_phi(g.edges(), rng, "uniform", m)
+            cs = ColorSystem.free(n, m)
+            for v in rng.sample(range(n), rng.randint(0, n // 2)):
+                cs = cs.with_forbidden(v, rng.sample(range(m), rng.randint(1, m - 1)))
+            coloring = first_coloring(g, phi, cs)
+            assert (coloring is None) == (count_colorings(g, phi, cs) == 0)
+            if coloring is not None:
+                assert is_proper(g, phi, coloring)
+                assert all(coloring[v] in cs.available(v) for v in range(n))
+            digest.update(repr(coloring).encode())
+            calls += 1
+            empty += coloring is None
+    assert (calls, empty) == (300, 117)
+    assert digest.hexdigest() == (
+        "97863e4bcaa18d7a82c5444bef69cc59be300d8fb11de74ff4549dc31ecf5890"
+    )
 
 
 # ---------------------------------------------------------------------------
