@@ -91,9 +91,15 @@ class PhiAssignment:
         return -value % self.modulus
 
     def remove_edge(self, u: int, v: int) -> PhiAssignment:
-        if not self.has_edge(u, v):
-            raise GroupColorError(f"{u}-{v} is not an edge of this labeling")
-        kept = tuple(r for r in self.records if {r[0], r[1]} != {u, v})
+        return self.remove_edges((u, v))
+
+    def remove_edges(self, *edges: tuple[int, int]) -> PhiAssignment:
+        """The labeling without the given edges, built in one pass."""
+        for u, v in edges:
+            if not self.has_edge(u, v):
+                raise GroupColorError(f"{u}-{v} is not an edge of this labeling")
+        gone = {_edge_key(u, v) for u, v in edges}
+        kept = tuple(r for r in self.records if _edge_key(r[0], r[1]) not in gone)
         return PhiAssignment(self.modulus, kept)
 
     def with_flipped(self, u: int, v: int) -> PhiAssignment:

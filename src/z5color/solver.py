@@ -8,17 +8,21 @@ Two independent routes compute with colorings:
 - ``count_colorings`` / ``marginal_counts`` run exact variable elimination
   over the same constraints, in a minimum-degree order kept in a heap: a
   structure phase records, per eliminated vertex, precompiled
-  ``itemgetter`` gathers into its joint table, and an execution phase
-  multiplies and sums flat lists of Python ints (one axis of length m per
-  vertex).  An edge vu whose far end u no other factor of the step covers
-  stays out of the joint table: the sum over v of the other factors'
-  product, less that product at the one color of v the edge forbids, is
-  the new factor, so the step works on a table m times smaller.  Adding
-  one color to every vertex maps proper colorings to proper colorings, so
-  a step whose factors come only from edges and full lists computes the
-  1/m slice of its table with first color 0 and spreads it to the rest.
-  Fast enough to serve as the brute-force oracle at desk scale.  The two
-  routes are cross-checked in the test suite.
+  ``itemgetter`` gathers into its joint table, a bind phase supplies the
+  labels and lists of the call, and an execution phase multiplies and
+  sums flat lists of Python ints (one axis of length m per vertex).  The
+  structure depends only on the vertex count, the modulus, the set of
+  edges and the kept vertices, so once that key recurs it is kept, in a
+  cache bounded by the steps it holds, and reused across the many
+  labelings and lists a check draws.  An edge vu whose far end u no other
+  factor of the step covers stays out of the joint table: the sum over v
+  of the other factors' product, less that product at the one color of v
+  the edge forbids, is the new factor, so the step works on a table m
+  times smaller.  Adding one color to every vertex maps proper colorings to
+  proper colorings, so a step whose factors come only from edges and full
+  lists computes the 1/m slice of its table with first color 0 and
+  spreads it to the rest.  Fast enough to serve as the brute-force oracle
+  at desk scale.  The two routes are cross-checked in the test suite.
 
 ``first_coloring`` backtracks up to a fixed number of frames per vertex and
 past that decodes a coloring from the elimination plan, so it always
@@ -52,6 +56,7 @@ On top of those sit the constructive algorithms:
 from __future__ import annotations
 
 import heapq
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -162,6 +167,30 @@ def _avail_lists(
     return [tuple(sorted(colors.available(v))) for v in range(n)]
 
 
+# Gathers, spreads and cut reads of a table with more cells than this are
+# built for the call that needs them and dropped after it, and a structure
+# with a step that wide is not kept.  Every step of the three bench
+# workloads has at most 4 axes (625 cells at m = 5), and a gather of this
+# size with its reads holds about 0.5 MB.  The 7 x 7 triangulated grid has
+# steps of up to 10 axes: its 87 cached gathers held 1.46 GB after one
+# count without this cap, and 87 MB of RSS is left with it.
+_CACHED_CELLS = 5**6
+
+# Compiled structures (see ``_compile``) stay in one LRU charged by the
+# steps they hold, at least one per structure; a kept structure costs
+# 560-820 bytes per step.  One family-packets bench pass (seed 1) uses 261
+# edge sets of 1,768 steps in all, which fit with room to spare.  A
+# structure with more steps than the budget is used once and not kept.
+_PLAN_STEP_BUDGET = 4096
+
+
+def _capped(cached, cells: int):
+    """``cached`` (an ``lru_cache``) for a table of at most
+    ``_CACHED_CELLS`` cells, else the function it wraps, so that a wider
+    table is built for its call and not kept."""
+    return cached if cells <= _CACHED_CELLS else cached.__wrapped__
+
+
 @lru_cache(maxsize=1024)
 def _gather(m: int, strides: tuple[int, ...]) -> tuple[int, ...]:
     """For each cell of a joint table with one axis of length ``m`` per
@@ -189,7 +218,7 @@ def _reader(m: int, strides: tuple[int, ...], length: int) -> tuple[itemgetter, 
     """``(take, gather)`` for ``gather = _gather(m, strides)``, where
     ``take`` reads the cells of its first ``length`` entries out of a table
     in one call."""
-    gather = _gather(m, strides)
+    gather = _capped(_gather, m ** len(strides))(m, strides)
     return _getter(gather[:length]), gather
 
 
@@ -217,15 +246,16 @@ def _read(
     cell of the factor, and ``take`` reads the first ``length`` of them."""
     last = len(scope) - 1
     strides = [m ** (last - scope.index(u)) if u in scope else 0 for u in axes]
-    return _reader(m, tuple(strides), length)
+    return _capped(_reader, m ** len(axes))(m, tuple(strides), length)
 
 
 @lru_cache(maxsize=None)
-def _edge_table(m: int, value: int, reversed_record: bool) -> tuple[int, ...]:
-    """The flat table of one edge constraint over (lower, higher) vertex."""
-    sign = -1 if reversed_record else 1
+def _edge_tables(m: int) -> tuple[tuple[int, ...], ...]:
+    """The flat tables over (lower, higher) vertex of the ``m`` edge
+    constraints c_higher − c_lower ≠ y, indexed by y."""
     return tuple(
-        int((sign * (b - a)) % m != value) for a in range(m) for b in range(m)
+        tuple(int((b - a) % m != y) for a in range(m) for b in range(m))
+        for y in range(m)
     )
 
 
@@ -245,79 +275,104 @@ def _cut(m: int, shift: int, length: int) -> tuple[itemgetter, itemgetter]:
     return _getter(tuple(rest)), _getter(tuple(banned))
 
 
-def _elimination_plan(
-    n: int,
-    m: int,
-    avail: list[tuple[int, ...]],
-    records: Sequence[tuple[int, int, int]],
-    keep: tuple[int, ...],
-) -> tuple[list, list, list]:
-    """Structure phase of the counter: the initial factor tables, one step
-    per eliminated vertex, and the factors left over ``keep``.
+class _Structure:
+    """What the counter does on one edge set under any labels and lists;
+    built by ``_compile``, which documents the fields, and bound to a
+    labeling and lists by ``_bind``."""
 
-    Factor ids index the table list; the step eliminating ``v`` appends the
-    next id, a table over v's neighbors.  A step is ``(v, axes, merges,
-    joins, spread, cut)``: ``axes`` is the scope of the joint table the
-    joins are gathered into, v's neighbors (less ``cut``'s u) and then v;
-    each merge ``(dst, src, take)`` multiplies a factor into a touching
-    factor whose scope holds its own, and each join ``(f, take, gather)``
-    (see ``_read``) gathers a factor into the joint table.  ``cut`` is None
-    unless the step leaves an edge vu out of the joint (see
-    ``marginal_counts``): then it is ``(u, shift, rest, banned)``, where
-    c_u + ``shift`` is the color of v the edge forbids and ``rest`` and
-    ``banned`` are ``_cut``'s reads, and the new factor's scope is
+    __slots__ = (
+        "steps", "final", "scopes", "consumer", "step_of", "into", "cuts", "whole", "cells"
+    )
+
+    def __init__(self, steps, final, scopes, consumer, step_of, into, cuts, cells):
+        self.steps, self.final, self.scopes = steps, final, scopes
+        self.consumer, self.step_of, self.into = consumer, step_of, into
+        self.cuts, self.cells = cuts, cells
+        self.whole: list = [None] * len(steps)
+
+    def scope(self, f: int, lows: tuple, highs: tuple) -> tuple[int, ...]:
+        """The scope of factor ``f`` on the edge set ``lows``, ``highs``."""
+        j = f - len(self.steps)
+        return self.scopes[f] if j < 0 else (lows[j], highs[j])
+
+    def whole_joins(self, i: int, m: int, lows: tuple, highs: tuple) -> tuple:
+        """Step ``i``'s joins with reads of every cell of its joint table,
+        for a bind in which a list feeds the step (made once, then kept)."""
+        joins = self.whole[i]
+        if joins is None:
+            _, axes, _, joins, _, _ = self.steps[i]
+            length = m ** len(axes)
+            joins = self.whole[i] = tuple(
+                (f, *_read(m, self.scope(f, lows, highs), axes, length))
+                for f, _, _ in joins
+            )
+        return joins
+
+
+def _compile(
+    n: int, m: int, lows: tuple[int, ...], highs: tuple[int, ...], keep: tuple[int, ...]
+) -> _Structure:
+    """Structure phase of the counter: the steps of eliminating every vertex
+    outside ``keep`` from the graph on ``n`` vertices whose edges are
+    ``(lows[j], highs[j])`` (lower end first, sorted), and the reads of the
+    factors left over ``keep``.  It depends on no label and no list;
+    ``_bind`` supplies those per call.
+
+    Factor ids index the table list of a bound plan: the new factor of step
+    i is factor i, edge j is factor S + j (S steps), and a bind puts the
+    list factors after those.  A step is ``(v, axes, merges, joins, spread,
+    cut)``: ``axes`` is the scope of the joint table the joins are gathered
+    into, v's neighbors (less ``cut``'s u) and then v; each merge ``(dst,
+    src, take)`` multiplies a factor into a touching factor whose scope
+    holds its own, and each join ``(f, take, gather)`` (see ``_read``)
+    gathers a factor into the joint table.  ``cut`` is None unless the step
+    leaves an edge vu out of the joint (see ``marginal_counts``): compiled,
+    it is the edge's index; bound, it is ``(u, shift, rest, banned)``,
+    where c_u + ``shift`` is the color of v the edge forbids and ``rest``
+    and ``banned`` are ``_cut``'s reads.  The new factor's scope is then
     ``axes[:-1] + (u,)``; otherwise it is ``axes[:-1]``.  ``spread`` is
     None unless the step is shift-free: then its joins take only the cells
     whose first axis is 0, and ``spread`` expands the new factor's slice to
-    its whole table.  The final list holds ``(f, take, gather)`` into a
-    table over ``keep``.
+    its whole table.  Compiled, every step with a nonempty scope is
+    shift-free, as it is without lists; a bind clears the mark on the steps
+    a list feeds.  ``final`` holds ``(f, take, gather)`` into a table over
+    ``keep``.
+
+    For the bind the structure also keeps the scope of each step's new
+    factor, the step that consumes it (``consumer``; -1: none does), the
+    step that eliminates each vertex (``step_of``; -1 for ``keep``), the
+    factor each step would merge a list on its vertex into (``into``: the
+    smallest touching factor with two or more axes; -1: the list is
+    joined), the indices of the cut steps, and ``cells``, the size of its
+    widest table.
     """
-    tables: list = []
-    scopes: list[tuple[int, ...]] = []
-    factor_ids: list[list[int]] = [[] for _ in range(n)]
-    live: list[bool] = []
-    # Shift-free: unchanged when one color is added to every vertex of the
-    # scope; so is every edge table.
-    free: list[bool] = []
-
-    def add_factor(scope: tuple[int, ...], table, shift_free: bool) -> None:
-        for u in scope:
-            factor_ids[u].append(len(scopes))
-        scopes.append(scope)
-        tables.append(table)
-        live.append(True)
-        free.append(shift_free)
-
-    nbrs: list[set[int]] = [set() for _ in range(n)]  # the interaction graph
-    # Edge tables come first: factor f < len(records) is records[f]'s.
-    for tail, head, value in records:
-        add_factor(
-            (tail, head) if tail < head else (head, tail),
-            _edge_table(m, value, tail > head),
-            True,
-        )
-        nbrs[tail].add(head)
-        nbrs[head].add(tail)
-    edge_count = len(records)
-    # A vertex's list is a factor of zeros and ones; one of all ones
-    # changes no product, so it is needed only on an isolated vertex.
-    for v, colors in enumerate(avail):
-        if len(colors) < m or not nbrs[v]:
-            add_factor((v,), [int(c in colors) for c in range(m)], len(colors) == m)
-
     keep_set = set(keep)
+    size = sum(v not in keep_set for v in range(n))
+    scopes: list[tuple[int, ...]] = [()] * size + list(zip(lows, highs))
+    factor_ids: list[list[int]] = [[] for _ in range(n)]
+    live = [True] * len(scopes)
+    nbrs: list[set[int]] = [set() for _ in range(n)]  # the interaction graph
+    for f, (a, b) in enumerate(scopes[size:], size):
+        factor_ids[a].append(f)
+        factor_ids[b].append(f)
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+
     heap = [(1 + len(nbrs[v]), v) for v in range(n) if v not in keep_set]
     heapq.heapify(heap)
-    eliminated = [False] * n
-    steps = []
+    steps: list[tuple] = []
+    consumer, step_of, into, cuts = [-1] * size, [-1] * n, [], []
+    widest = len(keep)
     while heap:
-        size, v = heapq.heappop(heap)
-        if eliminated[v] or size != 1 + len(nbrs[v]):
+        degree, v = heapq.heappop(heap)
+        if step_of[v] >= 0 or degree != 1 + len(nbrs[v]):
             continue
-        eliminated[v] = True
+        i = step_of[v] = len(steps)
         touching = [f for f in factor_ids[v] if live[f]]
         for f in touching:
             live[f] = False
+            if f < size:
+                consumer[f] = i
         # v's neighbors become a clique: the scope of the new factor.
         out_scope = tuple(sorted(nbrs[v]))
         for u in out_scope:
@@ -326,7 +381,7 @@ def _elimination_plan(
             nbrs[u].discard(u)
             if u not in keep_set:
                 heapq.heappush(heap, (1 + len(nbrs[u]), u))
-        shift_free = bool(out_scope) and all(free[f] for f in touching)
+        shift_free = bool(out_scope)
         # The first edge vu whose far end u no other touching factor covers
         # is summed out by subtraction, so no list is merged into it.  The
         # new factor then takes u as its last axis; a shift-free step needs
@@ -334,46 +389,173 @@ def _elimination_plan(
         axes, new_scope, cut = out_scope + (v,), out_scope, None
         if len(out_scope) > shift_free:
             for f in touching:
-                if f >= edge_count:
+                if f < size:
                     continue
-                tail, head, value = records[f]
-                u = head if v == tail else tail
+                a, b = scopes[f]
+                u = b if v == a else a
                 if not any(u in scopes[g] for g in touching if g != f):
                     touching.remove(f)
                     others = tuple(w for w in out_scope if w != u)
-                    axes, new_scope = others + (v,), others + (u,)
-                    shift = -value % m if v == tail else value
-                    cut = (u, shift, *_cut(m, shift, m ** (len(out_scope) - shift_free)))
+                    axes, new_scope, cut = others + (v,), others + (u,), f - size
+                    cuts.append(i)
                     break
         length = m ** (len(axes) - shift_free)
         # A factor whose scope lies inside a larger touching one is multiplied
         # into it at that smaller size; the rest are gathered into the joint.
         touching.sort(key=lambda f: len(scopes[f]))
         merges, joins = [], []
-        for i, f in enumerate(touching):
+        for k, f in enumerate(touching):
             scope = scopes[f]
-            for g in touching[i + 1 :]:
+            for g in touching[k + 1 :]:
                 if len(scopes[g]) > len(scope) and all(u in scopes[g] for u in scope):
                     take, _ = _read(m, scope, scopes[g], m ** len(scopes[g]))
                     merges.append((g, f, take))
                     break
             else:
                 joins.append((f, *_read(m, scope, axes, length)))
-        spread = _spread(m, len(out_scope)) if shift_free else None
-        steps.append((v, axes, merges, joins, spread, cut))
-        new_id = len(scopes)
-        scopes.append(new_scope)
-        live.append(True)
-        free.append(shift_free)
+        into.append(next((f for f in touching if len(scopes[f]) > 1), -1))
+        k = len(out_scope)
+        spread = _capped(_spread, m**k)(m, k) if shift_free else None
+        steps.append((v, axes, tuple(merges), tuple(joins), spread, cut))
+        scopes[i] = new_scope
         for u in out_scope:
-            factor_ids[u].append(new_id)
+            factor_ids[u].append(i)
+        widest = max(widest, len(axes))
 
-    final = [
+    final = tuple(
         (f, *_read(m, scope, keep, m ** len(keep)))
         for f, (scope, alive) in enumerate(zip(scopes, live))
         if alive
-    ]
-    return tables, steps, final
+    )
+    return _Structure(
+        tuple(steps), final, scopes[:size], consumer, step_of, into, cuts, m**widest
+    )
+
+
+PlanCacheInfo = namedtuple("PlanCacheInfo", "compiled reused entries steps budget")
+
+
+class _PlanCache:
+    """Compiled structures by ``(n, m, lows, highs, keep)``, least recently
+    used first; each is charged its step count (at least 1) against
+    ``budget``.  A structure is kept only when its key was compiled before
+    (the hashes of the last ``budget`` compiled keys are remembered), its
+    charge fits the budget and its widest table fits ``_CACHED_CELLS``;
+    otherwise it is used once.  Keeping the structure of every edge set
+    made sparse-scaling's counts, whose edge sets never recur, take 7-11%
+    more CPU time, much of it in the garbage collector."""
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.entries: OrderedDict = OrderedDict()
+        self.seen: OrderedDict = OrderedDict()
+        self.steps = self.compiled = self.reused = 0
+
+    def structure(self, key: tuple) -> _Structure:
+        st = self.entries.get(key)
+        if st is not None:
+            self.entries.move_to_end(key)
+            self.reused += 1
+            return st
+        st = _compile(*key)
+        self.compiled += 1
+        charge = max(len(st.steps), 1)
+        sighting = hash(key)
+        if sighting not in self.seen:
+            self.seen[sighting] = None
+            if len(self.seen) > self.budget:
+                self.seen.popitem(last=False)
+        elif charge <= self.budget and st.cells <= _CACHED_CELLS:
+            self.entries[key] = st
+            self.steps += charge
+            while self.steps > self.budget:
+                _, old = self.entries.popitem(last=False)
+                self.steps -= max(len(old.steps), 1)
+        return st
+
+
+_plans = _PlanCache(_PLAN_STEP_BUDGET)
+
+
+def plan_cache_info() -> PlanCacheInfo:
+    """Counters of the counter's structure cache: structures compiled and
+    reused in this process, entries and steps held, and the step budget."""
+    c = _plans
+    return PlanCacheInfo(c.compiled, c.reused, len(c.entries), c.steps, c.budget)
+
+
+def _bind(
+    st: _Structure,
+    m: int,
+    lows: tuple[int, ...],
+    highs: tuple[int, ...],
+    values: tuple[int, ...],
+    avail: list[tuple[int, ...]],
+) -> tuple[list, list, tuple]:
+    """Bind a structure to labels and lists: the plan's tables, its steps
+    and its final reads.  Edge j of the structure, ``(lows[j],
+    highs[j])``, carries the constraint c_high − c_low ≠ ``values[j]``.
+
+    Step i's table slot is filled by ``_execute``.  A partial list on an
+    eliminated vertex becomes a factor after the edges; it is merged into
+    the step's ``into`` factor (or joined), and the step and every step its
+    new factor feeds lose the shift-free mark, so they read whole joint
+    tables.  Lists on kept vertices are left out: the caller reads only
+    colors inside them.  A cut step takes its shift from its edge's label.
+    """
+    rows = _edge_tables(m)
+    tables: list = [None] * len(st.steps)
+    tables += [rows[y] for y in values]
+    steps = list(st.steps)
+    listed: dict[int, int] = {}
+    tainted: set[int] = set()
+    for v, colors in enumerate(avail):
+        i = st.step_of[v]
+        if len(colors) < m and i >= 0:
+            listed[i] = len(tables)
+            tables.append([int(c in colors) for c in range(m)])
+            while i >= 0 and i not in tainted:
+                tainted.add(i)
+                i = st.consumer[i]
+    for i in tainted:
+        v, axes, merges, joins, spread, cut = steps[i]
+        if spread is not None:
+            joins = st.whole_joins(i, m, lows, highs)
+        f = listed.get(i)
+        if f is not None:
+            g = st.into[i]
+            scope = axes if g < 0 else st.scope(g, lows, highs)
+            take, gather = _read(m, (v,), scope, m ** len(scope))
+            if g < 0:
+                joins += ((f, take, gather),)
+            else:
+                merges = ((g, f, take),) + merges
+        steps[i] = (v, axes, merges, joins, None, cut)
+    for i in st.cuts:
+        v, axes, merges, joins, spread, j = steps[i]
+        low, y = v == lows[j], values[j]
+        shift = -y % m if low else y
+        length = m ** (len(axes) - (spread is not None))
+        cut = (highs[j] if low else lows[j], shift, *_capped(_cut, length)(m, shift, length))
+        steps[i] = (v, axes, merges, joins, spread, cut)
+    return tables, steps, st.final
+
+
+def _elimination_plan(
+    n: int,
+    m: int,
+    avail: list[tuple[int, ...]],
+    records: Sequence[tuple[int, int, int]],
+    keep: tuple[int, ...],
+) -> tuple[list, list, tuple]:
+    """The counter's plan for one call: the structure of the edge set (from
+    the cache, else compiled) bound to the labels and lists.  Records are
+    keyed by their sorted ``(lower, higher)`` pairs, so neither their
+    order nor their stored orientation shapes the structure."""
+    edges = sorted((t, h, x) if t < h else (h, t, -x % m) for t, h, x in records)
+    lows, highs, values = zip(*edges) if edges else ((), (), ())
+    st = _plans.structure((n, m, lows, highs, keep))
+    return _bind(st, m, lows, highs, values, avail)
 
 
 def _product(tables: list, factors, size: int) -> Iterable[int]:
@@ -388,16 +570,16 @@ def _product(tables: list, factors, size: int) -> Iterable[int]:
 
 
 def _execute(tables: list, steps: list, m: int, decide: bool) -> None:
-    """Execution phase: run the plan's steps over flat tables, appending
-    each step's new factor.  Counts sum the ``m`` cells of the eliminated
-    vertex's axis; ``decide`` keeps only whether a cell is nonzero (every
-    cell 0 or 1).  A shift-free step computes the slice of its new factor
-    whose first axis is 0 and spreads it; the others compute the whole
-    table.  A step with a cut sums its joint table (the body) over v and
-    takes away the body's cell at the color of v the cut edge forbids;
-    deciding, it then clamps each cell to 0 or 1."""
+    """Execution phase: run the plan's steps over flat tables, filling step
+    i's new factor into table slot i.  Counts sum the ``m`` cells of the
+    eliminated vertex's axis; ``decide`` keeps only whether a cell is
+    nonzero (every cell 0 or 1).  A shift-free step computes the slice of
+    its new factor whose first axis is 0 and spreads it; the others compute
+    the whole table.  A step with a cut sums its joint table (the body)
+    over v and takes away the body's cell at the color of v the cut edge
+    forbids; deciding, it then clamps each cell to 0 or 1."""
     combine = any if decide else sum
-    for _, axes, merges, joins, spread, cut in steps:
+    for out, (_, axes, merges, joins, spread, cut) in enumerate(steps):
         for dst, src, take in merges:
             tables[dst] = list(map(mul, tables[dst], take(tables[src])))
         size = m ** (len(axes) - (spread is not None))
@@ -411,7 +593,7 @@ def _execute(tables: list, steps: list, m: int, decide: bool) -> None:
             table = list(map(sub, rest(sums), banned(body)))
             if decide:
                 table = list(map(bool, table))
-        tables.append(table if spread is None else spread(table))
+        tables[out] = table if spread is None else spread(table)
 
 
 def marginal_counts(
@@ -426,7 +608,7 @@ def marginal_counts(
     product of their lists) to extension counts.  With empty ``keep`` the
     single entry at () is the total count.
 
-    Bucket elimination in two phases.  The structure phase eliminates all
+    Bucket elimination in three phases.  The structure phase eliminates all
     other vertices in greedy minimum-scope order, ties to the lower vertex:
     a vertex's scope is itself and its neighbors in the interaction graph,
     so the order is kept in a heap of (1 + degree, vertex) entries,
@@ -434,11 +616,20 @@ def marginal_counts(
     Each step records its joint scope and, for each touching factor, a
     gather index list into the joint table with an ``operator.itemgetter``
     that reads those cells in one call (both cached per modulus, strides
-    and length).  The execution phase runs over flat lists of Python ints,
-    one axis of length m per vertex in mixed radix (first axis slowest), a
-    forbidden color holding a zero: a step multiplies its gathered factors
-    cell by cell and sums each run of m cells along the eliminated vertex's
-    axis.
+    and length).  Nothing in it depends on the labels or the lists, so it
+    is compiled per vertex count, modulus, set of edges and ``keep``, and
+    kept, once that key recurs, in a cache bounded by the steps it holds
+    (``plan_cache_info`` counts it); the records' order and stored
+    orientations do not matter.
+    The bind phase, per call, supplies the edge tables from the labels,
+    each cut step's shift, and the list factors: a partial list is merged
+    into the smallest factor of two or more axes its vertex's step
+    touches (or joined, if none), and it clears the shift-free mark (see
+    below) on that step and on every step its new factor feeds.  The
+    execution phase runs over flat lists of Python ints, one axis of
+    length m per vertex in mixed radix (first axis slowest), a forbidden
+    color holding a zero: a step multiplies its gathered factors cell by
+    cell and sums each run of m cells along the eliminated vertex's axis.
 
     Cut steps leave one edge out of the joint table.  If an edge vu is the
     only touching factor that covers u, the step gathers the others into a
@@ -1204,9 +1395,7 @@ def lemma1_failure_table(
     are already satisfied) and makes the table literally independent of the
     labels on the principal edges, which is the invariance the alpha value
     is supposed to have."""
-    stripped = phi.remove_edge(path.tail, path.major).remove_edge(
-        path.major, path.head
-    )
+    stripped = phi.remove_edges((path.tail, path.major), (path.major, path.head))
     return marginal_counts(
         graph, stripped, colors, keep=(path.tail, path.major, path.head)
     )
@@ -1241,7 +1430,7 @@ def classify_alpha(
     which triples count as proper boundary precolorings)."""
     failures = [
         triple
-        for triple, count in sorted(table.items())
+        for triple, count in table.items()
         if count == 0 and is_path_proper(graph, phi, path, triple)
     ]
     if not failures:

@@ -23,7 +23,15 @@ from z5color.families import (
     is_multi_wheel_descriptor,
     to_sexpr,
 )
-from z5color.group_color import ColorSystem, PhiAssignment, is_proper, shift_phi, tau
+from z5color import solver
+from z5color.group_color import (
+    ColorSystem,
+    GroupColorError,
+    PhiAssignment,
+    is_proper,
+    shift_phi,
+    tau,
+)
 from z5color.plane_graph import (
     PlaneNearTriangulation,
     _cycle_sides,
@@ -59,6 +67,7 @@ from z5color.solver import (
     lemma1_alpha,
     lemma1_failure_table,
     marginal_counts,
+    plan_cache_info,
     validate_extension_problem,
     validate_obstruction,
 )
@@ -313,14 +322,15 @@ def test_plan_marks_shift_free_steps_on_wheels():
             avail = list(full)
             avail[rim] = (0, 2, 4)
             tables, steps, _ = _elimination_plan(n, 5, avail, phi.records, ())
-            # Edge tables come first, then the one list factor.
-            descends = {len(phi.records)}
-            first_step_id = len(tables)
+            # Step i's new factor is factor i, the edge tables follow the
+            # steps, and the one list factor comes last.
+            assert len(tables) == len(steps) + len(phi.records) + 1
+            descends = {len(tables) - 1}
             for i, (_, axes, merges, joins, spread, cut) in enumerate(steps):
                 touching = {f for f, _, _ in joins}
                 touching.update(f for dst, src, _ in merges for f in (dst, src))
                 if touching & descends:
-                    descends.add(first_step_id + i)
+                    descends.add(i)
                     assert spread is None
                 else:
                     assert (spread is not None) == leaves_a_factor(axes, cut)
@@ -396,6 +406,127 @@ def test_decoded_colorings_are_pinned(monkeypatch):
     assert digest.hexdigest() == (
         "97863e4bcaa18d7a82c5444bef69cc59be300d8fb11de74ff4549dc31ecf5890"
     )
+
+
+def _cold(fn, *args):
+    """``fn(*args)`` with every elimination structure compiled afresh and
+    none kept."""
+    saved = solver._plans
+    solver._plans = solver._PlanCache(0)
+    try:
+        return fn(*args)
+    finally:
+        solver._plans = saved
+
+
+def test_structures_are_reused_across_labelings_and_lists(monkeypatch):
+    # One structure per edge set and keep serves every labeling, record
+    # order, stored orientation and list pattern.  Each count must match
+    # the literal enumeration and a count from a cold cache, and so must
+    # each decoded coloring.
+    monkeypatch.setattr(solver, "_plans", solver._PlanCache(solver._PLAN_STEP_BUDGET))
+    rng = random.Random(2121)
+    listed = 0
+    for _ in range(60):
+        m = rng.choice((2, 3, 4, 5, 7))
+        n = rng.randint(3, {2: 10, 3: 8, 4: 7, 5: 6, 7: 5}[m])
+        g = random_near_triangulation(n, rng.randint(3, n), rng.randrange(10**6))
+        edges = [e for e in g.edges() if rng.random() < 0.85]
+        keep = tuple(rng.sample(range(n), rng.randint(0, min(3, n))))
+        keeps = (keep, keep[::-1])
+        before = plan_cache_info()
+        for rep in range(6):
+            records = [
+                (u, v, rng.randrange(m)) if rng.random() < 0.5 else (v, u, rng.randrange(m))
+                for u, v in edges
+            ]
+            rng.shuffle(records)
+            phi = PhiAssignment(m, tuple(records))
+            cs = ColorSystem.free(n, m)
+            for v in range(n):
+                if rng.random() < 0.4:
+                    cs = cs.with_forbidden(v, rng.sample(range(m), rng.randint(1, m - 1)))
+            for v in rng.sample(range(n), rng.randint(0, 2)):
+                cs = cs.with_precolor(v, rng.randrange(m))
+            colors = cs if rep % 3 else None
+            listed += colors is not None
+            keep = keeps[rep % 2]
+            table = marginal_counts(g if rep % 2 else n, phi, colors, keep)
+            brute = brute_marginals(n, phi, colors, keep)
+            assert table == {key: brute[key] for key in table}
+            assert _cold(marginal_counts, n, phi, colors, keep) == table
+            avail = _avail_lists(n, phi, colors)
+            assert _decode_coloring(n, phi, avail) == _cold(_decode_coloring, n, phi, avail)
+        after = plan_cache_info()
+        # Six counts and six decodes on three keys, (), keep and its
+        # reverse, each kept once it comes a second time.
+        assert after.compiled - before.compiled <= 6
+        assert after.reused - before.reused >= 6
+    assert listed == 240
+
+
+def test_structure_cache_keeps_within_its_step_budget(monkeypatch):
+    cache = solver._PlanCache(12)
+    monkeypatch.setattr(solver, "_plans", cache)
+    for k in range(3, 9):
+        g, _ = build(Wheel(k))
+        phi = PhiAssignment.zero(g.edges())
+        for _ in range(3):
+            assert count_colorings(g, phi) == wheel_chromatic_value(k, 5)
+        info = plan_cache_info()
+        assert info.budget == 12 and info.steps <= 12
+        assert info.entries == len(cache.entries)
+        assert info.steps == sum(max(len(st.steps), 1) for st in cache.entries.values())
+    # A structure is kept when its key comes a second time.  Least recently
+    # used goes first: of two entries, the one touched last stays when a
+    # third needs room.
+    k4, w4 = build(Wheel(3))[0], build(Wheel(4))[0]
+    k4, edge, w4 = (
+        (k4, PhiAssignment.zero(k4.edges())),
+        (4, PhiAssignment(5, ((0, 1, 2),))),
+        (w4, PhiAssignment.zero(w4.edges())),
+    )
+    cache = solver._PlanCache(12)
+    monkeypatch.setattr(solver, "_plans", cache)
+    count_colorings(*k4)
+    assert plan_cache_info()[:4] == (1, 0, 0, 0)
+    keys = []
+    for graph, phi in (k4, edge, edge, k4, w4, w4):
+        count_colorings(graph, phi)
+        keys.append(next(reversed(cache.entries)))
+    assert plan_cache_info()[:4] == (6, 1, 2, 9)
+    assert list(cache.entries) == [keys[0], keys[-1]]
+    # A structure with more steps than the budget is used, not kept.
+    before = plan_cache_info()
+    g, _ = build(Wheel(12))
+    for _ in range(3):
+        assert count_colorings(g, PhiAssignment.zero(g.edges())) == wheel_chromatic_value(12, 5)
+    after = plan_cache_info()
+    assert after.compiled == before.compiled + 3 and after.reused == before.reused
+    assert (after.entries, after.steps) == (before.entries, before.steps)
+
+
+def test_tables_wider_than_the_cap_are_not_cached(monkeypatch):
+    # Gathers, reads, spreads, cuts and structures over more than
+    # _CACHED_CELLS cells are built for their call and dropped after it.
+    caches = (solver._gather, solver._reader, solver._spread, solver._cut)
+    monkeypatch.setattr(solver, "_plans", solver._PlanCache(solver._PLAN_STEP_BUDGET))
+    for cache in caches:
+        cache.cache_clear()
+    g, _ = build(Wheel(6))
+    phi = PhiAssignment.zero(g.edges())
+    monkeypatch.setattr(solver, "_CACHED_CELLS", 0)
+    assert count_colorings(g, phi) == wheel_chromatic_value(6, 5)
+    assert all(cache.cache_info().currsize == 0 for cache in caches)
+    assert plan_cache_info().entries == 0
+    # With room for two axes a path is cached and kept, a wheel is not.
+    monkeypatch.setattr(solver, "_CACHED_CELLS", 25)
+    path = PhiAssignment(5, tuple((v, v + 1, v % 5) for v in range(5)))
+    for _ in range(2):
+        assert count_colorings(6, path) == 5 * 4**5
+        assert count_colorings(g, phi) == wheel_chromatic_value(6, 5)
+    assert plan_cache_info().entries == 1
+    assert solver._gather.cache_info().currsize > 0
 
 
 # ---------------------------------------------------------------------------
@@ -1286,6 +1417,19 @@ def test_lemma1_alpha_invariant_under_principal_rerolls(rng, w5):
             if redone.kind == "alpha":
                 diffs.add(redone.alpha)
         assert len(diffs) <= 1
+
+
+def test_lemma1_failure_table_strips_both_principal_edges(rng, w5):
+    g, p = w5
+    phi = random_phi_on(g, rng)
+    principal = ((p.tail, p.major), (p.major, p.head))
+    stripped = phi.remove_edges(*principal)
+    assert stripped == phi.remove_edge(*principal[0]).remove_edge(*principal[1])
+    cs = ColorSystem.free(6)
+    keep = (p.tail, p.major, p.head)
+    assert lemma1_failure_table(g, phi, cs, p) == marginal_counts(g, stripped, cs, keep)
+    with pytest.raises(GroupColorError, match=f"{p.major}-{p.head} is not an edge"):
+        lemma1_failure_table(g, phi.remove_edge(p.head, p.major), cs, p)
 
 
 def test_lemma1_k4_has_no_failures(rng):
