@@ -208,6 +208,7 @@ class ColorSystem:
     def __post_init__(self) -> None:
         seen = set()
         for v, c in self.precoloring:
+            self._check_vertex(v)
             if v in seen:
                 raise GroupColorError(f"vertex {v} precolored twice")
             seen.add(v)
@@ -224,6 +225,10 @@ class ColorSystem:
     @property
     def vertex_count(self) -> int:
         return len(self.forbidden)
+
+    def _check_vertex(self, v: int) -> None:
+        if not 0 <= v < len(self.forbidden):
+            raise GroupColorError(f"vertex {v} outside 0..{len(self.forbidden) - 1}")
 
     def precolor_map(self) -> dict[int, int]:
         return dict(self.precoloring)
@@ -247,6 +252,7 @@ class ColorSystem:
         return out
 
     def with_forbidden(self, v: int, colors: Iterable[int]) -> ColorSystem:
+        self._check_vertex(v)
         fv = frozenset(colors)
         if any(not 0 <= c < self.modulus for c in fv):
             raise GroupColorError(f"forbidden colors at {v} out of range")
@@ -255,6 +261,7 @@ class ColorSystem:
         return self._derived(tuple(fb), self.precoloring)
 
     def with_precolor(self, v: int, color: int) -> ColorSystem:
+        self._check_vertex(v)
         if not 0 <= color < self.modulus:
             raise GroupColorError(f"precolor {color} out of range mod {self.modulus}")
         pre = tuple(sorted((dict(self.precoloring) | {v: color}).items()))

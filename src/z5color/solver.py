@@ -8,20 +8,20 @@ Two independent routes compute with colorings:
 - ``count_colorings`` / ``marginal_counts`` run exact variable elimination
   over the same constraints, in a minimum-degree order kept in a heap: a
   structure phase records, per eliminated vertex, precompiled
-  ``itemgetter`` gathers into its joint table, a bind phase supplies the
-  labels and lists of the call, and an execution phase multiplies and
-  sums flat lists of Python ints (one axis of length m per vertex).  The
-  structure depends only on the vertex count, the modulus, the set of
-  edges and the kept vertices, so once that key recurs it is kept, in a
-  cache bounded by the steps it holds, and reused across the many
-  labelings and lists a check draws.  An edge vu whose far end u no other
-  factor of the step covers stays out of the joint table: the sum over v
-  of the other factors' product, less that product at the one color of v
-  the edge forbids, is the new factor, so the step works on a table m
-  times smaller.  Adding one color to every vertex maps proper colorings to
-  proper colorings, so a step whose factors come only from edges and full
-  lists computes the 1/m slice of its table with first color 0 and
-  spreads it to the rest.  Fast enough to serve as the brute-force oracle
+  ``itemgetter`` gathers into its joint table, and an execution phase runs
+  that structure as it is under the labels and lists of the call,
+  multiplying and summing flat lists of Python ints (one axis of length m
+  per vertex).  The structure depends only on the vertex count, the
+  modulus, the set of edges and the kept vertices, so once that key recurs
+  it is kept, in a cache bounded by the steps it holds, and reused across
+  the many labelings and lists a check draws.  An edge vu whose far end u
+  no other factor of the step covers stays out of the joint table: the sum
+  over v of the other factors' product, less that product at the one
+  color of v the edge forbids, is the new factor, so the step works on a
+  table m times smaller.  Adding one color to every vertex maps proper
+  colorings to proper colorings, so a step whose factors come only from
+  edges and full lists computes the 1/m slice of its table with first
+  color 0 and spreads it to the rest.  Fast enough to serve as the brute-force oracle
   at desk scale.  The two routes are cross-checked in the test suite.
 
 ``first_coloring`` backtracks up to a fixed number of frames per vertex and
@@ -144,7 +144,10 @@ class ObstructionCertificate:
 
 
 def _vertex_count(graph) -> int:
-    return graph if isinstance(graph, int) else graph.vertex_count
+    n = graph if isinstance(graph, int) else graph.vertex_count
+    if n < 0:
+        raise ExtensionError(f"vertex count must be at least 0, got {n}")
+    return n
 
 
 def _avail_lists(
@@ -206,20 +209,20 @@ def _gather(m: int, strides: tuple[int, ...]) -> tuple[int, ...]:
 def _getter(index: Sequence[int]) -> itemgetter:
     """One ``itemgetter`` call that reads the cells ``index`` of a table and
     always returns a sequence: a run of consecutive cells (a one-cell read
-    among them) is read as a slice."""
-    first = index[0]
+    and an empty one among them) is read as a slice."""
+    first = index[0] if index else 0
     if index == tuple(range(first, first + len(index))):
         return itemgetter(slice(first, first + len(index)))
     return itemgetter(*index)
 
 
 @lru_cache(maxsize=1024)
-def _reader(m: int, strides: tuple[int, ...], length: int) -> tuple[itemgetter, tuple]:
-    """``(take, gather)`` for ``gather = _gather(m, strides)``, where
-    ``take`` reads the cells of its first ``length`` entries out of a table
-    in one call."""
+def _reader(m: int, strides: tuple[int, ...]) -> tuple[itemgetter, itemgetter, tuple]:
+    """``(whole, part, gather)`` for ``gather = _gather(m, strides)``, where
+    ``whole`` reads the cells of all its entries out of a table in one call
+    and ``part`` those of its first 1/m, whose first axis is 0."""
     gather = _capped(_gather, m ** len(strides))(m, strides)
-    return _getter(gather[:length]), gather
+    return _getter(gather), _getter(gather[: len(gather) // m]), gather
 
 
 @lru_cache(maxsize=64)
@@ -239,14 +242,15 @@ def _spread(m: int, k: int) -> itemgetter:
 
 
 def _read(
-    m: int, scope: tuple[int, ...], axes: tuple[int, ...], length: int
-) -> tuple[itemgetter, tuple[int, ...]]:
-    """``(take, gather)`` for a factor over ``scope`` read into a table over
-    ``axes`` (a superset): ``gather`` maps each cell of that table to a
-    cell of the factor, and ``take`` reads the first ``length`` of them."""
+    m: int, scope: tuple[int, ...], axes: tuple[int, ...]
+) -> tuple[itemgetter, itemgetter, tuple[int, ...]]:
+    """``(whole, part, gather)`` for a factor over ``scope`` read into a
+    table over ``axes`` (a superset): ``gather`` maps each cell of that
+    table to a cell of the factor, ``whole`` reads all of them and
+    ``part`` the first 1/m (see ``_reader``)."""
     last = len(scope) - 1
     strides = [m ** (last - scope.index(u)) if u in scope else 0 for u in axes]
-    return _capped(_reader, m ** len(axes))(m, tuple(strides), length)
+    return _capped(_reader, m ** len(axes))(m, tuple(strides))
 
 
 @lru_cache(maxsize=None)
@@ -275,38 +279,9 @@ def _cut(m: int, shift: int, length: int) -> tuple[itemgetter, itemgetter]:
     return _getter(tuple(rest)), _getter(tuple(banned))
 
 
-class _Structure:
-    """What the counter does on one edge set under any labels and lists;
-    built by ``_compile``, which documents the fields, and bound to a
-    labeling and lists by ``_bind``."""
-
-    __slots__ = (
-        "steps", "final", "scopes", "consumer", "step_of", "into", "cuts", "whole", "cells"
-    )
-
-    def __init__(self, steps, final, scopes, consumer, step_of, into, cuts, cells):
-        self.steps, self.final, self.scopes = steps, final, scopes
-        self.consumer, self.step_of, self.into = consumer, step_of, into
-        self.cuts, self.cells = cuts, cells
-        self.whole: list = [None] * len(steps)
-
-    def scope(self, f: int, lows: tuple, highs: tuple) -> tuple[int, ...]:
-        """The scope of factor ``f`` on the edge set ``lows``, ``highs``."""
-        j = f - len(self.steps)
-        return self.scopes[f] if j < 0 else (lows[j], highs[j])
-
-    def whole_joins(self, i: int, m: int, lows: tuple, highs: tuple) -> tuple:
-        """Step ``i``'s joins with reads of every cell of its joint table,
-        for a bind in which a list feeds the step (made once, then kept)."""
-        joins = self.whole[i]
-        if joins is None:
-            _, axes, _, joins, _, _ = self.steps[i]
-            length = m ** len(axes)
-            joins = self.whole[i] = tuple(
-                (f, *_read(m, self.scope(f, lows, highs), axes, length))
-                for f, _, _ in joins
-            )
-        return joins
+# What the counter does on one edge set under any labels and lists; built
+# by ``_compile``, which documents the fields, and run by ``_execute``.
+_Structure = namedtuple("_Structure", "steps final cells")
 
 
 def _compile(
@@ -316,35 +291,30 @@ def _compile(
     outside ``keep`` from the graph on ``n`` vertices whose edges are
     ``(lows[j], highs[j])`` (lower end first, sorted), and the reads of the
     factors left over ``keep``.  It depends on no label and no list;
-    ``_bind`` supplies those per call.
+    ``_execute`` reads those per call.
 
-    Factor ids index the table list of a bound plan: the new factor of step
-    i is factor i, edge j is factor S + j (S steps), and a bind puts the
-    list factors after those.  A step is ``(v, axes, merges, joins, spread,
-    cut)``: ``axes`` is the scope of the joint table the joins are gathered
-    into, v's neighbors (less ``cut``'s u) and then v; each merge ``(dst,
-    src, take)`` multiplies a factor into a touching factor whose scope
-    holds its own, and each join ``(f, take, gather)`` (see ``_read``)
-    gathers a factor into the joint table.  ``cut`` is None unless the step
-    leaves an edge vu out of the joint (see ``marginal_counts``): compiled,
-    it is the edge's index; bound, it is ``(u, shift, rest, banned)``,
-    where c_u + ``shift`` is the color of v the edge forbids and ``rest``
-    and ``banned`` are ``_cut``'s reads.  The new factor's scope is then
-    ``axes[:-1] + (u,)``; otherwise it is ``axes[:-1]``.  ``spread`` is
-    None unless the step is shift-free: then its joins take only the cells
-    whose first axis is 0, and ``spread`` expands the new factor's slice to
-    its whole table.  Compiled, every step with a nonempty scope is
-    shift-free, as it is without lists; a bind clears the mark on the steps
-    a list feeds.  ``final`` holds ``(f, take, gather)`` into a table over
-    ``keep``.
-
-    For the bind the structure also keeps the scope of each step's new
-    factor, the step that consumes it (``consumer``; -1: none does), the
-    step that eliminates each vertex (``step_of``; -1 for ``keep``), the
-    factor each step would merge a list on its vertex into (``into``: the
-    smallest touching factor with two or more axes; -1: the list is
-    joined), the indices of the cut steps, and ``cells``, the size of its
-    widest table.
+    Factor ids index the table list of a call: the new factor of step i is
+    factor i and edge j is factor S + j (S steps).  A step is ``(v, axes,
+    merges, joins, spread, cut, feeds, into)``: ``axes`` is the scope of the
+    joint table the joins are gathered into, v's neighbors (less ``cut``'s
+    u) and then v; each merge ``(dst, src, take)`` multiplies a factor into
+    a touching factor whose scope holds its own, and each join ``(f, takes,
+    gather)`` gathers a factor into the joint table: ``gather`` maps each
+    joint cell to a cell of the factor (see ``_read``), ``takes[0]`` reads
+    every joint cell and ``takes[1]`` only those whose first axis is 0.
+    ``spread`` is None unless the new factor's scope is nonempty: then the
+    step may run shift-free, and ``spread`` expands the new factor's slice
+    to its whole table.  ``feeds`` holds the earlier steps whose new factors
+    the step reads.  ``into`` is ``(g, scope)`` for a partial list on v: it
+    is multiplied into factor g, the smallest touching factor with two or
+    more axes, over ``scope``, or, with g = -1, joined into the joint table
+    over ``scope`` = ``axes``.  ``cut`` is None unless the step leaves an edge vu
+    out of the joint (see ``marginal_counts``): then it is ``(u, j, low)``,
+    with j the edge's index and ``low`` whether v is its lower end, and the
+    new factor's scope is ``axes[:-1] + (u,)``; otherwise it is
+    ``axes[:-1]``.  ``final`` holds ``(f, take)``, each reading a factor
+    into a table over ``keep``, and ``cells`` is the size of the widest
+    table.
     """
     keep_set = set(keep)
     size = sum(v not in keep_set for v in range(n))
@@ -361,18 +331,18 @@ def _compile(
     heap = [(1 + len(nbrs[v]), v) for v in range(n) if v not in keep_set]
     heapq.heapify(heap)
     steps: list[tuple] = []
-    consumer, step_of, into, cuts = [-1] * size, [-1] * n, [], []
+    eliminated = [False] * n
     widest = len(keep)
     while heap:
         degree, v = heapq.heappop(heap)
-        if step_of[v] >= 0 or degree != 1 + len(nbrs[v]):
+        if eliminated[v] or degree != 1 + len(nbrs[v]):
             continue
-        i = step_of[v] = len(steps)
+        eliminated[v] = True
+        i = len(steps)
         touching = [f for f in factor_ids[v] if live[f]]
         for f in touching:
             live[f] = False
-            if f < size:
-                consumer[f] = i
+        feeds = tuple(f for f in touching if f < size)
         # v's neighbors become a clique: the scope of the new factor.
         out_scope = tuple(sorted(nbrs[v]))
         for u in out_scope:
@@ -396,10 +366,9 @@ def _compile(
                 if not any(u in scopes[g] for g in touching if g != f):
                     touching.remove(f)
                     others = tuple(w for w in out_scope if w != u)
-                    axes, new_scope, cut = others + (v,), others + (u,), f - size
-                    cuts.append(i)
+                    axes, new_scope = others + (v,), others + (u,)
+                    cut = (u, f - size, v == a)
                     break
-        length = m ** (len(axes) - shift_free)
         # A factor whose scope lies inside a larger touching one is multiplied
         # into it at that smaller size; the rest are gathered into the joint.
         touching.sort(key=lambda f: len(scopes[f]))
@@ -408,28 +377,27 @@ def _compile(
             scope = scopes[f]
             for g in touching[k + 1 :]:
                 if len(scopes[g]) > len(scope) and all(u in scopes[g] for u in scope):
-                    take, _ = _read(m, scope, scopes[g], m ** len(scopes[g]))
-                    merges.append((g, f, take))
+                    merges.append((g, f, _read(m, scope, scopes[g])[0]))
                     break
             else:
-                joins.append((f, *_read(m, scope, axes, length)))
-        into.append(next((f for f in touching if len(scopes[f]) > 1), -1))
+                whole, part, gather = _read(m, scope, axes)
+                joins.append((f, (whole, part), gather))
+        g = next((f for f in touching if len(scopes[f]) > 1), -1)
+        into = (g, axes if g < 0 else scopes[g])
         k = len(out_scope)
         spread = _capped(_spread, m**k)(m, k) if shift_free else None
-        steps.append((v, axes, tuple(merges), tuple(joins), spread, cut))
+        steps.append((v, axes, tuple(merges), tuple(joins), spread, cut, feeds, into))
         scopes[i] = new_scope
         for u in out_scope:
             factor_ids[u].append(i)
         widest = max(widest, len(axes))
 
     final = tuple(
-        (f, *_read(m, scope, keep, m ** len(keep)))
+        (f, _read(m, scope, keep)[0])
         for f, (scope, alive) in enumerate(zip(scopes, live))
         if alive
     )
-    return _Structure(
-        tuple(steps), final, scopes[:size], consumer, step_of, into, cuts, m**widest
-    )
+    return _Structure(tuple(steps), final, m**widest)
 
 
 PlanCacheInfo = namedtuple("PlanCacheInfo", "compiled reused entries steps budget")
@@ -484,116 +452,98 @@ def plan_cache_info() -> PlanCacheInfo:
     return PlanCacheInfo(c.compiled, c.reused, len(c.entries), c.steps, c.budget)
 
 
-def _bind(
-    st: _Structure,
-    m: int,
-    lows: tuple[int, ...],
-    highs: tuple[int, ...],
-    values: tuple[int, ...],
-    avail: list[tuple[int, ...]],
-) -> tuple[list, list, tuple]:
-    """Bind a structure to labels and lists: the plan's tables, its steps
-    and its final reads.  Edge j of the structure, ``(lows[j],
-    highs[j])``, carries the constraint c_high − c_low ≠ ``values[j]``.
-
-    Step i's table slot is filled by ``_execute``.  A partial list on an
-    eliminated vertex becomes a factor after the edges; it is merged into
-    the step's ``into`` factor (or joined), and the step and every step its
-    new factor feeds lose the shift-free mark, so they read whole joint
-    tables.  Lists on kept vertices are left out: the caller reads only
-    colors inside them.  A cut step takes its shift from its edge's label.
-    """
-    rows = _edge_tables(m)
-    tables: list = [None] * len(st.steps)
-    tables += [rows[y] for y in values]
-    steps = list(st.steps)
-    listed: dict[int, int] = {}
-    tainted: set[int] = set()
-    for v, colors in enumerate(avail):
-        i = st.step_of[v]
-        if len(colors) < m and i >= 0:
-            listed[i] = len(tables)
-            tables.append([int(c in colors) for c in range(m)])
-            while i >= 0 and i not in tainted:
-                tainted.add(i)
-                i = st.consumer[i]
-    for i in tainted:
-        v, axes, merges, joins, spread, cut = steps[i]
-        if spread is not None:
-            joins = st.whole_joins(i, m, lows, highs)
-        f = listed.get(i)
-        if f is not None:
-            g = st.into[i]
-            scope = axes if g < 0 else st.scope(g, lows, highs)
-            take, gather = _read(m, (v,), scope, m ** len(scope))
-            if g < 0:
-                joins += ((f, take, gather),)
-            else:
-                merges = ((g, f, take),) + merges
-        steps[i] = (v, axes, merges, joins, None, cut)
-    for i in st.cuts:
-        v, axes, merges, joins, spread, j = steps[i]
-        low, y = v == lows[j], values[j]
-        shift = -y % m if low else y
-        length = m ** (len(axes) - (spread is not None))
-        cut = (highs[j] if low else lows[j], shift, *_capped(_cut, length)(m, shift, length))
-        steps[i] = (v, axes, merges, joins, spread, cut)
-    return tables, steps, st.final
-
-
 def _elimination_plan(
     n: int,
     m: int,
     avail: list[tuple[int, ...]],
     records: Sequence[tuple[int, int, int]],
     keep: tuple[int, ...],
-) -> tuple[list, list, tuple]:
+) -> tuple[_Structure, list, list, tuple[int, ...]]:
     """The counter's plan for one call: the structure of the edge set (from
-    the cache, else compiled) bound to the labels and lists.  Records are
-    keyed by their sorted ``(lower, higher)`` pairs, so neither their
-    order nor their stored orientation shapes the structure."""
+    the cache, else compiled), the table list with the edge tables after
+    the steps' slots, each vertex's 0/1 list (None when full) and the edge
+    labels.  Edge j of the structure, ``(lows[j], highs[j])``, carries the
+    constraint c_high − c_low ≠ ``values[j]``.  Records are keyed by their
+    sorted ``(lower, higher)`` pairs, so neither their order nor their
+    stored orientation shapes the structure."""
     edges = sorted((t, h, x) if t < h else (h, t, -x % m) for t, h, x in records)
     lows, highs, values = zip(*edges) if edges else ((), (), ())
     st = _plans.structure((n, m, lows, highs, keep))
-    return _bind(st, m, lows, highs, values, avail)
+    rows = _edge_tables(m)
+    tables: list = [None] * len(st.steps)
+    tables += [rows[y] for y in values]
+    lists = [
+        None if len(colors) == m else [int(c in colors) for c in range(m)]
+        for colors in avail
+    ]
+    return st, tables, lists, values
 
 
-def _product(tables: list, factors, size: int) -> Iterable[int]:
-    """The cells, in order, of the product of ``factors`` (``(f, take,
-    gather)`` entries) read into one table of ``size`` cells; lazy, so no
-    product table is built."""
+def _product(columns: list, size: int) -> Iterable[int]:
+    """The cells, in order, of the product of ``columns`` (sequences of
+    ``size`` cells); lazy, so no product table is built."""
     acc = None
-    for f, take, _ in factors:
-        column = take(tables[f])
+    for column in columns:
         acc = column if acc is None else map(mul, acc, column)
     return [1] * size if acc is None else acc
 
 
-def _execute(tables: list, steps: list, m: int, decide: bool) -> None:
-    """Execution phase: run the plan's steps over flat tables, filling step
-    i's new factor into table slot i.  Counts sum the ``m`` cells of the
-    eliminated vertex's axis; ``decide`` keeps only whether a cell is
-    nonzero (every cell 0 or 1).  A shift-free step computes the slice of
-    its new factor whose first axis is 0 and spreads it; the others compute
-    the whole table.  A step with a cut sums its joint table (the body)
+def _execute(
+    st: _Structure,
+    tables: list,
+    lists: list,
+    values: tuple[int, ...],
+    m: int,
+    decide: bool,
+) -> list[bool]:
+    """Execution phase: run the structure's steps over flat tables under the
+    call's labels and lists, filling step i's new factor into table slot i,
+    and return which steps ran shift-free.  Counts sum the ``m`` cells of
+    the eliminated vertex's axis; ``decide`` keeps only whether a cell is
+    nonzero (every cell 0 or 1).
+
+    A partial list on the step's vertex is merged or joined first.  A step
+    runs shift-free when it has a ``spread``, no list, and every step it
+    reads from ran shift-free: it computes the slice of its new factor
+    whose first axis is 0 and spreads it; the others compute the whole
+    table.  Lists on kept vertices are left out: the caller reads only
+    colors inside them.  A step with a cut sums its joint table (the body)
     over v and takes away the body's cell at the color of v the cut edge
-    forbids; deciding, it then clamps each cell to 0 or 1."""
+    forbids, c_u + shift, with the shift read from the edge's label;
+    deciding, it then clamps each cell to 0 or 1."""
     combine = any if decide else sum
-    for out, (_, axes, merges, joins, spread, cut) in enumerate(steps):
+    free: list[bool] = []
+    for out, (v, axes, merges, joins, spread, cut, feeds, into) in enumerate(st.steps):
+        listed, columns = lists[v], []
+        if listed is not None:
+            g, scope = into
+            column = _read(m, (v,), scope)[0](listed)
+            if g < 0:
+                columns.append(column)
+            else:
+                tables[g] = list(map(mul, tables[g], column))
+        shift_free = (
+            spread is not None and listed is None and all(map(free.__getitem__, feeds))
+        )
+        free.append(shift_free)
         for dst, src, take in merges:
             tables[dst] = list(map(mul, tables[dst], take(tables[src])))
-        size = m ** (len(axes) - (spread is not None))
-        cells = _product(tables, joins, size)
+        size = m ** (len(axes) - shift_free)
+        columns += [takes[shift_free](tables[f]) for f, takes, _ in joins]
+        cells = _product(columns, size)
         if cut is None:
             table = list(map(combine, zip(*[iter(cells)] * m)))
         else:
-            _, _, rest, banned = cut
+            _, j, low = cut
+            shift = -values[j] % m if low else values[j]
+            rest, banned = _capped(_cut, size)(m, shift, size)
             body = list(cells)
             sums = list(map(sum, zip(*[iter(body)] * m)))
             table = list(map(sub, rest(sums), banned(body)))
             if decide:
                 table = list(map(bool, table))
-        tables[out] = table if spread is None else spread(table)
+        tables[out] = spread(table) if shift_free else table
+    return free
 
 
 def marginal_counts(
@@ -608,7 +558,7 @@ def marginal_counts(
     product of their lists) to extension counts.  With empty ``keep`` the
     single entry at () is the total count.
 
-    Bucket elimination in three phases.  The structure phase eliminates all
+    Bucket elimination in two phases.  The structure phase eliminates all
     other vertices in greedy minimum-scope order, ties to the lower vertex:
     a vertex's scope is itself and its neighbors in the interaction graph,
     so the order is kept in a heap of (1 + degree, vertex) entries,
@@ -621,15 +571,14 @@ def marginal_counts(
     kept, once that key recurs, in a cache bounded by the steps it holds
     (``plan_cache_info`` counts it); the records' order and stored
     orientations do not matter.
-    The bind phase, per call, supplies the edge tables from the labels,
-    each cut step's shift, and the list factors: a partial list is merged
-    into the smallest factor of two or more axes its vertex's step
-    touches (or joined, if none), and it clears the shift-free mark (see
-    below) on that step and on every step its new factor feeds.  The
-    execution phase runs over flat lists of Python ints, one axis of
-    length m per vertex in mixed radix (first axis slowest), a forbidden
-    color holding a zero: a step multiplies its gathered factors cell by
-    cell and sums each run of m cells along the eliminated vertex's axis.
+    The execution phase runs the structure as it is, under the call's edge
+    labels and lists, over flat lists of Python ints, one axis of length m
+    per vertex in mixed radix (first axis slowest), a forbidden color
+    holding a zero: a step multiplies its gathered factors cell by cell and
+    sums each run of m cells along the eliminated vertex's axis.  A partial
+    list is merged into the smallest factor of two or more axes its
+    vertex's step touches (or joined, if none), and that step and every
+    step its new factor feeds do not run shift-free (see below).
 
     Cut steps leave one edge out of the joint table.  If an edge vu is the
     only touching factor that covers u, the step gathers the others into a
@@ -658,10 +607,13 @@ def marginal_counts(
     keep = tuple(keep)
     if len(set(keep)) != len(keep):
         raise ExtensionError("keep vertices must be distinct")
+    if not all(0 <= u < n for u in keep):
+        raise ExtensionError(f"keep names a vertex outside 0..{n - 1}")
 
-    tables, steps, final = _elimination_plan(n, m, avail, phi.records, keep)
-    _execute(tables, steps, m, False)
-    acc = list(_product(tables, final, m ** len(keep)))
+    st, tables, lists, values = _elimination_plan(n, m, avail, phi.records, keep)
+    _execute(st, tables, lists, values, m, False)
+    columns = [take(tables[f]) for f, take in st.final]
+    acc = list(_product(columns, m ** len(keep)))
     cells = [0]
     for u in keep:
         cells = [i * m + c for i in cells for c in avail[u]]
@@ -811,19 +763,27 @@ def _decode_coloring(
     """A proper coloring inside the lists ``avail``, or None if there is
     none, decoded from the elimination plan (see ``first_coloring``)."""
     m = phi.modulus
-    tables, steps, final = _elimination_plan(n, m, avail, phi.records, ())
-    _execute(tables, steps, m, True)
-    if not all(_product(tables, final, 1)):
+    st, tables, lists, values = _elimination_plan(n, m, avail, phi.records, ())
+    _execute(st, tables, lists, values, m, True)
+    if not all(_product([take(tables[f]) for f, take in st.final], 1)):
         return None
     coloring = [0] * n
-    for v, axes, _, joins, _, cut in reversed(steps):
+    for v, axes, _, joins, _, cut, _, _ in reversed(st.steps):
         base = 0
         for u in axes[:-1]:
             base = base * m + coloring[u]
-        banned = -1 if cut is None else (coloring[cut[0]] + cut[1]) % m
+        banned = -1
+        if cut is not None:
+            u, j, low = cut
+            banned = (coloring[u] + (-values[j] if low else values[j])) % m
+        listed = lists[v]
         for c in range(m):
             cell = base * m + c
-            if c != banned and all(tables[f][g[cell]] for f, _, g in joins):
+            if (
+                c != banned
+                and (listed is None or listed[c])
+                and all(tables[f][g[cell]] for f, _, g in joins)
+            ):
                 coloring[v] = c
                 break
         else:

@@ -213,6 +213,21 @@ def test_color_system_rejects_bad_values():
             ColorSystem.free(2).with_forbidden(1, {0, bad})
 
 
+def test_color_system_rejects_vertices_outside_it():
+    # A precoloring or forbidden set at a vertex the system does not have
+    # was dropped, or edited another vertex, or raised a bare IndexError.
+    for bad in (3, 7, -1):
+        with pytest.raises(GroupColorError):
+            ColorSystem(5, (frozenset(),) * 3, ((bad, 0),))
+        with pytest.raises(GroupColorError):
+            ColorSystem.free(3).with_precolor(bad, 0)
+        with pytest.raises(GroupColorError):
+            ColorSystem.free(3).with_forbidden(bad, {0})
+    cs = ColorSystem.free(3).with_forbidden(2, {1}).with_precolor(0, 4)
+    assert cs.available(2) == frozenset({0, 2, 3, 4})
+    assert cs.available(0) == frozenset({4})
+
+
 def test_color_system_precolor_steps_do_not_rescan_every_vertex():
     # Re-validating all n forbidden sets on every step makes this O(n^2):
     # about 6 s of CPU, against about 0.7 s when only the change is checked.

@@ -55,6 +55,7 @@ from z5color.solver import (
     _avail_lists,
     _decode_coloring,
     _elimination_plan,
+    _execute,
     _inner_arc,
     classify_alpha,
     color_short_cycle,
@@ -217,8 +218,8 @@ def test_marginal_counts_match_literal_enumeration():
         assert all(type(value) is int for value in table.values())
         brute = brute_marginals(n, phi, colors, keep)
         assert table == {key: brute[key] for key in table}
-        _, steps, _ = _elimination_plan(n, m, avail, phi.records, keep)
-        cut_steps += sum(cut is not None for *_, cut in steps)
+        st = _elimination_plan(n, m, avail, phi.records, keep)[0]
+        cut_steps += sum(cut is not None for _, _, _, _, _, cut, _, _ in st.steps)
     assert cut_steps > 100
 
 
@@ -232,6 +233,24 @@ def test_counters_reject_a_constraint_system_of_another_modulus(k3):
         count_colorings(g, phi, cs)
     with pytest.raises(ExtensionError):
         next(enumerate_colorings(g, phi, cs))
+
+
+def test_counters_reject_vertices_outside_the_graph(k3):
+    # A keep vertex outside 0..n-1 got a table for a vertex that does not
+    # exist, or a bare IndexError; a negative bare vertex count counted 1.
+    g, _ = k3
+    phi = PhiAssignment.zero(g.edges())
+    for bad in ((-1,), (3,), (0, 5)):
+        with pytest.raises(ExtensionError):
+            marginal_counts(g, phi, None, keep=bad)
+    empty = PhiAssignment(5, ())
+    with pytest.raises(ExtensionError):
+        count_colorings(-1, empty)
+    with pytest.raises(ExtensionError):
+        next(enumerate_colorings(-1, empty))
+    with pytest.raises(ExtensionError):
+        first_coloring(-1, empty)
+    assert count_colorings(0, empty) == 1
 
 
 def test_first_coloring_past_the_frame_cap():
@@ -302,10 +321,10 @@ def test_counts_with_lists_on_some_vertices_match_both_oracles(rng):
 
 
 def test_plan_marks_shift_free_steps_on_wheels():
-    # Unlisted, every step of a wheel's plan that leaves a factor behind is
-    # shift-free.  A list on one rim vertex clears the mark on exactly the
-    # steps that consume its list factor or a factor built from it.  A cut
-    # step leaves its edge's far end u out of the joint's axes, so the new
+    # Unlisted, every step of a wheel's plan that leaves a factor behind
+    # runs shift-free.  A list on one rim vertex clears the flag on exactly
+    # the steps that read its factor or a factor built from it.  A cut step
+    # leaves its edge's far end u out of the joint's axes, so the new
     # factor's scope is the joint's axes less v, plus u.
     def leaves_a_factor(axes, cut):
         return bool(axes[:-1]) or cut is not None
@@ -315,28 +334,29 @@ def test_plan_marks_shift_free_steps_on_wheels():
         n = g.vertex_count
         phi = PhiAssignment.zero(g.edges())
         full = [tuple(range(5))] * n
-        _, steps, _ = _elimination_plan(n, 5, full, phi.records, ())
-        for _, axes, _, _, spread, cut in steps:
-            assert (spread is not None) == leaves_a_factor(axes, cut)
+        st, tables, lists, values = _elimination_plan(n, 5, full, phi.records, ())
+        free = _execute(st, tables, lists, values, 5, False)
+        for (_, axes, _, _, spread, cut, _, _), shift_free in zip(st.steps, free):
+            assert (spread is not None) == shift_free == leaves_a_factor(axes, cut)
         for rim in (1, k // 2 + 1):
             avail = list(full)
             avail[rim] = (0, 2, 4)
-            tables, steps, _ = _elimination_plan(n, 5, avail, phi.records, ())
-            # Step i's new factor is factor i, the edge tables follow the
-            # steps, and the one list factor comes last.
-            assert len(tables) == len(steps) + len(phi.records) + 1
-            descends = {len(tables) - 1}
-            for i, (_, axes, merges, joins, spread, cut) in enumerate(steps):
-                touching = {f for f, _, _ in joins}
-                touching.update(f for dst, src, _ in merges for f in (dst, src))
-                if touching & descends:
+            st, tables, lists, values = _elimination_plan(n, 5, avail, phi.records, ())
+            free = _execute(st, tables, lists, values, 5, False)
+            # Step i's new factor is factor i; the edge tables follow.
+            assert len(tables) == len(st.steps) + len(phi.records)
+            descends = set()
+            for i, (v, axes, merges, joins, _, cut, _, _) in enumerate(st.steps):
+                reads = {f for f, _, _ in joins}
+                reads.update(f for dst, src, _ in merges for f in (dst, src))
+                if v == rim or reads & descends:
                     descends.add(i)
-                    assert spread is None
+                    assert not free[i]
                 else:
-                    assert (spread is not None) == leaves_a_factor(axes, cut)
-            assert any(spread is not None for *_, spread, _ in steps)
+                    assert free[i] == leaves_a_factor(axes, cut)
+            assert any(free)
             assert len(descends) > 1
-        assert k == 3 or any(cut is not None for *_, cut in steps)
+        assert k == 3 or any(cut is not None for _, _, _, _, _, cut, _, _ in st.steps)
 
 
 def test_decoded_coloring_from_spread_tables(rng, monkeypatch):
@@ -463,6 +483,42 @@ def test_structures_are_reused_across_labelings_and_lists(monkeypatch):
         assert after.compiled - before.compiled <= 6
         assert after.reused - before.reused >= 6
     assert listed == 240
+
+
+def test_kept_structures_hold_no_per_call_state(monkeypatch):
+    # A kept structure is the plan itself: listed and unlisted counts and
+    # decodes under many labelings read it and write nothing to it.
+    cache = solver._PlanCache(solver._PLAN_STEP_BUDGET)
+    monkeypatch.setattr(solver, "_plans", cache)
+    rng = random.Random(2222)
+    graphs = [build(Wheel(8))[0], random_near_triangulation(11, 5, 2222)]
+    for g in graphs:
+        n = g.vertex_count
+        phi = PhiAssignment.zero(g.edges())
+        for keep in ((), (0, n - 1)):
+            for _ in range(2):  # a key is kept on its second sighting
+                marginal_counts(g, phi, None, keep)
+        _decode_coloring(n, phi, _avail_lists(n, phi, None))
+    kept = dict(cache.entries)
+    assert len(kept) == 4
+    saved = {key: (list(st.steps), repr(st)) for key, st in kept.items()}
+    for _ in range(6):
+        for g in graphs:
+            n = g.vertex_count
+            phi = random_phi_on(g, rng)
+            cs = ColorSystem.free(n)
+            for v in rng.sample(range(n), rng.randint(1, n // 2)):
+                cs = cs.with_forbidden(v, rng.sample(range(5), rng.randint(1, 3)))
+            for colors in (None, cs):
+                marginal_counts(g, phi, colors, (0, n - 1))
+                count_colorings(g, phi, colors)
+                _decode_coloring(n, phi, _avail_lists(n, phi, colors))
+    assert cache.entries == kept
+    for key, st in kept.items():
+        steps, text = saved[key]
+        assert cache.entries[key] is st
+        assert all(a is b for a, b in zip(st.steps, steps))
+        assert list(st.steps) == steps and repr(st) == text
 
 
 def test_structure_cache_keeps_within_its_step_budget(monkeypatch):
