@@ -14,11 +14,21 @@ Line-oriented, UTF-8, ``#`` comments.  Directives:
 Parsing is strict: unknown directives, duplicate rot/edge lines, values out
 of range, and rotation/outer inconsistency (the graph must validate as a
 near-triangulation) are all hard errors.
+
+The graph work (building the rotation system, ``validate`` and its edge
+set) is cached per process, keyed by the rotation and outer tuples, for
+the 512 most recent graphs.  Documents that share a graph return one
+validated, immutable graph object, so what is kept per graph downstream
+(``faces_of``, and the adjacency sets and hash a graph object computes
+once) is found by identity.  The text-level checks and the edge, forbid,
+precolor and descriptor lines are checked on every parse, and an invalid
+graph is never cached: it raises on every parse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 
 from .group_color import ColorSystem, PhiAssignment
@@ -44,7 +54,23 @@ def _ints(parts: list[str], line_no: int) -> list[int]:
         raise GcgError(f"line {line_no}: expected integers, got {parts!r}") from None
 
 
+@lru_cache(maxsize=512)
+def _checked(
+    rotation: tuple[tuple[int, ...], ...], outer: tuple[int, ...]
+) -> tuple[PlaneNearTriangulation, frozenset[tuple[int, int]]]:
+    """The validated graph and its edge set; raises ``GcgError`` (never
+    cached) for an invalid near-triangulation."""
+    graph = PlaneNearTriangulation(len(rotation), rotation, outer)
+    report = validate(graph)
+    if not report.ok:
+        raise GcgError("invalid near-triangulation: " + "; ".join(report.violations))
+    return graph, frozenset(graph.edges())
+
+
 def parse_gcg(text: str) -> GcgDocument:
+    """Parse one gcg document, checking every line (see the module
+    docstring).  Documents with equal graphs share one graph object, held
+    in a per-process cache of 512 graphs; parse errors are not cached."""
     n: int | None = None
     modulus = 5
     rot_lines: dict[int, list[int]] = {}
@@ -129,14 +155,9 @@ def parse_gcg(text: str) -> GcgDocument:
     if extra:
         raise GcgError(f"rot lines for out-of-range vertices {extra}")
 
-    graph = PlaneNearTriangulation.from_lists(
-        [rot_lines[v] for v in range(n)], outer
+    graph, edge_set = _checked(
+        tuple(tuple(rot_lines[v]) for v in range(n)), tuple(outer)
     )
-    report = validate(graph)
-    if not report.ok:
-        raise GcgError("invalid near-triangulation: " + "; ".join(report.violations))
-
-    edge_set = set(graph.edges())
     records = []
     for key, (u, v, x) in sorted(edge_lines.items()):
         if key not in edge_set:

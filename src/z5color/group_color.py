@@ -234,6 +234,7 @@ class ColorSystem:
         return dict(self.precoloring)
 
     def available(self, v: int) -> frozenset[int]:
+        self._check_vertex(v)
         for u, c in self.precoloring:
             if u == v:
                 return frozenset((c,))
@@ -268,5 +269,6 @@ class ColorSystem:
         return self._derived(self.forbidden, pre)
 
     def without_precolor(self, v: int) -> ColorSystem:
+        self._check_vertex(v)
         pre = tuple((u, c) for u, c in self.precoloring if u != v)
         return self._derived(self.forbidden, pre)

@@ -292,30 +292,46 @@ def _eval_calculus_shift(payload: str, aux) -> str | None:
     return None
 
 
+def _principal_rerolls(
+    phi: PhiAssignment, path: PrincipalPath, reroll_seed: int
+) -> list[PhiAssignment]:
+    """Two labelings of the records among tail, major and head (the tail-head
+    edge too, when there is one) with fresh principal-edge labels: two
+    draws per reroll, taken in ``phi.records`` order."""
+    trio = (path.tail, path.major, path.head)
+    principal = ({path.tail, path.major}, {path.major, path.head})
+    records = [r for r in phi.records if r[0] in trio and r[1] in trio]
+    rng = random.Random(reroll_seed)
+    return [
+        PhiAssignment(
+            5,
+            tuple(
+                (t, h, rng.randrange(5)) if {t, h} in principal else (t, h, x)
+                for t, h, x in records
+            ),
+        )
+        for _ in range(2)
+    ]
+
+
 def _eval_lemma1(payload: str, aux) -> str | None:
     doc = gcg.parse_gcg(payload)
-    reroll_seed = aux[0]
     path = principal_path(doc.graph)
     # Rerolling the two principal-edge labels must not move the alpha; the
     # failure table is shared (it does not involve those edges), only the
-    # properness filter changes with each reroll.
+    # properness filter changes with each reroll.  The filter reads only
+    # the zero cells and the labels among tail, major and head, so a table
+    # without a zero cell is vacuous under every reroll.
     table = lemma1_failure_table(doc.graph, doc.phi, doc.colors, path)
-    res = classify_alpha(table, doc.graph, doc.phi, path)
+    zeros = {triple: 0 for triple, count in table.items() if not count}
+    if not zeros:
+        return None
+    res = classify_alpha(zeros, doc.graph, doc.phi, path)
     if res.kind == "none":
         return "lemma1_alpha returned 'none' on a multi-wheel"
     diffs = {res.alpha} if res.kind == "alpha" else set()
-    rng = random.Random(reroll_seed)
-    for _ in range(2):
-        phi = PhiAssignment(
-            5,
-            tuple(
-                (t, h, rng.randrange(5))
-                if {t, h} in ({path.tail, path.major}, {path.major, path.head})
-                else (t, h, x)
-                for t, h, x in doc.phi.records
-            ),
-        )
-        rerolled = classify_alpha(table, doc.graph, phi, path)
+    for phi in _principal_rerolls(doc.phi, path, aux[0]):
+        rerolled = classify_alpha(zeros, doc.graph, phi, path)
         if rerolled.kind == "none":
             return "lemma1_alpha returned 'none' after a principal-edge reroll"
         if rerolled.kind == "alpha":

@@ -167,7 +167,14 @@ def _avail_lists(
         raise ExtensionError(
             f"constraint system is mod {colors.modulus}, labeling is mod {modulus}"
         )
-    return [tuple(sorted(colors.available(v))) for v in range(n)]
+    # One pass over the lists: ``available`` would scan the precoloring
+    # once per vertex.
+    pre = colors.precolor_map()
+    full = frozenset(range(modulus))
+    return [
+        (pre[v],) if v in pre else tuple(sorted(full - fv))
+        for v, fv in enumerate(colors.forbidden)
+    ]
 
 
 # Gathers, spreads and cut reads of a table with more cells than this are

@@ -73,6 +73,7 @@ def test_nondefault_group_round_trip(k3):
     ],
 )
 def test_strict_parse_errors(mutation, message):
+    parse_gcg(K3_TEXT)  # the graph is cached; the lines are still checked
     with pytest.raises(GcgError, match=message):
         parse_gcg(K3_TEXT + mutation + "\n")
 
@@ -96,8 +97,10 @@ rot 2 3 0 1
 rot 3 0 2
 outer 4 0 3 2 1
 """
-    with pytest.raises(GcgError, match="invalid near-triangulation"):
-        parse_gcg(bad)
+    for _ in range(2):  # an invalid graph is not cached
+        with pytest.raises(GcgError, match="invalid near-triangulation"):
+            parse_gcg(bad)
+    parse_gcg(K3_TEXT)
     with pytest.raises(GcgError, match="not an edge"):
         parse_gcg(
             "n 3\nrot 0 1 2\nrot 1 2 0\nrot 2 0 1\nouter 3 0 1 2\nedge 0 3 1\n"
@@ -120,6 +123,30 @@ def test_huge_vertex_count_names_few_missing_vertices():
     with pytest.raises(GcgError, match="missing rot lines for 100000 of 100000") as exc:
         parse_gcg("n 100000\nouter 3 0 1 2\n")
     assert len(str(exc.value)) < 100
+
+
+def test_documents_with_one_graph_share_one_graph_object(rng, w5):
+    g, _ = w5
+    docs = [
+        parse_gcg(write_gcg(g, random_phi_on(g, rng), cs, descriptor=d))
+        for cs, d in (
+            (None, None),
+            (ColorSystem.free(6).with_forbidden(2, {1, 4}), "(wheel 5)"),
+            (ColorSystem.free(6).with_precolor(0, 3), "(wheel 5)"),
+        )
+    ]
+    assert all(doc.graph is docs[0].graph for doc in docs)
+    assert docs[0].graph == g
+    # Round trips keep the documents and the shared graph.
+    for doc in docs:
+        again = parse_gcg(write_gcg(doc.graph, doc.phi, doc.colors, doc.descriptor))
+        assert again == doc and again.graph is doc.graph
+    # The key is the whole graph: the same rotation with the other outer
+    # face, or another graph, is a different object.
+    k3 = parse_gcg(K3_TEXT).graph
+    flipped = parse_gcg(K3_TEXT.replace("outer 3 0 1 2", "outer 3 0 2 1")).graph
+    assert flipped.rotation == k3.rotation and flipped != k3
+    assert len({id(k3), id(flipped), id(docs[0].graph)}) == 3
 
 
 # Seeded fuzzing: derandomized, so the suite stays deterministic.

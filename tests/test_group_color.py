@@ -214,8 +214,11 @@ def test_color_system_rejects_bad_values():
 
 
 def test_color_system_rejects_vertices_outside_it():
-    # A precoloring or forbidden set at a vertex the system does not have
-    # was dropped, or edited another vertex, or raised a bare IndexError.
+    # A precoloring, forbidden set or query at a vertex the system does not
+    # have was dropped, or read or edited another vertex (available(-1)
+    # read the last list, without_precolor(9) did nothing), or raised a bare
+    # IndexError.
+    cs = ColorSystem.free(3).with_forbidden(2, {1}).with_precolor(0, 4)
     for bad in (3, 7, -1):
         with pytest.raises(GroupColorError):
             ColorSystem(5, (frozenset(),) * 3, ((bad, 0),))
@@ -223,9 +226,13 @@ def test_color_system_rejects_vertices_outside_it():
             ColorSystem.free(3).with_precolor(bad, 0)
         with pytest.raises(GroupColorError):
             ColorSystem.free(3).with_forbidden(bad, {0})
-    cs = ColorSystem.free(3).with_forbidden(2, {1}).with_precolor(0, 4)
+        with pytest.raises(GroupColorError, match="outside"):
+            cs.available(bad)
+        with pytest.raises(GroupColorError, match="outside"):
+            cs.without_precolor(bad)
     assert cs.available(2) == frozenset({0, 2, 3, 4})
     assert cs.available(0) == frozenset({4})
+    assert cs.without_precolor(1) == cs
 
 
 def test_color_system_precolor_steps_do_not_rescan_every_vertex():

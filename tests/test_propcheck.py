@@ -1,11 +1,13 @@
 import concurrent.futures
 import hashlib
+import itertools
+import random
 
 import pytest
 
 from conftest import cpu_time_limit
 from z5color import propcheck
-from z5color.families import BrokenWheel, Wheel, build
+from z5color.families import BrokenWheel, Wheel, build, built_family, principal_path
 from z5color.gcg import parse_gcg, write_gcg
 from z5color.group_color import ColorSystem, PhiAssignment
 from z5color.plane_graph import validate
@@ -29,7 +31,12 @@ from z5color.propcheck import (
     replay,
     run_check,
 )
-from z5color.solver import count_colorings
+from z5color.solver import (
+    classify_alpha,
+    count_colorings,
+    is_path_proper,
+    lemma1_failure_table,
+)
 
 
 def report_body(report: CheckReport) -> list[str]:
@@ -222,6 +229,102 @@ def test_lemma2_replay_names_an_edge_whose_deletion_leaves_no_coloring():
     )
 
 
+def full_record_rerolls(phi, path, reroll_seed):
+    """The reroll recipe that rebuilds every record of the labeling: two
+    draws per reroll, in record order, on the principal edges only."""
+    principal = ({path.tail, path.major}, {path.major, path.head})
+    rng = random.Random(reroll_seed)
+    return [
+        PhiAssignment(
+            5,
+            tuple(
+                (t, h, rng.randrange(5)) if {t, h} in principal else (t, h, x)
+                for t, h, x in phi.records
+            ),
+        )
+        for _ in range(2)
+    ]
+
+
+def lemma1_packets_with_zero_cells():
+    """Lemma1-style packets whose failure tables have zero cells: family
+    members with outer cycles of 3 to 5 vertices and two forbidden colors
+    on every middle outer vertex, as the benchmark's blocked extension
+    instances are drawn."""
+    members = [m for m in built_family(8) if len(m[1].outer_cycle) <= 5]
+    for i in itertools.count():
+        rng = random.Random(derive_seed(0, "lemma1-zero-cells", i))
+        _, g, path = members[rng.randrange(len(members))]
+        cs = ColorSystem.free(g.vertex_count)
+        for v in g.outer_cycle:
+            if v not in (path.tail, path.major, path.head):
+                cs = cs.with_forbidden(v, rng.sample(range(5), 2))
+        doc = parse_gcg(write_gcg(g, random_phi(g.edges(), rng), cs))
+        table = lemma1_failure_table(doc.graph, doc.phi, doc.colors, path)
+        if 0 in table.values():
+            yield doc, path, table, rng.getrandbits(64)
+
+
+def test_lemma1_rerolls_read_the_path_alone():
+    # The replay rerolls only the records among tail, major and head and
+    # classifies only the zero cells; per labeling, the result must be the
+    # one the full-record recipe gives on the whole table.
+    non_vacuous = 0
+    for doc, path, table, seed in itertools.islice(lemma1_packets_with_zero_cells(), 120):
+        zeros = {t: 0 for t, count in table.items() if not count}
+        full = [
+            classify_alpha(table, doc.graph, phi, path)
+            for phi in (doc.phi, *full_record_rerolls(doc.phi, path, seed))
+        ]
+        short = [
+            classify_alpha(zeros, doc.graph, phi, path)
+            for phi in (doc.phi, *propcheck._principal_rerolls(doc.phi, path, seed))
+        ]
+        assert short == full
+        non_vacuous += any(res.kind != "vacuous" for res in full)
+    assert non_vacuous >= 20
+
+
+def test_lemma1_replay_reports_its_failures(monkeypatch):
+    # A failure table whose failing cells move with the principal-edge
+    # labels: one cell is proper only under the packet's own labels, another
+    # (with a different tail-head difference) only under a reroll.
+    triples = list(itertools.product(range(5), repeat=3))
+    for _, _, payload, aux in CHECKS["lemma1"](RandomInstanceConfig(n_max=6, samples=20)):
+        doc = parse_gcg(payload)
+        path = principal_path(doc.graph)
+        labelings = [doc.phi, *full_record_rerolls(doc.phi, path, aux[0])]
+        proper = {
+            t: [is_path_proper(doc.graph, phi, path, t) for phi in labelings]
+            for t in triples
+        }
+        moved = [
+            (a, b) for a in triples for b in triples
+            if proper[a][0] and not proper[b][0] and any(proper[b][1:])
+            and not any(x and y for x, y in zip(proper[a], proper[b]))
+            and (a[0] - a[2]) % 5 != (b[0] - b[2]) % 5
+        ]
+        if moved:
+            break
+    a, b = moved[0]
+    table = {t: int(t not in (a, b)) for t in triples}
+    monkeypatch.setattr(propcheck, "lemma1_failure_table", lambda *args: table)
+    diffs = sorted({(a[0] - a[2]) % 5, (b[0] - b[2]) % 5})
+    assert replay("lemma1", payload, aux) == (
+        f"alpha changed under principal-edge rerolls: {diffs}"
+    )
+    # Two proper failing cells with different differences under the
+    # packet's own labels leave no alpha at all.
+    c = next(
+        t for t in triples
+        if proper[t][0] and (t[0] - t[2]) % 5 != (a[0] - a[2]) % 5
+    )
+    table = {t: int(t not in (a, c)) for t in triples}
+    assert replay("lemma1", payload, aux) == (
+        "lemma1_alpha returned 'none' on a multi-wheel"
+    )
+
+
 def test_derive_seed_stability():
     assert derive_seed(1, "x", 2) == derive_seed(1, "x", 2)
     assert derive_seed(1, "x", 2) != derive_seed(1, "x", 3)
@@ -257,6 +360,20 @@ def test_packet_streams_are_pinned():
                 digest.update(repr(packet).encode())
     assert digest.hexdigest() == (
         "9b0a0cfcdc71dae532ddb8dae5bbca0ceb9478b55fe41f5e82e400d38c52d850"
+    )
+
+
+def test_replay_verdicts_are_pinned():
+    # sha256 over repr((id, index, verdict)) of every packet of every check
+    # at one config.  Caching the parsed graphs and cutting short the
+    # lemma1 rerolls must leave every verdict as it was.
+    cfg = RandomInstanceConfig(n_max=9, samples=60, seed=0, phi_mode="uniform")
+    digest = hashlib.sha256()
+    for prop in CHECK_IDS:
+        for kind, index, payload, aux in CHECKS[prop](cfg):
+            digest.update(repr((kind, index, replay(kind, payload, aux))).encode())
+    assert digest.hexdigest() == (
+        "c59c60281f354029bc736298f446bdf932ea4d417b76092f2e83b8c10781f872"
     )
 
 
