@@ -693,7 +693,9 @@ def to_sexpr(d: FamilyDescriptor) -> str:
 _TOKEN = re.compile(r"\(|\)|[^\s()]+")
 
 
-def parse_sexpr(text: str) -> FamilyDescriptor:
+def parse_sexprs(text: str) -> list[FamilyDescriptor]:
+    """The descriptors written one after another in ``text``: at least one,
+    and after each only another descriptor or the end."""
     tokens = _TOKEN.findall(text)
     pos = 0
 
@@ -736,7 +738,17 @@ def parse_sexpr(text: str) -> FamilyDescriptor:
             raise FamilyError("missing ')' in descriptor")
         return node
 
-    node = parse()
-    if pos != len(tokens):
+    nodes = [parse()]
+    while pos < len(tokens):
+        if tokens[pos] != "(":
+            raise FamilyError("trailing tokens after descriptor")
+        nodes.append(parse())
+    return nodes
+
+
+def parse_sexpr(text: str) -> FamilyDescriptor:
+    """The one descriptor written in ``text``."""
+    first, *rest = parse_sexprs(text)
+    if rest:
         raise FamilyError("trailing tokens after descriptor")
-    return node
+    return first

@@ -54,7 +54,7 @@ from .families import (
     facial_triangle_property,
     family_members,
     is_multi_wheel_descriptor,
-    parse_sexpr,
+    parse_sexprs,
     principal_path,
     to_sexpr,
 )
@@ -292,6 +292,15 @@ def _eval_calculus_shift(payload: str, aux) -> str | None:
     return None
 
 
+def _z5(payload: str) -> gcg.GcgDocument:
+    """The gcg document of a packet for a statement about Z_5; any other
+    modulus raises ``PropcheckError``."""
+    doc = gcg.parse_gcg(payload)
+    if doc.phi.modulus != 5:
+        raise PropcheckError(f"packet is mod {doc.phi.modulus}; the check is for Z_5")
+    return doc
+
+
 def _principal_rerolls(
     phi: PhiAssignment, path: PrincipalPath, reroll_seed: int
 ) -> list[PhiAssignment]:
@@ -315,7 +324,7 @@ def _principal_rerolls(
 
 
 def _eval_lemma1(payload: str, aux) -> str | None:
-    doc = gcg.parse_gcg(payload)
+    doc = _z5(payload)
     path = principal_path(doc.graph)
     # Rerolling the two principal-edge labels must not move the alpha; the
     # failure table is shared (it does not involve those edges), only the
@@ -342,7 +351,7 @@ def _eval_lemma1(payload: str, aux) -> str | None:
 
 
 def _eval_lemma2(payload: str, aux) -> str | None:
-    doc = gcg.parse_gcg(payload)
+    doc = _z5(payload)
     # Deleting a constraint cannot remove a coloring, so only an instance
     # with none can fail.
     if count_colorings(doc.graph, doc.phi, doc.colors):
@@ -361,7 +370,7 @@ def _eval_lemma2(payload: str, aux) -> str | None:
 
 
 def _eval_three_extendable(payload: str, aux) -> str | None:
-    doc = gcg.parse_gcg(payload)
+    doc = _z5(payload)
     path = principal_path(doc.graph)
     trio = (path.tail, path.major, path.head)
     table = marginal_counts(doc.graph, doc.phi, doc.colors, keep=trio)
@@ -372,7 +381,7 @@ def _eval_three_extendable(payload: str, aux) -> str | None:
 
 
 def _eval_lemma4(payload: str, aux) -> str | None:
-    doc = gcg.parse_gcg(payload)
+    doc = _z5(payload)
     path = principal_path(doc.graph)
     tail_forbidden = doc.colors.forbidden[path.tail]
     middles_cs = doc.colors.with_forbidden(path.tail, ())
@@ -410,16 +419,7 @@ def _parse_string_payload(payload: str):
             continue
         head, *args = line.split()
         if head == "parts":
-            text = " ".join(args)
-            depth = 0
-            token = ""
-            for ch in text:
-                token += ch
-                depth += ch == "("
-                depth -= ch == ")"
-                if depth == 0 and token.strip():
-                    parts.append(parse_sexpr(token.strip()))
-                    token = ""
+            parts += parse_sexprs(" ".join(args))
         elif head == "edge":
             u, v, x = (int(a) for a in args)
             values[(u, v)] = x
@@ -482,7 +482,7 @@ def _eval_lemma5(payload: str, aux) -> str | None:
 
 
 def _eval_theorem4(payload: str, aux) -> str | None:
-    doc = gcg.parse_gcg(payload)
+    doc = _z5(payload)
     (mode,) = aux
     pre = doc.colors.precolor_map()
     if mode == 3:
@@ -502,7 +502,7 @@ def _eval_theorem4(payload: str, aux) -> str | None:
 
 
 def _eval_corollary2(payload: str, aux) -> str | None:
-    doc = gcg.parse_gcg(payload)
+    doc = _z5(payload)
     count = count_colorings(doc.graph, doc.phi, doc.colors)
     n = doc.graph.vertex_count
     bound = 2 ** (n / 9)

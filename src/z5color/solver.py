@@ -51,6 +51,15 @@ On top of those sit the constructive algorithms:
   wheel-family grammar.  The family is walked lazily, smallest members
   first, and the walk stops at the first certificate, so members larger
   than the certificate are never built.
+
+These three and ``lemma1_alpha`` take one kind of instance: a Z_5 labeling
+of every edge, a properly precolored outer path (the whole cycle for
+``color_short_cycle``; for ``lemma1_alpha`` the principal path, left
+uncolored because it enumerates those colors itself), at most two
+forbidden colors on the other outer vertices and none inside.  One
+function, ``_contract``, checks it for all four, and
+``validate_extension_problem`` returns what it finds for a 2- or 3-vertex
+path.
 """
 
 from __future__ import annotations
@@ -59,7 +68,7 @@ import heapq
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from operator import itemgetter, mul, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -654,7 +663,6 @@ def enumerate_colorings(
     graph,
     phi: PhiAssignment,
     colors: ColorSystem | None = None,
-    order: Sequence[int] | None = None,
 ) -> Iterator[Coloring]:
     """Yield every proper coloring, deterministically (colors ascending at
     each vertex of the fixed order), by backtracking with forward checking.
@@ -662,14 +670,13 @@ def enumerate_colorings(
     The search runs on an explicit stack of ``[depth, next color, undo
     log]`` frames, one per colored vertex, so its depth is bounded by
     memory, not by the interpreter's recursion limit."""
-    return _backtrack(graph, phi, colors, order, None)
+    return _backtrack(graph, phi, colors, None)
 
 
 def _backtrack(
     graph,
     phi: PhiAssignment,
     colors: ColorSystem | None,
-    order: Sequence[int] | None,
     frame_cap: int | None,
 ) -> Iterator[Coloring]:
     """The search of ``enumerate_colorings``; raises ``_FrameCapReached``
@@ -677,9 +684,7 @@ def _backtrack(
     n = _vertex_count(graph)
     m = phi.modulus
     avail = _avail_lists(n, phi, colors)
-    order = list(order) if order is not None else coloring_order(graph)
-    if sorted(order) != list(range(n)):
-        raise ExtensionError("search order must be a permutation of the vertices")
+    order = coloring_order(graph)
 
     masks = [0] * n
     for v in range(n):
@@ -757,7 +762,7 @@ def first_coloring(
     any, allows, given the vertices eliminated after it.  This takes time
     linear in the plan, so the call always finishes."""
     n = _vertex_count(graph)
-    search = _backtrack(graph, phi, colors, None, _FRAMES_PER_VERTEX * n)
+    search = _backtrack(graph, phi, colors, _FRAMES_PER_VERTEX * n)
     try:
         return next(search, None)
     except _FrameCapReached:
@@ -803,80 +808,72 @@ def _decode_coloring(
 # ---------------------------------------------------------------------------
 
 
-def _check_path(graph: PlaneNearTriangulation, path: Sequence[int]) -> None:
-    try:
-        oc = linear_from(graph.outer_cycle, path[0])
-    except ValueError:
-        raise ExtensionError("path must lie on the outer cycle") from None
-    if oc[: len(path)] != list(path):
-        raise ExtensionError(
-            "precolored path must be consecutive on the outer cycle, clockwise"
+def _contract(
+    graph: PlaneNearTriangulation,
+    phi: PhiAssignment,
+    colors: ColorSystem,
+    path: Sequence[int],
+    precolored: Iterable[int],
+) -> list[str]:
+    """Every violated precondition of the instance the extension results
+    take, checked in this order: ``colors`` covers the graph; ``path`` is
+    consecutive and clockwise on the outer cycle; ``phi`` and ``colors`` are
+    mod 5; ``phi`` labels every edge exactly once; exactly ``precolored`` is
+    precolored; the precoloring is proper on every edge between two
+    precolored vertices (the tail-head edge and a cycle's chords too); and,
+    off the precoloring, path and interior vertices forbid no color and the
+    other outer vertices at most two.  A wrong size, path or precolored set
+    ends the list, and properness is read only under a labeling that
+    matches the graph."""
+    n = graph.vertex_count
+    if colors.vertex_count != n:
+        return [f"constraint system covers {colors.vertex_count} vertices, graph has {n}"]
+    oc = graph.outer_cycle
+    if path[0] not in oc:
+        return ["path must lie on the outer cycle"]
+    if linear_from(oc, path[0])[: len(path)] != list(path):
+        return ["path must be consecutive on the outer cycle, clockwise"]
+    issues: list[str] = []
+    if phi.modulus != 5 or colors.modulus != 5:
+        issues.append("the extension results are specified for modulus 5 only")
+    # Records are distinct edges, so as many records as the graph has edges,
+    # each on an edge of the graph, label every edge exactly once.
+    labeled = len(phi.records) == graph.edge_count()
+    for t, h, _ in phi.records if labeled else ():
+        if not (0 <= t < n and graph.has_edge(t, h)):
+            labeled = False
+            break
+    if not labeled:
+        issues.append("labeling edges differ from the graph's edges")
+    pre = colors.precolor_map()
+    want = set(precolored)
+    if pre.keys() != want:
+        issues.append(
+            f"precolorings must be given on exactly {sorted(want)}, not {sorted(pre)}"
         )
-
-
-def _size_mismatch(g: PlaneNearTriangulation, cs: ColorSystem) -> str | None:
-    if cs.vertex_count == g.vertex_count:
-        return None
-    return (
-        f"constraint system covers {cs.vertex_count} vertices, "
-        f"graph has {g.vertex_count}"
-    )
-
-
-def _labeling_mismatch(g: PlaneNearTriangulation, phi: PhiAssignment) -> str | None:
-    """Records are distinct edges, so as many records as ``g`` has edges,
-    each on an edge of ``g``, label every edge exactly once."""
-    n = g.vertex_count
-    differ = "labeling edges differ from the graph's edges"
-    if len(phi.records) != g.edge_count():
-        return differ
-    for t, h, _ in phi.records:
-        if not (0 <= t < n and g.has_edge(t, h)):
-            return differ
-    return None
+        return issues
+    for u, v in combinations(sorted(pre), 2) if labeled else ():
+        if graph.has_edge(u, v) and pre[v] == tau(phi, u, pre[u], v):
+            issues.append(f"precoloring improper: edge {u}-{v} conflicts with its label")
+    for v, fv in enumerate(colors.forbidden):
+        if fv and v not in pre:
+            where = "path" if v in path else "outer" if graph.is_outer(v) else "interior"
+            cap = 2 if where == "outer" else 0
+            if len(fv) > cap:
+                issues.append(
+                    f"forbidden set at {where} vertex {v} has {len(fv)} colors (cap {cap})"
+                )
+    return issues
 
 
 def validate_extension_problem(problem: ExtensionProblem) -> list[str]:
-    """Every violated precondition of the extension contracts."""
-    g, phi, cs, path = problem.graph, problem.phi, problem.colors, problem.path
-    if len(path) not in (2, 3):
+    """Every violated precondition of the extension contracts: a path of 2
+    or 3 vertices, precolored, in an instance that meets ``_contract``."""
+    if len(problem.path) not in (2, 3):
         return ["precolored path must have 2 or 3 vertices"]
-    if mismatch := _size_mismatch(g, cs):
-        return [mismatch]
-    try:
-        _check_path(g, path)
-    except ExtensionError as exc:
-        return [str(exc)]
-    issues: list[str] = []
-    if phi.modulus != 5 or cs.modulus != 5:
-        issues.append("extension algorithms are specified for modulus 5 only")
-    pre = cs.precolor_map()
-    if set(pre) != set(path):
-        issues.append("precoloring must cover exactly the path vertices")
-        return issues
-    if mismatch := _labeling_mismatch(g, phi):  # the conflict tests need labels
-        issues.append(mismatch)
-    elif len(path) == 2:
-        a, b = path
-        if pre[b] == tau(phi, a, pre[a], b):
-            issues.append("precolored pair conflicts on its edge")
-    else:
-        tail, major, head = path
-        if pre[tail] == tau(phi, major, pre[major], tail):
-            issues.append("precolored tail conflicts with the major vertex")
-        if pre[head] == tau(phi, major, pre[major], head):
-            issues.append("precolored head conflicts with the major vertex")
-    for v in range(g.vertex_count):
-        if v in pre:
-            continue
-        cap = 2 if g.is_outer(v) else 0
-        if len(cs.forbidden[v]) > cap:
-            where = "outer" if g.is_outer(v) else "interior"
-            issues.append(
-                f"forbidden set at {where} vertex {v} has "
-                f"{len(cs.forbidden[v])} colors (cap {cap})"
-            )
-    return issues
+    return _contract(
+        problem.graph, problem.phi, problem.colors, problem.path, problem.path
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1015,20 +1012,9 @@ def color_short_cycle(
     oc = list(graph.outer_cycle)
     if len(oc) > 5:
         raise ExtensionError("outer cycle longer than 5")
-    if phi.modulus != 5 or colors.modulus != 5:
-        raise ExtensionError("color_short_cycle is specified for modulus 5 only")
-    if mismatch := _size_mismatch(graph, colors) or _labeling_mismatch(graph, phi):
-        raise ExtensionError(mismatch)
+    if issues := _contract(graph, phi, colors, oc, oc):
+        raise ExtensionError("; ".join(issues))
     pre = colors.precolor_map()
-    if set(pre) != set(oc):
-        raise ExtensionError("the outer cycle must be exactly the precolored set")
-    for v in graph.interior_vertices():
-        if colors.forbidden[v]:
-            raise ExtensionError(f"interior vertex {v} carries forbidden colors")
-    for u in oc:
-        for v in graph.adjacency(u):
-            if v in pre and pre[v] == tau(phi, u, pre[u], v):
-                raise ExtensionError("precoloring improper on the outer cycle")
 
     assigned = dict(pre)
     if (hub := _hub(graph, phi, oc, assigned)) is not None:
@@ -1402,7 +1388,7 @@ def classify_alpha(
     ]
     if not failures:
         return AlphaResult("vacuous")
-    diffs = {(ct - ch) % 5 for ct, _, ch in failures}
+    diffs = {(ct - ch) % phi.modulus for ct, _, ch in failures}
     if len(diffs) == 1:
         return AlphaResult("alpha", diffs.pop())
     return AlphaResult("none")
@@ -1426,20 +1412,12 @@ def lemma1_alpha(
     """
     if path is None:
         path = principal_path(graph)
-    if phi.modulus != 5 or colors.modulus != 5:
-        raise ExtensionError("lemma1_alpha is specified for modulus 5 only")
-    if mismatch := _size_mismatch(graph, colors) or _labeling_mismatch(graph, phi):
-        raise ExtensionError(mismatch)
+    trio = (path.tail, path.major, path.head)
+    if issues := _contract(graph, phi, colors, trio, ()):
+        raise ExtensionError("; ".join(issues))
     if require_multi_wheel:
         d = recognize_generalized_multi_wheel(graph, path)
         if d is None or not is_multi_wheel_descriptor(d):
             raise ExtensionError("graph is not a multi-wheel")
-    trio = (path.tail, path.major, path.head)
-    for v in range(graph.vertex_count):
-        cap = 2 if graph.is_outer(v) and v not in trio else 0
-        if len(colors.forbidden[v]) > cap:
-            raise ExtensionError(f"forbidden set at vertex {v} exceeds its cap")
-    if colors.precoloring:
-        raise ExtensionError("lemma1_alpha enumerates precolorings itself")
     table = lemma1_failure_table(graph, phi, colors, path)
     return classify_alpha(table, graph, phi, path)

@@ -210,6 +210,18 @@ def test_extend3_budget_exhaustion_is_an_error(capsys, blocked_bw4_file):
     assert err == "error: obstruction search exceeded its node budget\n"
 
 
+def test_extend3_rejects_a_tail_head_conflict(capsys, tmp_path):
+    # The outer triangle 0-1-2 of K4 colored 0, 1, 0 clashes on 0-2, an
+    # edge between the path's ends: invalid input, not an obstruction.
+    g, _ = build(Wheel(3))
+    cs = ColorSystem.free(4).with_precolor(0, 0).with_precolor(1, 1).with_precolor(2, 0)
+    f = tmp_path / "k4.gcg"
+    f.write_text(write_gcg(g, PhiAssignment.zero(g.edges()), cs))
+    code, out, err = run_cli(capsys, "extend3", str(f))
+    assert (code, out) == (1, "")
+    assert err == "error: precoloring improper: edge 0-2 conflicts with its label\n"
+
+
 def test_solver_defects_still_propagate(monkeypatch, blocked_bw4_file):
     def defect(problem, node_budget):
         raise RuntimeError("solver defect")

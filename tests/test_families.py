@@ -28,6 +28,7 @@ from z5color.families import (
     insertion_sites,
     is_multi_wheel_descriptor,
     parse_sexpr,
+    parse_sexprs,
     principal_isomorphic,
     recognize_generalized_multi_wheel,
     to_sexpr,
@@ -358,6 +359,18 @@ def test_sexpr_round_trip_and_errors():
     # The lemma5 packet format carries descriptors as text.
     with pytest.raises(FamilyError):
         replay("lemma5", "parts (broken x)\n")
+
+
+def test_sexprs_read_descriptors_in_a_row():
+    ds = [Wheel(4), Glue(BrokenWheel(3), Wheel(3)), InsertWheel(Wheel(4), 2, 1)]
+    assert parse_sexprs(" ".join(map(to_sexpr, ds))) == ds
+    assert parse_sexprs(to_sexpr(ds[1])) == ds[1:2]
+    for bad, message in [("", "unexpected end"), ("(wheel 4) (wheel", "unexpected end"),
+                         ("(wheel 4) 5", "trailing tokens")]:
+        with pytest.raises(FamilyError, match=message):
+            parse_sexprs(bad)
+    with pytest.raises(FamilyError, match="trailing tokens"):
+        parse_sexpr("(wheel 4) (wheel 5)")
 
 
 SEXPR_TOKENS = (

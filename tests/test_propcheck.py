@@ -7,7 +7,14 @@ import pytest
 
 from conftest import cpu_time_limit
 from z5color import propcheck
-from z5color.families import BrokenWheel, Wheel, build, built_family, principal_path
+from z5color.families import (
+    BrokenWheel,
+    Wheel,
+    build,
+    built_family,
+    is_multi_wheel_descriptor,
+    principal_path,
+)
 from z5color.gcg import parse_gcg, write_gcg
 from z5color.group_color import ColorSystem, PhiAssignment
 from z5color.plane_graph import validate
@@ -227,6 +234,27 @@ def test_lemma2_replay_names_an_edge_whose_deletion_leaves_no_coloring():
     assert replay("lemma2", write_gcg(g, phi, cs)) == (
         "deleting edge 0-3 left no coloring"
     )
+
+
+Z5_CHECKS = ("lemma1", "lemma2", "lemma3a", "lemma3b", "cor1", "lemma4",
+             "theorem4", "corollary2")
+
+
+def test_z5_checks_reject_other_moduli():
+    # The 3-vertex-outer multi-wheel of the family, labeled mod 7: each Z_5
+    # check refuses it rather than reroll or count it; count preservation
+    # holds mod any m, so shift replays.
+    d, g, _ = next(
+        m for m in built_family(5)
+        if is_multi_wheel_descriptor(m[0]) and len(m[1].outer_cycle) == 3
+    )
+    phi = PhiAssignment(7, tuple((u, v, 6) for u, v in g.edges()))
+    payload = write_gcg(g, phi, ColorSystem.free(g.vertex_count, 7))
+    aux = {"lemma1": (1,), "theorem4": (3,)}
+    for prop in Z5_CHECKS:
+        with pytest.raises(PropcheckError, match="mod 7"):
+            replay(prop, payload, aux.get(prop, ()))
+    assert replay("calculus/shift", payload, (0, 3)) is None
 
 
 def full_record_rerolls(phi, path, reroll_seed):

@@ -1202,6 +1202,21 @@ def test_inconsistent_inputs_raise_extension_error(w5):
         first_coloring(g, stray)
 
 
+def test_extend_three_rejects_a_tail_head_conflict():
+    # On K4 the path (2, 0, 1) is a triangle: tail and head are joined, and
+    # colors 1, 0, 1 are proper on the two path edges but not on 2-1.
+    g, p = build(Wheel(3))
+    assert (p.tail, p.major, p.head) == (2, 0, 1) and g.has_edge(2, 1)
+    phi = PhiAssignment.zero(g.edges())
+    cs = precolored(4, [0, 1, 1])
+    problem = ExtensionProblem(g, phi, cs, (2, 0, 1))
+    assert validate_extension_problem(problem) == [
+        "precoloring improper: edge 1-2 conflicts with its label"
+    ]
+    with pytest.raises(ExtensionError, match="edge 1-2 conflicts"):
+        extend_three(problem)
+
+
 # ---------------------------------------------------------------------------
 # extend_three
 # ---------------------------------------------------------------------------
@@ -1508,3 +1523,23 @@ def test_lemma1_rejects_bad_input(w5):
     moved = PhiAssignment.zero([(0, 2)] + [e for e in g.edges() if e != (2, 3)])
     with pytest.raises(ExtensionError, match="labeling edges differ"):
         lemma1_alpha(g, moved, ColorSystem.free(6), p)
+
+
+def test_lemma1_rejects_a_path_off_the_outer_cycle(w5):
+    # (2, 0, 1) runs against the outer cycle and 5 is the hub: each is
+    # refused before the recognizer or the failure table sees it.
+    g, _ = w5
+    phi = PhiAssignment.zero(g.edges())
+    with pytest.raises(ExtensionError, match="consecutive"):
+        lemma1_alpha(g, phi, ColorSystem.free(6), PrincipalPath(2, 0, 1))
+    with pytest.raises(ExtensionError, match="outer cycle"):
+        lemma1_alpha(
+            g, phi, ColorSystem.free(6), PrincipalPath(5, 0, 1), require_multi_wheel=False
+        )
+
+
+def test_classify_alpha_reads_differences_mod_the_labeling():
+    g, p = build(BrokenWheel(3))
+    phi = PhiAssignment.zero(g.edges(), modulus=7)
+    assert is_path_proper(g, phi, p, (0, 1, 6))
+    assert classify_alpha({(0, 1, 6): 0}, g, phi, p) == AlphaResult("alpha", 1)
