@@ -17,27 +17,30 @@ small grammar over plane near-triangulations carrying a *principal path*
   generalized multi-wheels).
 
 Canonical numbering of every built graph: outer cycle first, clockwise from
-the major vertex, then interior vertices in insertion order.  Recognition
-inverts the grammar: peel chords at the major vertex into Glue seams, peel
-inserted hubs in reverse, and bottom out at wheels and broken wheels.
+the major vertex, then interior vertices in insertion order.
+
+Recognition inverts the grammar in one pass over one mutable copy: the
+Glue seams are read off the major vertex's rotation, then inserted hubs are
+peeled in place, lowest-numbered first and never retried (peels commute),
+until each part is an empty triangle or a wheel.
 """
 
 from __future__ import annotations
 
 import gc
 import re
+from bisect import bisect, insort
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from heapq import heappop, heappush
 from typing import Iterator, Sequence, Union
 
 from .plane_graph import (
     PlaneNearTriangulation,
-    chords,
     faces_of,
     linear_from,
     outer_face_index,
-    split_along,
 )
 
 
@@ -98,25 +101,14 @@ def is_multi_wheel_descriptor(d: FamilyDescriptor) -> bool:
     """Multi-wheels are exactly the Wheel/InsertWheel terms (no Glue, no
     broken wheels: a broken wheel is a generalized multi-wheel but never a
     multi-wheel)."""
-    if isinstance(d, Wheel):
-        return True
-    if isinstance(d, InsertWheel):
-        return is_multi_wheel_descriptor(d.base)
-    return False
+    while isinstance(d, InsertWheel):
+        d = d.base
+    return isinstance(d, Wheel)
 
 
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
-
-
-def _relabel(
-    rotation: dict[int, list[int]], outer: list[int], interiors: list[int]
-) -> PlaneNearTriangulation:
-    order = outer + interiors
-    new = {old: i for i, old in enumerate(order)}.__getitem__
-    rot = tuple([tuple(map(new, rotation[v])) for v in order])
-    return PlaneNearTriangulation(len(order), rot, tuple(range(len(outer))))
 
 
 def _build_broken_wheel(k: int) -> PlaneNearTriangulation:
@@ -295,132 +287,106 @@ def principal_isomorphic(
 # ---------------------------------------------------------------------------
 
 
-def _rotated_outer(graph: PlaneNearTriangulation, path: PrincipalPath) -> list[int]:
-    oc = linear_from(graph.outer_cycle, path.major)
-    if oc[1] != path.head or oc[-1] != path.tail:
-        raise FamilyError(
-            "principal path is not consecutive clockwise on the outer cycle"
-        )
-    return oc
-
-
-def _peel_candidate(
-    graph: PlaneNearTriangulation, w: int, pos: dict[int, int], k: int
-) -> tuple[int, int, list[int], int] | None:
-    """Check whether interior vertex w is an inserted hub that can be
-    removed.  Returns (x, y, subdividers, outer_position_of_x) or None."""
-    interior_nbrs = [u for u in graph.rotation[w] if u not in pos]
-    if len(interior_nbrs) != 1:
-        return None
-    u = interior_nbrs[0]
-    arc = linear_from(graph.rotation[w], u)[1:]
-    if len(arc) < 2:
-        return None
-    x, y = arc[0], arc[-1]
-    subdividers = arc[1:-1]
-    p = pos[x]
-    if p == 0 or pos[y] == 0 or any(pos[s] == 0 for s in subdividers):
-        return None  # insertion never touches the major vertex
-    if any(pos[v] != p + t for t, v in enumerate(arc)):
-        return None  # must be a clockwise-consecutive outer arc
-    for s in subdividers:
-        if set(graph.rotation[s]) != {w, arc[arc.index(s) - 1], arc[arc.index(s) + 1]}:
-            return None
-    if not (graph.has_edge(u, x) and graph.has_edge(u, y)):
-        return None
-    if subdividers and graph.has_edge(x, y):
-        return None  # a subdivided insertion deleted the outer edge
-    return x, y, subdividers, p
-
-
-def _peel(
-    graph: PlaneNearTriangulation,
-    outer: list[int],
-    w: int,
-    x: int,
-    y: int,
-    subdividers: list[int],
-) -> PlaneNearTriangulation:
-    """Remove an inserted hub and its subdividers.  ``outer`` is the outer
-    cycle read from the major vertex, so the base comes back canonically
-    numbered with the major vertex at 0."""
-    dead = {w, *subdividers}
-    rotation = {
-        v: [u for u in graph.rotation[v] if u not in dead]
-        for v in range(graph.vertex_count)
-        if v not in dead
-    }
-    if subdividers:
-        # Restore the outer edge x-y exactly where the removed fan sat.
-        first_dead = list(graph.rotation[x]).index(subdividers[0])
-        kept_before = sum(1 for u in graph.rotation[x][:first_dead] if u not in dead)
-        rotation[x].insert(kept_before, y)
-        first_dead = list(graph.rotation[y]).index(w)
-        kept_before = sum(1 for u in graph.rotation[y][:first_dead] if u not in dead)
-        rotation[y].insert(kept_before, x)
-    outer = [v for v in outer if v not in dead]
-    interiors = sorted(
-        v
-        for v in range(graph.vertex_count)
-        if v not in dead and not graph.is_outer(v)
-    )
-    return _relabel(rotation, outer, interiors)
-
-
 def recognize_generalized_multi_wheel(
     graph: PlaneNearTriangulation, path: PrincipalPath
 ) -> FamilyDescriptor | None:
     """A descriptor rebuilding a graph isomorphic to this one (principal
     path preserved), or None when the graph is outside the class.
 
-    Strategy: chords at the major vertex are Glue seams (split at the one
-    nearest the head side); with no chords, either the graph is a triangle
-    or a wheel, or some inserted hub can be peeled; anything else fails.
+    The major vertex's outer neighbours, read around it from head to tail,
+    are the Glue seams.  Hubs are then peeled in place, always the
+    lowest-numbered removable one: exactly one interior neighbour u, then
+    around it an outer arc x, subdividers, y, clockwise off the major, each
+    subdivider of degree 3, u adjacent to x and y, and no edge x-y unless
+    the arc is just x, y.  Peeling one hub leaves every other removable
+    unless the two are each other's u (the commutation ``_offer_hubs``
+    relies on), so no choice is retried; a retry never turned a rejection
+    into a member on any member to size 11, any stacking of one to size 9,
+    or thousands of random near-triangulations.  After a peel only u is
+    looked at again: x-y then bounds the face x-y-u, so no other vertex's
+    arc can have changed.  Each part must end as an empty triangle or as a
+    wheel whose hub, the fan entry after the part's first seam, sees
+    exactly the part's outer cycle.  Its peels nest in reverse, each at
+    x's rank on the part's outer path at the time.
     """
-    oc = _rotated_outer(graph, path)
-    k = len(oc)
-    n = graph.vertex_count
-    if n == 3:
-        return BrokenWheel(3)
+    oc = linear_from(graph.outer_cycle, path.major)
+    if oc[1] != path.head or oc[-1] != path.tail:
+        raise FamilyError("principal path is not consecutive clockwise on the outer cycle")
+    k, major = len(oc), oc[0]
+    at = {v: i for i, v in enumerate(oc)}
+    succ = dict(zip(oc[1:], oc[2:]))  # clockwise along the outer path off the major
+    rot = [list(r) for r in graph.rotation]
+    adj = [set(r) for r in graph.rotation]
+    fan = linear_from(graph.rotation[major], oc[1])
+    ends = [i for i, v in enumerate(fan) if v in at]
+    seams = [at[fan[i]] for i in ends]
+    peeled: list[int] = []  # outer indices of peeled subdividers, sorted
 
-    pos = {v: i for i, v in enumerate(oc)}
-    major_chords = []
-    for a, b in chords(graph):
-        if a == oc[0] or b == oc[0]:
-            other = b if a == oc[0] else a
-            major_chords.append(pos[other])
-        else:
-            return None  # the grammar only ever creates chords at the major
-
-    if major_chords:
-        q = min(major_chords)
-        split = split_along(graph, [oc[0], oc[q]])
-        map_r, map_l = dict(split.map_one), dict(split.map_two)
-        d_r = recognize_generalized_multi_wheel(
-            split.part_one, PrincipalPath(map_r[oc[q]], map_r[oc[0]], map_r[oc[1]])
-        )
-        if d_r is None:
+    def removable(w: int) -> tuple[int, list[int]] | None:
+        r = rot[w]
+        inner = [i for i, v in enumerate(r) if v not in at]
+        if len(inner) != 1:
             return None
-        d_l = recognize_generalized_multi_wheel(
-            split.part_two, PrincipalPath(map_l[oc[k - 1]], map_l[oc[0]], map_l[oc[q]])
-        )
-        if d_l is None:
+        i = inner[0]
+        u, arc = r[i], r[i + 1 :] + r[:i]
+        if len(arc) < 2 or any(succ.get(a) != b for a, b in zip(arc, arc[1:])):
             return None
-        return Glue(d_l, d_r)
+        if any(adj[s] != {w, a, b} for a, s, b in zip(arc, arc[1:], arc[2:])):
+            return None
+        x, y = arc[0], arc[-1]
+        if x not in adj[u] or y not in adj[u] or (len(arc) > 2 and y in adj[x]):
+            return None
+        return u, arc
 
-    interior = graph.interior_vertices()
-    if len(interior) == 1 and all(graph.has_edge(interior[0], v) for v in oc):
-        return Wheel(k)
-    for w in interior:
-        hit = _peel_candidate(graph, w, pos, k)
+    peels: list[list[tuple[int, int]]] = [[] for _ in seams[1:]]
+    heap = [v for v in range(graph.vertex_count) if v not in at]
+    while heap:
+        w = heappop(heap)
+        hit = removable(w)
         if hit is None:
             continue
-        x, y, subdividers, p = hit
-        base = _peel(graph, oc, w, x, y, subdividers)
-        d_base = recognize_generalized_multi_wheel(base, principal_path(base))
-        if d_base is not None:
-            return InsertWheel(d_base, p, len(subdividers))
-    return None
+        u, arc = hit
+        x, y, subdividers = arc[0], arc[-1], arc[1:-1]
+        t = bisect(seams, at[x]) - 1
+        rank = 1 + at[x] - seams[t] - bisect(peeled, at[x]) + bisect(peeled, seams[t])
+        peels[t].append((rank, len(subdividers)))
+        if subdividers:
+            rot[x][rot[x].index(subdividers[0])] = y
+            rot[y][rot[y].index(subdividers[-1])] = x
+            adj[x] ^= {subdividers[0], y}  # swap the end subdivider for y
+            adj[y] ^= {subdividers[-1], x}
+            succ[x] = y
+            for s in subdividers:
+                insort(peeled, at[s])
+        for v in (u, x, y):
+            rot[v].remove(w)
+            adj[v].remove(w)
+        rot[w] = []  # so a stale heap entry for w is never removable
+        heappush(heap, u)
+
+    parts: list[FamilyDescriptor] = []
+    left_over = graph.vertex_count - k - sum(map(len, peels))
+    for t, (a, b) in enumerate(zip(seams, seams[1:])):
+        ring, v = {major, oc[a]}, oc[a]
+        while v != oc[b]:
+            v = succ[v]
+            ring.add(v)
+        hub = fan[ends[t] + 1]
+        if hub in at:
+            if len(ring) != 3:
+                return None  # a chord off the major vertex
+            d: FamilyDescriptor = BrokenWheel(3)
+        elif adj[hub] == ring:
+            d = Wheel(len(ring))
+            left_over -= 1
+        else:
+            return None
+        for rank, j in reversed(peels[t]):
+            d = InsertWheel(d, rank, j)
+        parts.append(d)
+    if left_over:
+        return None  # an interior vertex neither peeled nor a wheel's hub
+    return reduce(Glue, reversed(parts))
 
 
 def facial_triangle_property(
@@ -679,15 +645,29 @@ def build_wheel_string(parts: Sequence[FamilyDescriptor]) -> WheelString:
 
 
 def to_sexpr(d: FamilyDescriptor) -> str:
-    if isinstance(d, BrokenWheel):
-        return f"(broken {d.size})"
-    if isinstance(d, Wheel):
-        return f"(wheel {d.size})"
-    if isinstance(d, Glue):
-        return f"(glue {to_sexpr(d.left)} {to_sexpr(d.right)})"
-    if isinstance(d, InsertWheel):
-        return f"(insert {to_sexpr(d.base)} t{d.edge} j={d.subdivisions})"
-    raise FamilyError(f"not a descriptor: {d!r}")
+    """Written from a stack, as recognized members nest about as deep as
+    they are large."""
+    out: list[str] = []
+    todo: list[str | tuple[FamilyDescriptor]] = [(d,)]  # text, or a term to write
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        (d,) = item
+        if isinstance(d, BrokenWheel):
+            out.append(f"(broken {d.size})")
+        elif isinstance(d, Wheel):
+            out.append(f"(wheel {d.size})")
+        elif isinstance(d, Glue):
+            out.append("(glue ")
+            todo += [")", (d.right,), " ", (d.left,)]
+        elif isinstance(d, InsertWheel):
+            out.append("(insert ")
+            todo += [f" t{d.edge} j={d.subdivisions})", (d.base,)]
+        else:
+            raise FamilyError(f"not a descriptor: {d!r}")
+    return "".join(out)
 
 
 _TOKEN = re.compile(r"\(|\)|[^\s()]+")

@@ -147,6 +147,15 @@ def test_family_recognize_rejects_non_member(capsys, tmp_path):
     assert "not a generalized multi-wheel" in out
 
 
+def test_family_recognize_prints_a_long_glue_chain(capsys, tmp_path):
+    g, _ = build(BrokenWheel(2000))
+    f = tmp_path / "bw2000.gcg"
+    f.write_text(write_gcg(g, PhiAssignment.zero(g.edges()), ColorSystem.free(2000)))
+    code, out, _ = run_cli(capsys, "family", "recognize", str(f))
+    assert code == 0
+    assert out == "(glue " * 1997 + "(broken 3)" + " (broken 3))" * 1997 + "\n"
+
+
 def test_check_reports_and_exit_codes(capsys, tmp_path):
     report_path = tmp_path / "report.txt"
     code, out, _ = run_cli(

@@ -166,6 +166,93 @@ def test_recognize_rejects_interior_stack():
     assert recognize_generalized_multi_wheel(g2, p) is None
 
 
+def stacked_in_each_inner_face(g):
+    """``g`` with one new vertex stacked into one inner triangle, for each
+    inner triangle in turn."""
+    import z5color.plane_graph as pg
+
+    outer = pg.outer_face_index(g)
+    w = g.vertex_count
+    for i, face in enumerate(pg.faces_of(g)):
+        if i == outer:
+            continue
+        a, b, c = (d[0] for d in face)
+        rot = [list(r) for r in g.rotation]
+        rot.append([a, c, b])
+        for x, (p, q) in ((a, (c, b)), (b, (a, c)), (c, (b, a))):
+            at = rot[x].index(p)
+            assert rot[x][(at + 1) % len(rot[x])] == q
+            rot[x].insert(at + 1, w)
+        yield PlaneNearTriangulation.from_lists(rot, g.outer_cycle)
+
+
+def test_recognizer_answers_are_pinned():
+    # The recognizer's exact answer on every member to size 11 and on every
+    # valid stacking of a member to size 9, as the recursive recognizer,
+    # which re-split each Glue seam and retried later hubs, gave them.
+    digest = hashlib.sha256()
+
+    def record(g, p):
+        d = recognize_generalized_multi_wheel(g, p)
+        digest.update(("None" if d is None else to_sexpr(d)).encode() + b"\n")
+
+    for _, g, p in family_members(11):
+        record(g, p)
+    for _, g, p in family_members(9):
+        for stacked in stacked_in_each_inner_face(g):
+            if validate(stacked).ok:
+                record(stacked, p)
+    assert digest.hexdigest() == (
+        "79a2c6164980df8ac456b3fdd5208dbced0639a18264f494a947d4e8193d3c86"
+    )
+
+
+def glue_chain_of_wheels(parts):
+    """``Glue(Wheel(4), Glue(Wheel(4), ...))`` with ``parts`` wheels, made
+    from graphs (``build`` would recurse once per part)."""
+    wheel = families._build_wheel(4)
+    chain = wheel
+    for _ in range(parts - 1):
+        chain = families._glue(wheel, chain)
+    return chain
+
+
+def nested_insertions(steps):
+    """``Wheel(3)`` after ``steps`` insertions, each with one subdivider at
+    edge 1, the last one into the face of the hub before it."""
+    g = families._build_wheel(3)
+    for _ in range(steps):
+        g = families._insert_wheel(g, 1, 1)
+    return g
+
+
+@pytest.mark.parametrize(
+    "make, opening, innermost, closing, depth",
+    [
+        (lambda: build(BrokenWheel(2000))[0], "(glue ", "(broken 3)", " (broken 3))", 1997),
+        (lambda: glue_chain_of_wheels(500), "(glue ", "(wheel 4)", " (wheel 4))", 499),
+        (lambda: nested_insertions(1000), "(insert ", "(wheel 3)", " t1 j=1)", 1000),
+    ],
+    ids=["broken-wheel-2000", "glue-chain-500", "insertions-1000"],
+)
+def test_recognizer_needs_no_recursion_at_scale(make, opening, innermost, closing, depth):
+    # Glue parts fold to the left whatever the nesting they were built in,
+    # and the hub inserted last is peeled first.
+    g = make()
+    with cpu_time_limit(2):
+        d = recognize_generalized_multi_wheel(g, families.principal_path(g))
+        assert to_sexpr(d) == opening * depth + innermost + closing * depth
+        assert is_multi_wheel_descriptor(d) == (opening == "(insert ")
+
+
+def test_recognize_rejects_chords_off_the_major_vertex():
+    # Read from another major vertex, a broken wheel's chords miss it.
+    g, _ = build(BrokenWheel(5))
+    for major in range(1, 5):
+        p = PrincipalPath(major - 1, major, (major + 1) % 5)
+        assert recognize_generalized_multi_wheel(g, p) is None
+
+
 def test_facial_triangle_property_on_members():
     for d, g, p in built_family(10):
         assert facial_triangle_property(g, p), to_sexpr(d)
