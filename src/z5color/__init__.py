@@ -27,13 +27,10 @@ from .plane_graph import (
     Block,
     PlaneGraphError,
     PlaneNearTriangulation,
-    SplitResult,
     ValidationReport,
     blocks,
     chords,
-    enclosed_region,
     separating_cycles,
-    split_along,
     validate,
 )
 
@@ -47,16 +44,13 @@ __all__ = [
     "PhiAssignment",
     "PlaneGraphError",
     "PlaneNearTriangulation",
-    "SplitResult",
     "ValidationReport",
     "blocks",
     "chords",
-    "enclosed_region",
     "is_proper",
     "normalize_star",
     "separating_cycles",
     "shift_phi",
-    "split_along",
     "tau",
     "tau_set",
     "triangle_consistent",

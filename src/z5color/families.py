@@ -85,16 +85,24 @@ FamilyDescriptor = Union[BrokenWheel, Wheel, Glue, InsertWheel]
 
 
 def descriptor_size(d: FamilyDescriptor) -> int:
-    """Vertex count of the built graph."""
-    if isinstance(d, BrokenWheel):
-        return d.size
-    if isinstance(d, Wheel):
-        return d.size + 1
-    if isinstance(d, Glue):
-        return descriptor_size(d.left) + descriptor_size(d.right) - 2
-    if isinstance(d, InsertWheel):
-        return descriptor_size(d.base) + 1 + d.subdivisions
-    raise FamilyError(f"not a descriptor: {d!r}")
+    """Vertex count of the built graph: a sum over the terms, walked on an
+    explicit stack (each Glue shares two vertices between its parts)."""
+    total, stack = 0, [d]
+    while stack:
+        d = stack.pop()
+        if isinstance(d, BrokenWheel):
+            total += d.size
+        elif isinstance(d, Wheel):
+            total += d.size + 1
+        elif isinstance(d, Glue):
+            total -= 2
+            stack += (d.left, d.right)
+        elif isinstance(d, InsertWheel):
+            total += 1 + d.subdivisions
+            stack.append(d.base)
+        else:
+            raise FamilyError(f"not a descriptor: {d!r}")
+    return total
 
 
 def is_multi_wheel_descriptor(d: FamilyDescriptor) -> bool:
@@ -153,21 +161,6 @@ def _glue(left: PlaneNearTriangulation, right: PlaneNearTriangulation) -> PlaneN
         *[tuple(map(to_l, lr[v])) for v in range(kl, nl)],
     ]
     return PlaneNearTriangulation(nl + nr - 2, tuple(rows), tuple(range(kl + kr - 2)))
-
-
-def insertion_sites(graph: PlaneNearTriangulation) -> list[int]:
-    """Outer edge indices where a wheel can be inserted: edge i joins
-    canonical vertices i and i+1, avoids the major vertex, and its inner
-    face has an interior third vertex."""
-    k = len(graph.outer_cycle)
-    sites = []
-    for i in range(1, k - 1):
-        x, y = i, i + 1
-        nb = graph.rotation[x]
-        u = nb[(nb.index(y) + 1) % len(nb)]
-        if not graph.is_outer(u):
-            sites.append(i)
-    return sites
 
 
 def _insert_wheel(
@@ -238,48 +231,6 @@ def principal_path(graph: PlaneNearTriangulation) -> PrincipalPath:
     canonically numbered member's is."""
     oc = graph.outer_cycle
     return PrincipalPath(oc[-1], oc[0], oc[1])
-
-
-# ---------------------------------------------------------------------------
-# Rooted-embedding signatures (isomorphism fixing the principal path)
-# ---------------------------------------------------------------------------
-
-
-def embedding_signature(graph: PlaneNearTriangulation, path: PrincipalPath) -> tuple:
-    """Canonical form of the embedded graph rooted at the principal dart.
-
-    Two graphs admit an isomorphism that fixes the principal path pointwise
-    and preserves rotations iff their signatures are equal.
-    """
-    label = {path.major: 0, path.head: 1}
-    ref = {path.major: path.head, path.head: path.major}
-    order = [path.major, path.head]
-    rows = []
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
-        lin = linear_from(graph.rotation[v], ref[v])
-        row = []
-        for u in lin:
-            if u not in label:
-                label[u] = len(label)
-                ref[u] = v
-                order.append(u)
-            row.append(label[u])
-        rows.append(tuple(row))
-    if len(label) != graph.vertex_count:
-        raise FamilyError("graph is disconnected")
-    return (graph.vertex_count, tuple(rows))
-
-
-def principal_isomorphic(
-    a: PlaneNearTriangulation,
-    pa: PrincipalPath,
-    b: PlaneNearTriangulation,
-    pb: PrincipalPath,
-) -> bool:
-    return embedding_signature(a, pa) == embedding_signature(b, pb)
 
 
 # ---------------------------------------------------------------------------

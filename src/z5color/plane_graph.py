@@ -9,16 +9,15 @@ convention the outer cycle, read clockwise as given, is itself one traced
 orbit; all other orbits are the inner faces, traversed counterclockwise.
 
 Vertices are dense indices 0..n-1.  All structural queries the extension
-arguments need live here: chords, separating short cycles, splitting along
-a path, block decomposition, and extraction of the closed region enclosed
-by a cycle.  ``cycle_side`` (a dual BFS over traced faces) is the oracle
-for which vertices a cycle encloses; separating triangles need neither a
-BFS nor a traced face and are decided from the rotations alone.  The
-solver does not trace its shrinking sub-regions: a 2-extension chord split
-needs no side at all (the boundary is relinked), a short-cycle region is
-read from the rotations of its cycle's vertices, and faces are traced
-(``trace_faces``, which also takes a ``{vertex: neighbors}`` sub-rotation)
-only for the boundary of an interior block.
+arguments need live here: chords, separating short cycles and the block
+decomposition.  ``cycle_side`` (a dual BFS over traced faces) decides which
+vertices a cycle encloses; separating triangles need neither a BFS nor a
+traced face and are decided from the rotations alone.  The solver does not
+trace its shrinking sub-regions: a 2-extension chord split needs no side at
+all (the boundary is relinked), a short-cycle region is read from the
+rotations of its cycle's vertices, and faces are traced (``trace_faces``,
+which also takes a ``{vertex: neighbors}`` sub-rotation) only for the
+boundary of an interior block.
 """
 
 from __future__ import annotations
@@ -114,19 +113,6 @@ class ValidationReport:
 
 
 @dataclass(frozen=True)
-class SplitResult:
-    """Two near-triangulations whose union is the input and whose
-    intersection is the splitting path.  Vertices are relabeled densely;
-    ``map_one``/``map_two`` carry old -> new indices."""
-
-    part_one: PlaneNearTriangulation
-    part_two: PlaneNearTriangulation
-    shared_boundary: tuple[int, ...]
-    map_one: tuple[tuple[int, int], ...]
-    map_two: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
 class Block:
     """One block of the block decomposition (2-connected component,
     bridge, or isolated vertex)."""
@@ -202,17 +188,14 @@ def _edge_keys(cycle: Sequence[int]) -> set[tuple[int, int]]:
     return {(min(a, b), max(a, b)) for a, b in zip(cycle, [*cycle[1:], cycle[0]])}
 
 
-def face_index(faces: Sequence[Sequence[Dart]], cycle: Sequence[int]) -> int | None:
-    """Index of the first traced orbit that reads ``cycle`` (up to rotation)."""
-    for i, face in enumerate(faces):
-        if len(face) == len(cycle) and _cyclic_equal(cycle, face_vertices(face)):
+def outer_face_index(graph: PlaneNearTriangulation) -> int | None:
+    """Index of the first traced orbit that reads the outer cycle (up to
+    rotation), or None."""
+    oc = graph.outer_cycle
+    for i, face in enumerate(faces_of(graph)):
+        if len(face) == len(oc) and _cyclic_equal(oc, face_vertices(face)):
             return i
     return None
-
-
-def outer_face_index(graph: PlaneNearTriangulation) -> int | None:
-    """Index of the traced orbit that equals the outer cycle, or None."""
-    return face_index(faces_of(graph), graph.outer_cycle)
 
 
 def dart_faces(faces: Sequence[Sequence[Dart]]) -> dict[Dart, int]:
@@ -362,26 +345,6 @@ def _traced_outer(graph: PlaneNearTriangulation) -> int:
     return outer_idx
 
 
-def _cycle_sides(
-    graph: PlaneNearTriangulation, cycle: Sequence[int]
-) -> tuple[frozenset[int], frozenset[int], tuple[int, ...]]:
-    """Classify vertices strictly inside / outside a cycle.
-
-    Returns (inside, outside, enclosed_face_indices) where inside is the set
-    of vertices on the bounded side not containing the outer face.
-    """
-    outer_idx = _traced_outer(graph)
-    k = len(cycle)
-    for i in range(k):
-        a, b = cycle[i], cycle[(i + 1) % k]
-        if not graph.has_edge(a, b):
-            raise PlaneGraphError(f"cycle step {a}-{b} is not an edge")
-    faces = faces_of(graph)
-    inside, enclosed = cycle_side(faces, dart_faces(faces), outer_idx, cycle)
-    outside = set(range(graph.vertex_count)) - set(cycle) - inside
-    return frozenset(inside), frozenset(outside), enclosed
-
-
 def separating_cycles(graph: PlaneNearTriangulation, length: int) -> list[tuple[int, ...]]:
     """All cycles of the given length (3 or 4) with vertices strictly on
     both sides; the outer cycle itself never counts.
@@ -430,97 +393,6 @@ def separating_cycles(graph: PlaneNearTriangulation, length: int) -> list[tuple[
         if inside and len(inside) + length < n:
             found.append(cyc)
     return found
-
-
-def enclosed_region(
-    graph: PlaneNearTriangulation, cycle: Sequence[int]
-) -> tuple[PlaneNearTriangulation, dict[int, int]]:
-    """Extract the closed region bounded by a cycle, on the side away from
-    the outer face.  Returns the region as a near-triangulation (relabeled:
-    boundary first in traced clockwise order starting at cycle[0], then
-    interior by ascending old index) plus the old -> new map."""
-    inside, _, enclosed = _cycle_sides(graph, cycle)
-    faces = faces_of(graph)
-    keep_edges = _edge_keys(cycle)
-    k = len(cycle)
-    for fi in enclosed:
-        for u, v in faces[fi]:
-            keep_edges.add((min(u, v), max(u, v)))
-
-    on_cycle = set(cycle)
-    region_vertices = sorted(on_cycle | inside)
-    sub_rotation = {
-        v: [u for u in graph.rotation[v] if (min(u, v), max(u, v)) in keep_edges]
-        for v in region_vertices
-    }
-
-    # Orient the boundary by re-tracing inside the region: the orbit whose
-    # vertex set is the cycle (and is not an enclosed triangle of the same
-    # vertices) is the region's clockwise outer cycle.
-    matches = [
-        list(face_vertices(f))
-        for f in trace_faces(sub_rotation)
-        if len(f) == k and set(face_vertices(f)) == on_cycle
-    ]
-    if not matches:
-        raise PlaneGraphError("cycle does not bound a region of the graph")
-    oriented = next((mch for mch in matches if _cyclic_equal(cycle, mch)), matches[0])
-
-    # Final labels: boundary in oriented order from cycle[0], then interior
-    # ascending.
-    order = linear_from(oriented, cycle[0])
-    order += [v for v in region_vertices if v not in on_cycle]
-    relabel = {old: new for new, old in enumerate(order)}
-    rotation = tuple(
-        tuple(relabel[u] for u in sub_rotation[old]) for old in order
-    )
-    outer = tuple(range(k))
-    sub = PlaneNearTriangulation(len(order), rotation, outer)
-    return sub, relabel
-
-
-def split_along(
-    graph: PlaneNearTriangulation, path: Sequence[int]
-) -> SplitResult:
-    """Split along a path whose endpoints lie on the outer cycle and whose
-    interior vertices (if any) are strictly inside.  A chord is the length-2
-    case.  Both parts are near-triangulations sharing exactly the path."""
-    if len(path) < 2:
-        raise PlaneGraphError("splitting path needs at least two vertices")
-    if len(set(path)) != len(path):
-        raise PlaneGraphError("splitting path repeats a vertex")
-    a, b = path[0], path[-1]
-    oc = graph.outer_cycle
-    pos = {v: i for i, v in enumerate(oc)}
-    if a not in pos or b not in pos:
-        raise PlaneGraphError("both path endpoints must lie on the outer cycle")
-    if a == b:
-        raise PlaneGraphError("path endpoints must be distinct")
-    for v in path[1:-1]:
-        if v in pos:
-            raise PlaneGraphError(f"path interior vertex {v} lies on the outer cycle")
-    for u, v in zip(path, path[1:]):
-        if not graph.has_edge(u, v):
-            raise PlaneGraphError(f"path step {u}-{v} is not an edge")
-    if len(path) == 2 and abs(pos[a] - pos[b]) in (1, len(oc) - 1):
-        raise PlaneGraphError("a splitting chord must join non-consecutive outer vertices")
-
-    i, j = pos[a], pos[b]
-    arc_ab = [oc[(i + t) % len(oc)] for t in range((j - i) % len(oc) + 1)]
-    arc_ba = [oc[(j + t) % len(oc)] for t in range((i - j) % len(oc) + 1)]
-    inner = list(path[1:-1])
-    cycle_one = arc_ab + inner[::-1]
-    cycle_two = arc_ba + inner
-
-    part_one, map_one = enclosed_region(graph, cycle_one)
-    part_two, map_two = enclosed_region(graph, cycle_two)
-    return SplitResult(
-        part_one,
-        part_two,
-        tuple(path),
-        tuple(sorted(map_one.items())),
-        tuple(sorted(map_two.items())),
-    )
 
 
 def blocks(graph) -> list[Block]:

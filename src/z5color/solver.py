@@ -1308,7 +1308,9 @@ def _anchored_embeddings(
 def validate_obstruction(cert: ObstructionCertificate) -> list[str]:
     """Independent re-check of a certificate: the recognizer must accept the
     graph, every non-path outer vertex must have exactly two forbidden
-    colors, and the certificate instance itself must have zero colorings."""
+    colors, and the certificate instance itself must have zero colorings.
+    The zero is decided by backtracking, not by the elimination counter
+    that found the witness."""
     problems: list[str] = []
     if recognize_generalized_multi_wheel(cert.graph, cert.path) is None:
         problems.append("recognizer rejects the certificate graph")
@@ -1325,7 +1327,7 @@ def validate_obstruction(cert: ObstructionCertificate) -> list[str]:
         problems.append("certificate must precolor exactly the principal path")
     if len(set(cert.embedding)) != cert.graph.vertex_count:
         problems.append("embedding is not injective")
-    if count_colorings(cert.graph, cert.phi, cert.colors) != 0:
+    if next(enumerate_colorings(cert.graph, cert.phi, cert.colors), None) is not None:
         problems.append("certificate instance is colorable")
     return problems
 

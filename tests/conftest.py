@@ -11,7 +11,15 @@ import pytest
 import z5color
 from z5color.families import build, BrokenWheel, Wheel
 from z5color.group_color import ColorSystem, PhiAssignment
-from z5color.plane_graph import PlaneNearTriangulation, validate
+from z5color.plane_graph import (
+    PlaneNearTriangulation,
+    cycle_side,
+    dart_faces,
+    faces_of,
+    linear_from,
+    outer_face_index,
+    validate,
+)
 
 
 def brute_count(n, phi, colors=None):
@@ -31,6 +39,49 @@ def brute_marginals(n, phi, colors, keep):
         if all((coloring[h] - coloring[t]) % m != x for t, h, x in phi.records):
             tally[tuple(coloring[v] for v in keep)] += 1
     return tally
+
+
+def _cycle_sides(graph, cycle):
+    """Independent oracle: (inside, outside, enclosed face indices) of a
+    cycle by a dual BFS over the traced faces, inside being the side away
+    from the outer face."""
+    outer_idx = outer_face_index(graph)
+    assert outer_idx is not None, "graph has no traced outer face"
+    for a, b in zip(cycle, [*cycle[1:], cycle[0]]):
+        assert graph.has_edge(a, b), f"cycle step {a}-{b} is not an edge"
+    faces = faces_of(graph)
+    inside, enclosed = cycle_side(faces, dart_faces(faces), outer_idx, cycle)
+    outside = set(range(graph.vertex_count)) - set(cycle) - inside
+    return frozenset(inside), frozenset(outside), enclosed
+
+
+def embedding_signature(graph, path):
+    """Independent oracle: canonical form of the embedded graph rooted at
+    the principal dart.  Two graphs admit an isomorphism that fixes the
+    principal path pointwise and preserves rotations iff their signatures
+    are equal."""
+    label = {path.major: 0, path.head: 1}
+    ref = {path.major: path.head, path.head: path.major}
+    order = [path.major, path.head]
+    rows = []
+    qi = 0
+    while qi < len(order):
+        v = order[qi]
+        qi += 1
+        row = []
+        for u in linear_from(graph.rotation[v], ref[v]):
+            if u not in label:
+                label[u] = len(label)
+                ref[u] = v
+                order.append(u)
+            row.append(label[u])
+        rows.append(tuple(row))
+    assert len(label) == graph.vertex_count, "graph is disconnected"
+    return (graph.vertex_count, tuple(rows))
+
+
+def principal_isomorphic(a, pa, b, pb):
+    return embedding_signature(a, pa) == embedding_signature(b, pb)
 
 
 @contextmanager

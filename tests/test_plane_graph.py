@@ -6,24 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cpu_time_limit, flipped_near_triangulation
+from conftest import _cycle_sides, cpu_time_limit, flipped_near_triangulation
+import z5color
 from z5color import plane_graph
 from z5color.families import BrokenWheel, Wheel, build, built_family
 from z5color.plane_graph import (
-    PlaneGraphError,
     PlaneNearTriangulation,
     ValidationReport,
-    _cycle_sides,
     blocks,
     chords,
     cycle_side,
     dart_faces,
-    enclosed_region,
     face_vertices,
     faces_of,
     outer_face_index,
     separating_cycles,
-    split_along,
     trace_faces,
     validate,
 )
@@ -409,67 +406,6 @@ def test_separating_triangles_are_found_without_a_dual_bfs(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# split_along / enclosed_region
-# ---------------------------------------------------------------------------
-
-
-def test_split_broken_wheel_chord_into_triangles(bw4):
-    g, _ = bw4
-    res = split_along(g, [0, 2])
-    assert res.part_one.vertex_count == res.part_two.vertex_count == 3
-    assert validate(res.part_one).ok and validate(res.part_two).ok
-    assert res.shared_boundary == (0, 2)
-    # old -> new maps cover exactly each part's vertices
-    assert {old for old, _ in res.map_one} | {old for old, _ in res.map_two} == {0, 1, 2, 3}
-
-
-def test_split_wheel_along_hub_path_face_counts(w5):
-    g, _ = w5
-    res = split_along(g, [1, 5, 4])
-    for part in (res.part_one, res.part_two):
-        assert validate(part).ok
-    inner = lambda x: len(faces_of(x)) - 1
-    assert inner(res.part_one) + inner(res.part_two) == inner(g)
-
-
-def test_split_family_chords_preserve_face_counts():
-    for d, g, _ in built_family(9):
-        for u, v in chords(g):
-            res = split_along(g, [u, v])
-            assert validate(res.part_one).ok and validate(res.part_two).ok
-            inner = lambda x: len(faces_of(x)) - 1
-            assert inner(res.part_one) + inner(res.part_two) == inner(g)
-
-
-def test_split_rejects_bad_paths(w5):
-    g, _ = w5
-    with pytest.raises(PlaneGraphError):
-        split_along(g, [0, 1])  # consecutive outer vertices: not a chord
-    with pytest.raises(PlaneGraphError):
-        split_along(g, [5, 0, 2])  # endpoint in the interior
-    with pytest.raises(PlaneGraphError):
-        split_along(g, [0, 3])  # not an edge
-    with pytest.raises(PlaneGraphError):
-        split_along(g, [0, 0])
-
-
-def test_enclosed_region_whole_graph_is_identity(w5):
-    g, _ = w5
-    sub, relabel = enclosed_region(g, list(g.outer_cycle))
-    assert sub.vertex_count == g.vertex_count
-    assert validate(sub).ok
-    assert sub.outer_cycle == g.outer_cycle
-    assert relabel == {v: v for v in range(g.vertex_count)}
-
-
-def test_enclosed_region_of_facial_triangle_is_bare(w5):
-    g, _ = w5
-    sub, _ = enclosed_region(g, [0, 1, 5])
-    assert sub.vertex_count == 3
-    assert validate(sub).ok
-
-
-# ---------------------------------------------------------------------------
 # blocks
 # ---------------------------------------------------------------------------
 
@@ -521,3 +457,32 @@ def test_blocks_isolated_vertex_and_random_agree_with_networkx(rng):
             assert len(seen & set(b.vertices)) == (1 if comp in started else 0)
             seen.update(b.vertices)
             started.add(comp)
+
+
+# ---------------------------------------------------------------------------
+# package surface
+# ---------------------------------------------------------------------------
+
+
+def test_package_surface_is_pinned():
+    assert all(hasattr(z5color, name) for name in z5color.__all__)
+    assert z5color.__all__ == [
+        "Block",
+        "ColorSystem",
+        "Coloring",
+        "GroupColorError",
+        "PhiAssignment",
+        "PlaneGraphError",
+        "PlaneNearTriangulation",
+        "ValidationReport",
+        "blocks",
+        "chords",
+        "is_proper",
+        "normalize_star",
+        "separating_cycles",
+        "shift_phi",
+        "tau",
+        "tau_set",
+        "triangle_consistent",
+        "validate",
+    ]

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conftest import (
+    _cycle_sides,
     brute_count,
     brute_marginals,
     cpu_time_limit,
@@ -34,7 +35,6 @@ from z5color.group_color import (
 )
 from z5color.plane_graph import (
     PlaneNearTriangulation,
-    _cycle_sides,
     face_vertices,
     faces_of,
     outer_face_index,
@@ -1414,6 +1414,28 @@ def test_validate_obstruction_flags_tampering():
         cert.colors.with_forbidden(2, {3}),
     )
     assert any("forbidden" in p or "colorable" in p for p in validate_obstruction(weakened))
+
+
+def test_validate_obstruction_needs_no_elimination(monkeypatch):
+    # The certificate's zero is re-decided by backtracking, not by the
+    # elimination counter that found the witness.
+    g, phi, cs, path = bw4_blocked_instance()
+    cert = extend_three(ExtensionProblem(g, phi, cs, path))
+    extendable = ObstructionCertificate(
+        cert.descriptor,
+        cert.graph,
+        cert.path,
+        cert.embedding,
+        cert.phi,
+        cert.colors.with_forbidden(2, {3}),
+    )
+
+    def no_elimination(*args):
+        raise AssertionError("validate_obstruction ran the elimination counter")
+
+    monkeypatch.setattr(solver, "marginal_counts", no_elimination)
+    assert validate_obstruction(cert) == []
+    assert "certificate instance is colorable" in validate_obstruction(extendable)
 
 
 def test_extend_three_budget_error():
