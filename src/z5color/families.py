@@ -23,6 +23,9 @@ Recognition inverts the grammar in one pass over one mutable copy: the
 Glue seams are read off the major vertex's rotation, then inserted hubs are
 peeled in place, lowest-numbered first and never retried (peels commute),
 until each part is an empty triangle or a wheel.
+
+``to_sexpr`` writes every descriptor and ``_fold`` reads it back, both on
+explicit stacks; every other walk over a descriptor goes through the two.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from heapq import heappop, heappush
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from .plane_graph import (
     PlaneNearTriangulation,
@@ -68,14 +71,26 @@ class Wheel:
     size: int  # outer cycle length; vertex count is size + 1
 
 
-@dataclass(frozen=True)
-class Glue:
+class _Composite:
+    """Compared and hashed by its ``to_sexpr`` text, not field by field."""
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return to_sexpr(self) == to_sexpr(other)
+
+    def __hash__(self) -> int:
+        return hash(to_sexpr(self))
+
+
+@dataclass(frozen=True, eq=False)
+class Glue(_Composite):
     left: "FamilyDescriptor"
     right: "FamilyDescriptor"
 
 
-@dataclass(frozen=True)
-class InsertWheel:
+@dataclass(frozen=True, eq=False)
+class InsertWheel(_Composite):
     base: "FamilyDescriptor"
     edge: int  # outer edge from canonical vertex `edge` to `edge + 1` of the base
     subdivisions: int
@@ -85,24 +100,10 @@ FamilyDescriptor = Union[BrokenWheel, Wheel, Glue, InsertWheel]
 
 
 def descriptor_size(d: FamilyDescriptor) -> int:
-    """Vertex count of the built graph: a sum over the terms, walked on an
-    explicit stack (each Glue shares two vertices between its parts)."""
-    total, stack = 0, [d]
-    while stack:
-        d = stack.pop()
-        if isinstance(d, BrokenWheel):
-            total += d.size
-        elif isinstance(d, Wheel):
-            total += d.size + 1
-        elif isinstance(d, Glue):
-            total -= 2
-            stack += (d.left, d.right)
-        elif isinstance(d, InsertWheel):
-            total += 1 + d.subdivisions
-            stack.append(d.base)
-        else:
-            raise FamilyError(f"not a descriptor: {d!r}")
-    return total
+    """Vertex count of the built graph: a sum over the terms (each Glue
+    shares two vertices between its parts)."""
+    leaf = {"broken": int, "wheel": (1).__add__}
+    return _fold(to_sexpr(d), leaf, lambda a, b: a + b - 2, lambda n, _, j: n + 1 + j)[0]
 
 
 def is_multi_wheel_descriptor(d: FamilyDescriptor) -> bool:
@@ -212,16 +213,8 @@ def build(d: FamilyDescriptor) -> tuple[PlaneNearTriangulation, PrincipalPath]:
     The outer cycle is 0..k-1 clockwise with the major vertex at 0, so the
     principal path is always (k-1, 0, 1).
     """
-    if isinstance(d, BrokenWheel):
-        g = _build_broken_wheel(d.size)
-    elif isinstance(d, Wheel):
-        g = _build_wheel(d.size)
-    elif isinstance(d, Glue):
-        g = _glue(build(d.left)[0], build(d.right)[0])
-    elif isinstance(d, InsertWheel):
-        g = _insert_wheel(build(d.base)[0], d.edge, d.subdivisions)
-    else:
-        raise FamilyError(f"not a descriptor: {d!r}")
+    leaf = {"broken": _build_broken_wheel, "wheel": _build_wheel}
+    (g,) = _fold(to_sexpr(d), leaf, _glue, _insert_wheel)
     return g, principal_path(g)
 
 
@@ -452,8 +445,7 @@ def _members_of_size(size: int) -> _Level:
       base's own.
 
     An offer's graph is made from the graphs already stored for its parts,
-    which is what ``build`` would rebuild recursively from their
-    descriptors."""
+    which is what ``build`` would rebuild from their descriptors."""
     with _collector_paused():
         return _generate(size)
 
@@ -596,8 +588,8 @@ def build_wheel_string(parts: Sequence[FamilyDescriptor]) -> WheelString:
 
 
 def to_sexpr(d: FamilyDescriptor) -> str:
-    """Written from a stack, as recognized members nest about as deep as
-    they are large."""
+    """The one writer of descriptors, from a stack, as recognized members
+    nest about as deep as they are large."""
     out: list[str] = []
     todo: list[str | tuple[FamilyDescriptor]] = [(d,)]  # text, or a term to write
     while todo:
@@ -624,18 +616,17 @@ def to_sexpr(d: FamilyDescriptor) -> str:
 _TOKEN = re.compile(r"\(|\)|[^\s()]+")
 
 
-def parse_sexprs(text: str) -> list[FamilyDescriptor]:
-    """The descriptors written one after another in ``text``: at least one,
-    and after each only another descriptor or the end."""
-    tokens = _TOKEN.findall(text)
-    pos = 0
+def _fold(text: str, leaf: dict, glue: Callable, insert: Callable) -> list:
+    """The descriptors written one after another in ``text`` (at least one,
+    and after each only another descriptor or the end), each folded
+    bottom-up by ``leaf[kind](size)``, ``glue(left, right)`` and
+    ``insert(base, edge, subdivisions)``, shift-reduce on open terms."""
+    tokens = _TOKEN.findall(text)[::-1]
 
     def take() -> str:
-        nonlocal pos
-        if pos >= len(tokens):
+        if not tokens:
             raise FamilyError("unexpected end of descriptor")
-        pos += 1
-        return tokens[pos - 1]
+        return tokens.pop()
 
     def number(token: str) -> int:
         try:
@@ -643,38 +634,46 @@ def parse_sexprs(text: str) -> list[FamilyDescriptor]:
         except ValueError:
             raise FamilyError(f"expected an integer, got {token!r}") from None
 
-    def parse() -> FamilyDescriptor:
+    done: list = []
+    open_terms: list[tuple] = []  # ("insert",), ("glue",) or ("glue", left)
+    while True:
         if take() != "(":
             raise FamilyError("descriptor must start with '('")
         kind = take()
-        if kind in ("broken", "wheel"):
-            size = number(take())
-            node: FamilyDescriptor = (
-                BrokenWheel(size) if kind == "broken" else Wheel(size)
-            )
-        elif kind == "glue":
-            left = parse()
-            right = parse()
-            node = Glue(left, right)
-        elif kind == "insert":
-            base = parse()
-            edge_tok = take()
-            j_tok = take()
-            if not edge_tok.startswith("t") or not j_tok.startswith("j="):
-                raise FamilyError(f"bad insert arguments {edge_tok!r} {j_tok!r}")
-            node = InsertWheel(base, number(edge_tok[1:]), number(j_tok[2:]))
-        else:
+        if kind in ("glue", "insert"):
+            open_terms.append((kind,))
+            continue
+        if kind not in leaf:
             raise FamilyError(f"unknown constructor {kind!r}")
-        if take() != ")":
-            raise FamilyError("missing ')' in descriptor")
-        return node
+        node = leaf[kind](number(take()))
+        while True:  # close the term just read and every term it completes
+            if take() != ")":
+                raise FamilyError("missing ')' in descriptor")
+            if not open_terms:
+                break
+            kind, *left = open_terms.pop()
+            if kind == "insert":
+                edge_tok, j_tok = take(), take()
+                if not edge_tok.startswith("t") or not j_tok.startswith("j="):
+                    raise FamilyError(f"bad insert arguments {edge_tok!r} {j_tok!r}")
+                node = insert(node, number(edge_tok[1:]), number(j_tok[2:]))
+            elif left:
+                node = glue(left[0], node)
+            else:
+                open_terms.append((kind, node))  # read the right part next
+                break
+        if not open_terms:
+            done.append(node)
+            if not tokens:
+                return done
+            if tokens[-1] != "(":
+                raise FamilyError("trailing tokens after descriptor")
 
-    nodes = [parse()]
-    while pos < len(tokens):
-        if tokens[pos] != "(":
-            raise FamilyError("trailing tokens after descriptor")
-        nodes.append(parse())
-    return nodes
+
+def parse_sexprs(text: str) -> list[FamilyDescriptor]:
+    """The descriptors written one after another in ``text``: at least one,
+    and after each only another descriptor or the end."""
+    return _fold(text, {"broken": BrokenWheel, "wheel": Wheel}, Glue, InsertWheel)
 
 
 def parse_sexpr(text: str) -> FamilyDescriptor:

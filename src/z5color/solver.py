@@ -210,7 +210,6 @@ def _capped(cached, cells: int):
     return cached if cells <= _CACHED_CELLS else cached.__wrapped__
 
 
-@lru_cache(maxsize=1024)
 def _gather(m: int, strides: tuple[int, ...]) -> tuple[int, ...]:
     """For each cell of a joint table with one axis of length ``m`` per
     entry of ``strides`` (last axis fastest), the cell of a factor table
@@ -237,7 +236,7 @@ def _reader(m: int, strides: tuple[int, ...]) -> tuple[itemgetter, itemgetter, t
     """``(whole, part, gather)`` for ``gather = _gather(m, strides)``, where
     ``whole`` reads the cells of all its entries out of a table in one call
     and ``part`` those of its first 1/m, whose first axis is 0."""
-    gather = _capped(_gather, m ** len(strides))(m, strides)
+    gather = _gather(m, strides)
     return _getter(gather), _getter(gather[: len(gather) // m]), gather
 
 

@@ -10,7 +10,7 @@ import pytest
 
 import z5color
 from z5color.families import build, BrokenWheel, Wheel
-from z5color.group_color import ColorSystem, PhiAssignment
+from z5color.group_color import PhiAssignment
 from z5color.plane_graph import (
     PlaneNearTriangulation,
     cycle_side,

@@ -14,11 +14,9 @@ import pytest
 
 from z5color.families import (
     BrokenWheel,
-    PrincipalPath,
     Wheel,
     build,
     built_family,
-    enumerate_family,
     is_multi_wheel_descriptor,
 )
 from z5color.group_color import ColorSystem, PhiAssignment, is_proper, shift_phi, tau

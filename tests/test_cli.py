@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from z5color import solver
 from z5color.cli import main
-from z5color.families import BrokenWheel, Wheel, build
+from z5color.families import (
+    BrokenWheel,
+    Wheel,
+    build,
+    parse_sexpr,
+    recognize_generalized_multi_wheel,
+)
 from z5color.gcg import parse_gcg, write_gcg
 from z5color.group_color import ColorSystem, PhiAssignment
 from z5color.solver import count_colorings
@@ -148,12 +154,13 @@ def test_family_recognize_rejects_non_member(capsys, tmp_path):
 
 
 def test_family_recognize_prints_a_long_glue_chain(capsys, tmp_path):
-    g, _ = build(BrokenWheel(2000))
+    g, p = build(BrokenWheel(2000))
     f = tmp_path / "bw2000.gcg"
     f.write_text(write_gcg(g, PhiAssignment.zero(g.edges()), ColorSystem.free(2000)))
     code, out, _ = run_cli(capsys, "family", "recognize", str(f))
     assert code == 0
     assert out == "(glue " * 1997 + "(broken 3)" + " (broken 3))" * 1997 + "\n"
+    assert parse_sexpr(out) == recognize_generalized_multi_wheel(g, p)
 
 
 def test_check_reports_and_exit_codes(capsys, tmp_path):

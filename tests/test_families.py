@@ -201,7 +201,7 @@ def test_recognizer_answers_are_pinned():
 
 def glue_chain_of_wheels(parts):
     """``Glue(Wheel(4), Glue(Wheel(4), ...))`` with ``parts`` wheels, made
-    from graphs (``build`` would recurse once per part)."""
+    from graphs, right-nested where the recognizer folds to the left."""
     wheel = families._build_wheel(4)
     chain = wheel
     for _ in range(parts - 1):
@@ -219,15 +219,16 @@ def nested_insertions(steps):
 
 
 @pytest.mark.parametrize(
-    "make, opening, innermost, closing, depth",
+    "make, opening, innermost, closing, depth, rebuilt",
     [
-        (lambda: build(BrokenWheel(2000))[0], "(glue ", "(broken 3)", " (broken 3))", 1997),
-        (lambda: glue_chain_of_wheels(500), "(glue ", "(wheel 4)", " (wheel 4))", 499),
-        (lambda: nested_insertions(1000), "(insert ", "(wheel 3)", " t1 j=1)", 1000),
+        (lambda: build(BrokenWheel(2000))[0], "(glue ", "(broken 3)", " (broken 3))", 1997,
+         lambda: build(BrokenWheel(1200))[0]),
+        (lambda: glue_chain_of_wheels(500), "(glue ", "(wheel 4)", " (wheel 4))", 499, None),
+        (lambda: nested_insertions(1000), "(insert ", "(wheel 3)", " t1 j=1)", 1000, None),
     ],
     ids=["broken-wheel-2000", "glue-chain-500", "insertions-1000"],
 )
-def test_recognizer_needs_no_recursion_at_scale(make, opening, innermost, closing, depth):
+def test_recognizer_needs_no_recursion_at_scale(make, opening, innermost, closing, depth, rebuilt):
     # Glue parts fold to the left whatever the nesting they were built in,
     # and the hub inserted last is peeled first.
     g = make()
@@ -235,6 +236,16 @@ def test_recognizer_needs_no_recursion_at_scale(make, opening, innermost, closin
         d = recognize_generalized_multi_wheel(g, families.principal_path(g))
         assert to_sexpr(d) == opening * depth + innermost + closing * depth
         assert is_multi_wheel_descriptor(d) == (opening == "(insert ")
+        again = parse_sexpr(to_sexpr(d))
+        assert again == d and hash(again) == hash(d)
+        assert descriptor_size(d) == g.vertex_count
+    # ``build`` is still quadratic in the Glue nesting, so the broken wheel
+    # is rebuilt at a smaller size.
+    if rebuilt is not None:
+        g = rebuilt()
+        d = recognize_generalized_multi_wheel(g, families.principal_path(g))
+    with cpu_time_limit(2):
+        assert build(d)[0] == g
 
 
 def test_descriptor_size_needs_no_recursion_at_scale():

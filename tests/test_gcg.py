@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_phi_on
-from z5color.families import BrokenWheel, Wheel, build
 from z5color.gcg import GcgError, parse_gcg, write_gcg
 from z5color.group_color import ColorSystem, PhiAssignment
 from z5color.propcheck import random_near_triangulation

@@ -26,8 +26,6 @@ from z5color.propcheck import (
     RandomInstanceConfig,
     _EVALUATORS,
     _run_packets,
-    check_calculus,
-    check_corollary,
     check_lemma,
     check_theorem4_bound,
     derive_seed,

@@ -15,14 +15,11 @@ from conftest import (
 )
 from z5color.families import (
     BrokenWheel,
-    Glue,
-    InsertWheel,
     PrincipalPath,
     Wheel,
     build,
     built_family,
     is_multi_wheel_descriptor,
-    to_sexpr,
 )
 from z5color import solver
 from z5color.group_color import (
@@ -565,7 +562,7 @@ def test_structure_cache_keeps_within_its_step_budget(monkeypatch):
 def test_tables_wider_than_the_cap_are_not_cached(monkeypatch):
     # Gathers, reads, spreads, cuts and structures over more than
     # _CACHED_CELLS cells are built for their call and dropped after it.
-    caches = (solver._gather, solver._reader, solver._spread, solver._cut)
+    caches = (solver._reader, solver._spread, solver._cut)
     monkeypatch.setattr(solver, "_plans", solver._PlanCache(solver._PLAN_STEP_BUDGET))
     for cache in caches:
         cache.cache_clear()
@@ -582,7 +579,7 @@ def test_tables_wider_than_the_cap_are_not_cached(monkeypatch):
         assert count_colorings(6, path) == 5 * 4**5
         assert count_colorings(g, phi) == wheel_chromatic_value(6, 5)
     assert plan_cache_info().entries == 1
-    assert solver._gather.cache_info().currsize > 0
+    assert solver._reader.cache_info().currsize > 0
 
 
 # ---------------------------------------------------------------------------
