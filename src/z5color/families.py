@@ -25,7 +25,8 @@ peeled in place, lowest-numbered first and never retried (peels commute),
 until each part is an empty triangle or a wheel.
 
 ``to_sexpr`` writes every descriptor and ``_fold`` reads it back, both on
-explicit stacks; every other walk over a descriptor goes through the two.
+explicit stacks; every other walk over a descriptor goes through the two,
+except ``repr``, which prints the dataclass text from a stack of its own.
 """
 
 from __future__ import annotations
@@ -72,7 +73,8 @@ class Wheel:
 
 
 class _Composite:
-    """Compared and hashed by its ``to_sexpr`` text, not field by field."""
+    """Compared and hashed by its ``to_sexpr`` text, not field by field, and
+    printed from a stack as the generated dataclass repr prints it."""
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -82,14 +84,34 @@ class _Composite:
     def __hash__(self) -> int:
         return hash(to_sexpr(self))
 
+    def __repr__(self) -> str:
+        out: list[str] = []
+        todo: list = [(self,)]  # text, or a term to write
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            (d,) = item
+            name = type(d).__qualname__
+            if isinstance(d, Glue):
+                out.append(f"{name}(left=")
+                todo += [")", (d.right,), ", right=", (d.left,)]
+            elif isinstance(d, InsertWheel):
+                out.append(f"{name}(base=")
+                todo += [f", edge={d.edge!r}, subdivisions={d.subdivisions!r})", (d.base,)]
+            else:
+                out.append(repr(d))
+        return "".join(out)
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Glue(_Composite):
     left: "FamilyDescriptor"
     right: "FamilyDescriptor"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class InsertWheel(_Composite):
     base: "FamilyDescriptor"
     edge: int  # outer edge from canonical vertex `edge` to `edge + 1` of the base

@@ -22,7 +22,9 @@ validated, immutable graph object, so what is kept per graph downstream
 (``faces_of``, and the adjacency sets and hash a graph object computes
 once) is found by identity.  The text-level checks and the edge, forbid,
 precolor and descriptor lines are checked on every parse, and an invalid
-graph is never cached: it raises on every parse.
+graph is never cached: it raises on every parse.  Those checks are all the
+labeling and the constraint system get: they are built from the checked
+lines without the constructors' second pass over the same data.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ class GcgDocument:
 
 def _ints(parts: list[str], line_no: int) -> list[int]:
     try:
-        return [int(p) for p in parts]
+        return list(map(int, parts))
     except ValueError:
         raise GcgError(f"line {line_no}: expected integers, got {parts!r}") from None
 
@@ -117,7 +119,7 @@ def parse_gcg(text: str) -> GcgDocument:
             if len(vals) != 3:
                 raise GcgError(f"line {line_no}: edge needs u v phi")
             u, v, x = vals
-            key = (min(u, v), max(u, v))
+            key = (u, v) if u < v else (v, u)
             if key in edge_lines:
                 raise GcgError(f"line {line_no}: duplicate edge line for {u}-{v}")
             edge_lines[key] = (u, v, x)
@@ -167,7 +169,7 @@ def parse_gcg(text: str) -> GcgDocument:
         records.append((u, v, x))
     for key in sorted(edge_set - set(edge_lines)):
         records.append((key[0], key[1], 0))
-    phi = PhiAssignment(modulus, tuple(records))
+    phi = PhiAssignment._derived(modulus, tuple(records))
 
     forbidden = [frozenset()] * n
     for v, colors in forbid.items():
@@ -181,7 +183,8 @@ def parse_gcg(text: str) -> GcgDocument:
             raise GcgError(f"precolor line for out-of-range vertex {v}")
         if not 0 <= c < modulus:
             raise GcgError(f"precolor {c} out of range mod {modulus}")
-    colors = ColorSystem(modulus, tuple(forbidden), tuple(sorted(precolor.items())))
+    precoloring = tuple(sorted(precolor.items()))
+    colors = ColorSystem._derived(modulus, tuple(forbidden), precoloring)
     return GcgDocument(graph, phi, colors, descriptor)
 
 

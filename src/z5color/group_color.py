@@ -62,6 +62,19 @@ class PhiAssignment:
         object.__setattr__(self, "_delta", delta)
 
     @classmethod
+    def _derived(
+        cls, modulus: int, records: tuple[tuple[int, int, int], ...]
+    ) -> PhiAssignment:
+        """A labeling whose records the caller has checked (distinct
+        non-loop edges, values in range, ``modulus`` >= 2), so the
+        ``__post_init__`` pass is skipped."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "modulus", modulus)
+        object.__setattr__(out, "records", records)
+        object.__setattr__(out, "_delta", {(t, h): x for t, h, x in records})
+        return out
+
+    @classmethod
     def zero(cls, edges: Iterable[tuple[int, int]], modulus: int = 5) -> PhiAssignment:
         """All-zero labeling on the given edges (canonical min->max orientation)."""
         return cls(modulus, tuple((min(u, v), max(u, v), 0) for u, v in edges))
@@ -94,13 +107,14 @@ class PhiAssignment:
         return self.remove_edges((u, v))
 
     def remove_edges(self, *edges: tuple[int, int]) -> PhiAssignment:
-        """The labeling without the given edges, built in one pass."""
+        """The labeling without the given edges, built in one pass; what is
+        kept was checked when ``self`` was built."""
         for u, v in edges:
             if not self.has_edge(u, v):
                 raise GroupColorError(f"{u}-{v} is not an edge of this labeling")
-        gone = {_edge_key(u, v) for u, v in edges}
-        kept = tuple(r for r in self.records if _edge_key(r[0], r[1]) not in gone)
-        return PhiAssignment(self.modulus, kept)
+        gone = {e for u, v in edges for e in ((u, v), (v, u))}
+        kept = tuple(r for r in self.records if (r[0], r[1]) not in gone)
+        return self._derived(self.modulus, kept)
 
     def with_flipped(self, u: int, v: int) -> PhiAssignment:
         """Same labeling with the stored record for uv reversed and negated."""
@@ -240,14 +254,18 @@ class ColorSystem:
                 return frozenset((c,))
         return frozenset(range(self.modulus)) - self.forbidden[v]
 
+    @classmethod
     def _derived(
-        self, forbidden: tuple[frozenset[int], ...], precoloring: tuple[tuple[int, int], ...]
+        cls,
+        modulus: int,
+        forbidden: tuple[frozenset[int], ...],
+        precoloring: tuple[tuple[int, int], ...],
     ) -> ColorSystem:
-        """A copy whose changed part the caller has checked; the rest was
-        checked when ``self`` was built, so the O(n) ``__post_init__`` pass
-        is skipped."""
-        out = object.__new__(ColorSystem)
-        object.__setattr__(out, "modulus", self.modulus)
+        """A system whose parts the caller has checked (a copy checks only
+        what it changes: the rest was checked when it was built), so the
+        O(n) ``__post_init__`` pass is skipped."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "modulus", modulus)
         object.__setattr__(out, "forbidden", forbidden)
         object.__setattr__(out, "precoloring", precoloring)
         return out
@@ -259,16 +277,16 @@ class ColorSystem:
             raise GroupColorError(f"forbidden colors at {v} out of range")
         fb = list(self.forbidden)
         fb[v] = fv
-        return self._derived(tuple(fb), self.precoloring)
+        return self._derived(self.modulus, tuple(fb), self.precoloring)
 
     def with_precolor(self, v: int, color: int) -> ColorSystem:
         self._check_vertex(v)
         if not 0 <= color < self.modulus:
             raise GroupColorError(f"precolor {color} out of range mod {self.modulus}")
         pre = tuple(sorted((dict(self.precoloring) | {v: color}).items()))
-        return self._derived(self.forbidden, pre)
+        return self._derived(self.modulus, self.forbidden, pre)
 
     def without_precolor(self, v: int) -> ColorSystem:
         self._check_vertex(v)
         pre = tuple((u, c) for u, c in self.precoloring if u != v)
-        return self._derived(self.forbidden, pre)
+        return self._derived(self.modulus, self.forbidden, pre)

@@ -11,18 +11,23 @@ Two independent routes compute with colorings:
   ``itemgetter`` gathers into its joint table, and an execution phase runs
   that structure as it is under the labels and lists of the call,
   multiplying and summing flat lists of Python ints (one axis of length m
-  per vertex).  The structure depends only on the vertex count, the
-  modulus, the set of edges and the kept vertices, so once that key recurs
-  it is kept, in a cache bounded by the steps it holds, and reused across
-  the many labelings and lists a check draws.  An edge vu whose far end u
-  no other factor of the step covers stays out of the joint table: the sum
-  over v of the other factors' product, less that product at the one
-  color of v the edge forbids, is the new factor, so the step works on a
-  table m times smaller.  Adding one color to every vertex maps proper
+  per vertex).  A factor is multiplied into a larger touching one only
+  when that host is narrower than the joint table; otherwise both are
+  gathered into the joint, so no product is built and then gathered again.
+  The structure depends only on the vertex count, the modulus, the set of
+  edges and the kept vertices, so once that key recurs it is kept, in a
+  cache bounded by the steps it holds, and reused across the many
+  labelings and lists a check draws; the keys of a result and the cells
+  they read are cached per modulus and kept lists.  An edge vu whose far
+  end u no other factor of the step covers stays out of the joint table:
+  the sum over v of the other factors' product, less that product at the
+  one color of v the edge forbids, is the new factor, so the step works on
+  a table m times smaller.  Adding one color to every vertex maps proper
   colorings to proper colorings, so a step whose factors come only from
   edges and full lists computes the 1/m slice of its table with first
-  color 0 and spreads it to the rest.  Fast enough to serve as the brute-force oracle
-  at desk scale.  The two routes are cross-checked in the test suite.
+  color 0 and spreads it to the rest.  Fast enough to serve as the
+  brute-force oracle at desk scale.  The two routes are cross-checked in
+  the test suite.
 
 ``first_coloring`` backtracks up to a fixed number of frames per vertex and
 past that decodes a coloring from the elimination plan, so it always
@@ -294,6 +299,17 @@ def _cut(m: int, shift: int, length: int) -> tuple[itemgetter, itemgetter]:
     return _getter(tuple(rest)), _getter(tuple(banned))
 
 
+@lru_cache(maxsize=256)
+def _readout(m: int, lists: tuple[tuple[int, ...], ...]) -> tuple[tuple, itemgetter]:
+    """``(keys, take)`` for kept vertices with these lists: the color tuples
+    in the order of the product of the lists, and a read of their cells, in
+    that order, from the table over every coloring of the kept vertices."""
+    cells = [0]
+    for colors in lists:
+        cells = [i * m + c for i in cells for c in colors]
+    return tuple(product(*lists)), _getter(tuple(cells))
+
+
 # What the counter does on one edge set under any labels and lists; built
 # by ``_compile``, which documents the fields, and run by ``_execute``.
 _Structure = namedtuple("_Structure", "steps final cells")
@@ -313,23 +329,24 @@ def _compile(
     merges, joins, spread, cut, feeds, into)``: ``axes`` is the scope of the
     joint table the joins are gathered into, v's neighbors (less ``cut``'s
     u) and then v; each merge ``(dst, src, take)`` multiplies a factor into
-    a touching factor whose scope holds its own, and each join ``(f, takes,
-    gather)`` gathers a factor into the joint table: ``gather`` maps each
-    joint cell to a cell of the factor (see ``_read``), ``takes[0]`` reads
-    every joint cell and ``takes[1]`` only those whose first axis is 0.
-    ``spread`` is None unless the new factor's scope is nonempty: then the
-    step may run shift-free, and ``spread`` expands the new factor's slice
-    to its whole table.  ``feeds`` holds the earlier steps whose new factors
-    the step reads.  ``into`` is ``(g, scope)`` for a partial list on v: it
-    is multiplied into factor g, the smallest touching factor with two or
-    more axes, over ``scope``, or, with g = -1, joined into the joint table
-    over ``scope`` = ``axes``.  ``cut`` is None unless the step leaves an edge vu
-    out of the joint (see ``marginal_counts``): then it is ``(u, j, low)``,
-    with j the edge's index and ``low`` whether v is its lower end, and the
-    new factor's scope is ``axes[:-1] + (u,)``; otherwise it is
-    ``axes[:-1]``.  ``final`` holds ``(f, take)``, each reading a factor
-    into a table over ``keep``, and ``cells`` is the size of the widest
-    table.
+    the smallest touching factor whose scope holds its own, and only when
+    that host has fewer axes than the joint table, and each join ``(f,
+    takes, gather)`` gathers a factor into the joint table: ``gather`` maps
+    each joint cell to a cell of the factor (see ``_read``), ``takes[0]``
+    reads every joint cell and ``takes[1]`` only those whose first axis is
+    0.  ``spread`` is None unless the new factor's scope is nonempty: then
+    the step may run shift-free, and ``spread`` expands the new factor's
+    slice to its whole table.  ``feeds`` holds the earlier steps whose new
+    factors the step reads.  ``into`` is ``(g, take)`` for a partial list
+    on v: ``take`` reads the list over the scope of factor g, the smallest
+    touching factor with two or more axes, to be multiplied into it, or,
+    with g = -1, over ``axes``, to be joined.  ``cut`` is None unless the
+    step leaves an edge vu out of the joint (see ``marginal_counts``): then
+    it is ``(u, j, low)``, with j the edge's index and ``low`` whether v is
+    its lower end, and the new factor's scope is ``axes[:-1] + (u,)``;
+    otherwise it is ``axes[:-1]``.  ``final`` holds ``(f, take)``, each
+    reading a factor into a table over ``keep``, and ``cells`` is the size
+    of the widest table.
     """
     keep_set = set(keep)
     size = sum(v not in keep_set for v in range(n))
@@ -385,20 +402,22 @@ def _compile(
                     cut = (u, f - size, v == a)
                     break
         # A factor whose scope lies inside a larger touching one is multiplied
-        # into it at that smaller size; the rest are gathered into the joint.
+        # into it at that smaller size if the host is narrower than the joint;
+        # the rest, wider hosts among them, are gathered into the joint.
         touching.sort(key=lambda f: len(scopes[f]))
         merges, joins = [], []
         for k, f in enumerate(touching):
             scope = scopes[f]
             for g in touching[k + 1 :]:
-                if len(scopes[g]) > len(scope) and all(u in scopes[g] for u in scope):
-                    merges.append((g, f, _read(m, scope, scopes[g])[0]))
+                host = scopes[g]
+                if len(scope) < len(host) < len(axes) and all(u in host for u in scope):
+                    merges.append((g, f, _read(m, scope, host)[0]))
                     break
             else:
                 whole, part, gather = _read(m, scope, axes)
                 joins.append((f, (whole, part), gather))
         g = next((f for f in touching if len(scopes[f]) > 1), -1)
-        into = (g, axes if g < 0 else scopes[g])
+        into = (g, _read(m, (v,), axes if g < 0 else scopes[g])[0])
         k = len(out_scope)
         spread = _capped(_spread, m**k)(m, k) if shift_free else None
         steps.append((v, axes, tuple(merges), tuple(joins), spread, cut, feeds, into))
@@ -531,12 +550,11 @@ def _execute(
     for out, (v, axes, merges, joins, spread, cut, feeds, into) in enumerate(st.steps):
         listed, columns = lists[v], []
         if listed is not None:
-            g, scope = into
-            column = _read(m, (v,), scope)[0](listed)
+            g, take = into
             if g < 0:
-                columns.append(column)
+                columns.append(take(listed))
             else:
-                tables[g] = list(map(mul, tables[g], column))
+                tables[g] = list(map(mul, tables[g], take(listed)))
         shift_free = (
             spread is not None and listed is None and all(map(free.__getitem__, feeds))
         )
@@ -590,10 +608,18 @@ def marginal_counts(
     labels and lists, over flat lists of Python ints, one axis of length m
     per vertex in mixed radix (first axis slowest), a forbidden color
     holding a zero: a step multiplies its gathered factors cell by cell and
-    sums each run of m cells along the eliminated vertex's axis.  A partial
-    list is merged into the smallest factor of two or more axes its
-    vertex's step touches (or joined, if none), and that step and every
-    step its new factor feeds do not run shift-free (see below).
+    sums each run of m cells along the eliminated vertex's axis.  A factor
+    inside a larger touching host is multiplied into it first only when the
+    host is narrower than the joint: a host as wide as the joint is
+    gathered whole, so a product built in it would be read a second time
+    (in full, where a shift-free step reads 1/m of the joint), and its
+    guests are gathered beside it instead.  A partial list is merged into
+    the smallest factor of two or more axes its vertex's step touches (or
+    joined, if none), and that step and every step its new factor feeds do
+    not run shift-free (see below).  The factors left over ``keep`` give
+    one table over every coloring of the kept vertices; the result's keys
+    and the cells they read come from one read-out per modulus and keep
+    lists (``_readout``), kept in a bounded cache.
 
     Cut steps leave one edge out of the joint table.  If an edge vu is the
     only touching factor that covers u, the step gathers the others into a
@@ -628,13 +654,9 @@ def marginal_counts(
     st, tables, lists, values = _elimination_plan(n, m, avail, phi.records, keep)
     _execute(st, tables, lists, values, m, False)
     columns = [take(tables[f]) for f, take in st.final]
-    acc = list(_product(columns, m ** len(keep)))
-    cells = [0]
-    for u in keep:
-        cells = [i * m + c for i in cells for c in avail[u]]
-    return dict(
-        zip(product(*(avail[u] for u in keep)), map(acc.__getitem__, cells))
-    )
+    size = m ** len(keep)
+    keys, take = _capped(_readout, size)(m, tuple(avail[u] for u in keep))
+    return dict(zip(keys, take(list(_product(columns, size)))))
 
 
 def count_colorings(

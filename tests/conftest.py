@@ -23,19 +23,19 @@ from z5color.plane_graph import (
 
 
 def brute_count(n, phi, colors=None):
-    """Independent oracle: literal enumeration of all modulus^n colorings."""
+    """Independent oracle: literal enumeration of every coloring inside the
+    lists."""
     return brute_marginals(n, phi, colors, ())[()]
 
 
 def brute_marginals(n, phi, colors, keep):
-    """Independent oracle: literal enumeration of all modulus^n colorings,
-    tallied by the colors of the ``keep`` vertices (missing tuples: 0)."""
+    """Independent oracle: literal enumeration of every coloring inside the
+    lists of ``colors`` (all modulus^n without), tallied by the colors of
+    the ``keep`` vertices (missing tuples: 0)."""
     m = phi.modulus
+    lists = [range(m) if colors is None else sorted(colors.available(v)) for v in range(n)]
     tally = collections.Counter()
-    for coloring in itertools.product(range(m), repeat=n):
-        if colors is not None:
-            if any(coloring[v] not in colors.available(v) for v in range(n)):
-                continue
+    for coloring in itertools.product(*lists):
         if all((coloring[h] - coloring[t]) % m != x for t, h, x in phi.records):
             tally[tuple(coloring[v] for v in keep)] += 1
     return tally

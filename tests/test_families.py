@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -219,16 +220,21 @@ def nested_insertions(steps):
 
 
 @pytest.mark.parametrize(
-    "make, opening, innermost, closing, depth, rebuilt",
+    "make, opening, innermost, closing, shown, depth, rebuilt",
     [
-        (lambda: build(BrokenWheel(2000))[0], "(glue ", "(broken 3)", " (broken 3))", 1997,
+        (lambda: build(BrokenWheel(2000))[0], "(glue ", "(broken 3)", " (broken 3))",
+         ("Glue(left=", "BrokenWheel(size=3)", ", right=BrokenWheel(size=3))"), 1997,
          lambda: build(BrokenWheel(1200))[0]),
-        (lambda: glue_chain_of_wheels(500), "(glue ", "(wheel 4)", " (wheel 4))", 499, None),
-        (lambda: nested_insertions(1000), "(insert ", "(wheel 3)", " t1 j=1)", 1000, None),
+        (lambda: glue_chain_of_wheels(500), "(glue ", "(wheel 4)", " (wheel 4))",
+         ("Glue(left=", "Wheel(size=4)", ", right=Wheel(size=4))"), 499, None),
+        (lambda: nested_insertions(1000), "(insert ", "(wheel 3)", " t1 j=1)",
+         ("InsertWheel(base=", "Wheel(size=3)", ", edge=1, subdivisions=1)"), 1000, None),
     ],
     ids=["broken-wheel-2000", "glue-chain-500", "insertions-1000"],
 )
-def test_recognizer_needs_no_recursion_at_scale(make, opening, innermost, closing, depth, rebuilt):
+def test_recognizer_needs_no_recursion_at_scale(
+    make, opening, innermost, closing, shown, depth, rebuilt
+):
     # Glue parts fold to the left whatever the nesting they were built in,
     # and the hub inserted last is peeled first.
     g = make()
@@ -239,6 +245,7 @@ def test_recognizer_needs_no_recursion_at_scale(make, opening, innermost, closin
         again = parse_sexpr(to_sexpr(d))
         assert again == d and hash(again) == hash(d)
         assert descriptor_size(d) == g.vertex_count
+        assert repr(d) == shown[0] * depth + shown[1] + shown[2] * depth
     # ``build`` is still quadratic in the Glue nesting, so the broken wheel
     # is rebuilt at a smaller size.
     if rebuilt is not None:
@@ -246,6 +253,22 @@ def test_recognizer_needs_no_recursion_at_scale(make, opening, innermost, closin
         d = recognize_generalized_multi_wheel(g, families.principal_path(g))
     with cpu_time_limit(2):
         assert build(d)[0] == g
+
+
+def test_descriptor_repr_is_the_dataclass_repr():
+    # Glue and InsertWheel print from a stack, as the generated dataclass
+    # repr, rebuilt here field by field, prints them.
+    def field_repr(d):
+        if not dataclasses.is_dataclass(d):
+            return repr(d)
+        fields = (f"{f.name}={field_repr(getattr(d, f.name))}" for f in dataclasses.fields(d))
+        return f"{type(d).__qualname__}({', '.join(fields)})"
+
+    members = built_family(10)
+    assert {type(d) for d, _, _ in members} == {BrokenWheel, Wheel, Glue, InsertWheel}
+    for d, _, _ in members:
+        assert repr(d) == field_repr(d)
+    assert repr(Glue(1, "x")) == "Glue(left=1, right='x')"
 
 
 def test_descriptor_size_needs_no_recursion_at_scale():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -227,3 +228,53 @@ def test_token_mutations_parse_or_raise_gcg_error(seed, mutations):
     except GcgError:
         return
     assert rewritten(parse_gcg(rewritten(doc))) == rewritten(doc)
+    # What the parser lets through, the public constructors accept.
+    assert_validated(doc)
+
+
+def assert_validated(doc):
+    """The parsed labeling and constraint system equal the objects their
+    validating constructors build from the same fields."""
+    phi = PhiAssignment(doc.phi.modulus, doc.phi.records)
+    colors = ColorSystem(doc.colors.modulus, doc.colors.forbidden, doc.colors.precoloring)
+    assert doc.phi == phi and phi == doc.phi and hash(doc.phi) == hash(phi)
+    assert doc.colors == colors and hash(doc.colors) == hash(colors)
+    n = doc.graph.vertex_count
+    for u, v in itertools.permutations(range(n), 2):
+        assert doc.phi.has_edge(u, v) == phi.has_edge(u, v) == doc.graph.has_edge(u, v)
+        if phi.has_edge(u, v):
+            assert doc.phi.offset(u, v) == phi.offset(u, v)
+
+
+def test_parsed_objects_equal_validated_ones(rng):
+    # The parser checks every edge, forbid and precolor line itself and
+    # builds its objects without checking them again.
+    for seed in range(40):
+        text = random_document(seed)
+        doc = parse_gcg(text)
+        assert_validated(doc)
+        g = doc.graph
+        written = parse_gcg(write_gcg(g, random_phi_on(g, rng, doc.phi.modulus), doc.colors))
+        assert written.colors == doc.colors
+        assert_validated(written)
+
+
+@pytest.mark.parametrize(
+    "mutation, message",
+    [
+        ("edge 1 1 0", "edge line 1-1 is not an edge of the rotation"),
+        ("edge 1 2 -1", "edge value -1 out of range mod 5"),
+        ("group 3", "precolor 3 out of range mod 3"),
+        ("group 2", "edge value 2 out of range mod 2"),
+        ("group 1", "line 10: group needs one integer >= 2"),
+        ("forbid 3 1", "forbid line for out-of-range vertex 3"),
+        ("forbid 1 -1", "forbid colors at 1 out of range mod 5"),
+        ("precolor 3 1", "precolor line for out-of-range vertex 3"),
+        ("precolor 1 -1", "precolor -1 out of range mod 5"),
+        ("precolor 0 1", "line 10: duplicate precolor line for 0"),
+    ],
+)
+def test_checks_behind_the_unchecked_objects_keep_their_messages(mutation, message):
+    with pytest.raises(GcgError) as exc:
+        parse_gcg(K3_TEXT + mutation + "\n")
+    assert str(exc.value) == message

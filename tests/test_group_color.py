@@ -15,6 +15,7 @@ from z5color.group_color import (
     tau_set,
     triangle_consistent,
 )
+from z5color.propcheck import random_near_triangulation
 
 
 def test_tau_stored_towards_named_vertex():
@@ -276,6 +277,55 @@ def test_phi_assignment_rejects_a_reversed_duplicate():
         PhiAssignment(5, ((2, 3, 0), (0, 1, 4), (3, 2, 1)))
     with pytest.raises(GroupColorError, match="duplicate"):
         PhiAssignment(5, ((2, 3, 0), (2, 3, 0)))
+
+
+def test_removed_edges_equal_a_validated_labeling(rng):
+    # remove_edges does not check the kept records again; its result must be
+    # the labeling the validating constructor builds from them.
+    for _ in range(40):
+        modulus = rng.choice((2, 3, 5, 7))
+        n = rng.randint(3, 12)
+        g = random_near_triangulation(n, rng.randint(3, n), rng.randrange(10**6))
+        phi = PhiAssignment(
+            modulus,
+            tuple(
+                (u, v, rng.randrange(modulus)) if rng.random() < 0.5
+                else (v, u, rng.randrange(modulus))
+                for u, v in g.edges()
+            ),
+        )
+        gone = [e if rng.random() < 0.5 else e[::-1] for e in rng.sample(list(g.edges()), 3)]
+        got = phi.remove_edges(*gone)
+        kept = tuple(r for r in phi.records if {r[0], r[1]} not in map(set, gone))
+        want = PhiAssignment(modulus, kept)
+        assert got.records == kept
+        assert got == want and want == got and hash(got) == hash(want)
+        for u, v in itertools.permutations(range(n), 2):
+            assert got.has_edge(u, v) == want.has_edge(u, v)
+            if want.has_edge(u, v):
+                assert got.offset(u, v) == want.offset(u, v)
+            else:
+                with pytest.raises(GroupColorError, match=f"^{u}-{v} is not an edge"):
+                    got.offset(u, v)
+        with pytest.raises(GroupColorError, match=f"^{gone[0][0]}-{gone[0][1]} is not an edge"):
+            got.remove_edges(gone[0])
+
+
+def test_public_constructors_keep_their_checks():
+    bad = [
+        (lambda: PhiAssignment(1, ()), "modulus must be >= 2, got 1"),
+        (lambda: PhiAssignment(5, ((0, 0, 1),)), "loop edge 0"),
+        (lambda: PhiAssignment(5, ((0, 1, 5),)), "value 5 out of range mod 5"),
+        (lambda: PhiAssignment(5, ((0, 1, 1), (1, 0, 2))), "duplicate edge record 1-0"),
+        (lambda: ColorSystem(5, (frozenset({7}),)), "forbidden colors at 0 out of range"),
+        (lambda: ColorSystem(5, (frozenset(),), ((0, 9),)), "precolor 9 out of range mod 5"),
+        (lambda: ColorSystem(5, (frozenset(),), ((0, 1), (0, 2))), "vertex 0 precolored twice"),
+        (lambda: ColorSystem(5, (frozenset(),), ((1, 0),)), "vertex 1 outside 0..0"),
+    ]
+    for make, message in bad:
+        with pytest.raises(GroupColorError) as exc:
+            make()
+        assert str(exc.value) == message
 
 
 def test_generic_modulus_supported():

@@ -356,6 +356,82 @@ def test_plan_marks_shift_free_steps_on_wheels():
         assert k == 3 or any(cut is not None for _, _, _, _, _, cut, _, _ in st.steps)
 
 
+def test_merges_go_only_into_hosts_narrower_than_the_joint(rng):
+    # A factor is multiplied into a touching host only when that host has
+    # fewer axes than the step's joint table; a host as wide as the joint
+    # is gathered into it beside its guests.  Step i's new factor has the
+    # joint's axes less v (plus u after a cut); edge factors have two.
+    def widths(st):
+        steps = [len(axes) - (cut is None) for _, axes, _, _, _, cut, _, _ in st.steps]
+        return lambda f: steps[f] if f < len(steps) else 2
+
+    instances = []  # (graph, phi, colors, keep)
+    for k in (3, 5, 8, 13):
+        for g, _ in (build(Wheel(k)), build(BrokenWheel(k + 1))):
+            instances.append((g, random_phi_on(g, rng), None, ()))
+    for _ in range(40):
+        n = rng.randint(3, 14) if len(instances) % 2 else rng.randint(3, 7)
+        g = random_near_triangulation(n, rng.randint(3, n), rng.randrange(10**6))
+        cs = ColorSystem.free(n)
+        for v in rng.sample(range(n), rng.randint(0, n // 2)):
+            cs = cs.with_forbidden(v, rng.sample(range(5), rng.randint(1, 3)))
+        keep = tuple(rng.sample(range(n), rng.randint(0, min(3, n))))
+        instances.append((g, random_phi_on(g, rng), cs, keep))
+    wheels = [m for m in built_family(10) if is_multi_wheel_descriptor(m[0])]
+    for _, g, p in wheels[:: len(wheels) // 40]:
+        cs = ColorSystem.free(g.vertex_count)
+        for v in g.outer_cycle:
+            if v not in (p.tail, p.major, p.head):
+                cs = cs.with_forbidden(v, rng.sample(range(5), 2))
+        phi = random_phi_on(g, rng).remove_edges((p.tail, p.major), (p.major, p.head))
+        instances.append((g, phi, cs, (p.tail, p.major, p.head)))
+    merges = brute_checked = 0
+    for g, phi, cs, keep in instances:
+        n = g.vertex_count
+        avail = _avail_lists(n, phi, cs)
+        st = _elimination_plan(n, 5, avail, phi.records, keep)[0]
+        width = widths(st)
+        for _, axes, step_merges, _, _, _, _, _ in st.steps:
+            for dst, src, _ in step_merges:
+                assert width(src) < width(dst) < len(axes)
+                merges += 1
+        if n <= 8:
+            table = marginal_counts(g, phi, cs, keep)
+            brute = brute_marginals(n, phi, cs, keep)
+            assert table == {key: brute[key] for key in table}
+            brute_checked += 1
+    assert merges > 50 and brute_checked > 30
+
+
+def test_marginal_counts_read_partial_keep_lists_in_product_order(rng):
+    # The keys and the cells they read come from one cached read-out per
+    # modulus and keep lists; a precolored or a listed keep vertex shrinks
+    # its axis, and two keeps with the same lists share one read-out.
+    solver._readout.cache_clear()
+    for _ in range(30):
+        n = rng.randint(4, 7)
+        g = random_near_triangulation(n, rng.randint(3, n), rng.randrange(10**6))
+        phi = random_phi_on(g, rng)
+        keep = tuple(rng.sample(range(n), 3))
+        cs = ColorSystem.free(n).with_precolor(keep[0], rng.randrange(5))
+        cs = cs.with_forbidden(keep[1], rng.sample(range(5), rng.randint(1, 4)))
+        table = marginal_counts(g, phi, cs, keep)
+        lists = [sorted(cs.available(u)) for u in keep]
+        assert list(table) == list(itertools.product(*lists))
+        brute = brute_marginals(n, phi, cs, keep)
+        assert table == {key: brute[key] for key in table}
+    g, _ = build(Wheel(6))
+    phi = random_phi_on(g, rng)
+    cs = ColorSystem.free(7).with_precolor(0, 2).with_precolor(3, 2)
+    cs = cs.with_forbidden(1, {0, 4}).with_forbidden(4, {0, 4})
+    solver._readout.cache_clear()
+    first = marginal_counts(g, phi, cs, (0, 1, 2))
+    again = marginal_counts(g, phi, cs, (3, 4, 5))
+    info = solver._readout.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert list(first) == list(again) == list(itertools.product((2,), (1, 2, 3), range(5)))
+
+
 def test_decoded_coloring_from_spread_tables(rng, monkeypatch):
     # Decoding reads the whole tables that shift-free steps spread out.
     # With the frame cap at 0, first_coloring decodes at once.
