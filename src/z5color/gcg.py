@@ -15,16 +15,22 @@ Parsing is strict: unknown directives, duplicate rot/edge lines, values out
 of range, and rotation/outer inconsistency (the graph must validate as a
 near-triangulation) are all hard errors.
 
-The graph work (building the rotation system, ``validate`` and its edge
-set) is cached per process, keyed by the rotation and outer tuples, for
-the 512 most recent graphs.  Documents that share a graph return one
-validated, immutable graph object, so what is kept per graph downstream
+The graph work is cached per process in two bounded caches.  The n, rot
+and outer lines are only set aside while the lines are read; one cache,
+keyed by their text and line numbers, reads and checks them and returns
+the graph, its edge set and its edges in sorted order, for the 512 most
+recent texts.  On a miss it asks the second, keyed by the rotation and
+outer tuples, which builds the rotation system and validates it, for the
+512 most recent graphs.  So graph lines seen before cost one lookup, and
+documents that share a graph, however it is written, get one validated,
+immutable graph object, so what is kept per graph downstream
 (``faces_of``, and the adjacency sets and hash a graph object computes
-once) is found by identity.  The text-level checks and the edge, forbid,
-precolor and descriptor lines are checked on every parse, and an invalid
-graph is never cached: it raises on every parse.  Those checks are all the
-labeling and the constraint system get: they are built from the checked
-lines without the constructors' second pass over the same data.
+once) is found by identity.  The edge, forbid, precolor and descriptor
+lines are checked on every parse; errors are never cached, so an invalid
+graph raises on every parse, and a document with several faults raises for
+the first of them, as if every line were read in order.  Those checks are
+all the labeling and the constraint system get: they are built from the
+checked lines without the constructors' second pass over the same data.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
+from typing import Iterable
 
 from .group_color import ColorSystem, PhiAssignment
 from .plane_graph import PlaneNearTriangulation, validate
@@ -56,49 +63,23 @@ def _ints(parts: list[str], line_no: int) -> list[int]:
         raise GcgError(f"line {line_no}: expected integers, got {parts!r}") from None
 
 
-@lru_cache(maxsize=512)
-def _checked(
-    rotation: tuple[tuple[int, ...], ...], outer: tuple[int, ...]
-) -> tuple[PlaneNearTriangulation, frozenset[tuple[int, int]]]:
-    """The validated graph and its edge set; raises ``GcgError`` (never
-    cached) for an invalid near-triangulation."""
-    graph = PlaneNearTriangulation(len(rotation), rotation, outer)
-    report = validate(graph)
-    if not report.ok:
-        raise GcgError("invalid near-triangulation: " + "; ".join(report.violations))
-    return graph, frozenset(graph.edges())
-
-
-def parse_gcg(text: str) -> GcgDocument:
-    """Parse one gcg document, checking every line (see the module
-    docstring).  Documents with equal graphs share one graph object, held
-    in a per-process cache of 512 graphs; parse errors are not cached."""
+def _graph_fields(
+    lines: Iterable[tuple[int, str]],
+) -> tuple[int | None, dict[int, list[int]], list[int] | None]:
+    """n, the neighbor list of each rot line by vertex and the outer cycle
+    read from the graph lines ``(line_no, text)`` in document order; each
+    line is checked as it comes, so the first faulty one raises."""
     n: int | None = None
-    modulus = 5
     rot_lines: dict[int, list[int]] = {}
     outer: list[int] | None = None
-    edge_lines: dict[tuple[int, int], tuple[int, int, int]] = {}
-    forbid: dict[int, frozenset[int]] = {}
-    precolor: dict[int, int] = {}
-    descriptor: str | None = None
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        kind, args = parts[0], parts[1:]
+    for line_no, line in lines:
+        kind, *args = line.partition("#")[0].split()
         if kind == "n":
             if n is not None:
                 raise GcgError(f"line {line_no}: duplicate n directive")
             (n,) = _ints(args, line_no) if len(args) == 1 else (None,)
             if n is None or n < 0:
                 raise GcgError(f"line {line_no}: n needs one nonnegative integer")
-        elif kind == "group":
-            vals = _ints(args, line_no)
-            if len(vals) != 1 or vals[0] < 2:
-                raise GcgError(f"line {line_no}: group needs one integer >= 2")
-            modulus = vals[0]
         elif kind == "rot":
             vals = _ints(args, line_no)
             if not vals:
@@ -107,43 +88,37 @@ def parse_gcg(text: str) -> GcgDocument:
             if v in rot_lines:
                 raise GcgError(f"line {line_no}: duplicate rot line for vertex {v}")
             rot_lines[v] = nbrs
-        elif kind == "outer":
+        else:
             vals = _ints(args, line_no)
             if outer is not None:
                 raise GcgError(f"line {line_no}: duplicate outer directive")
             if not vals or len(vals) != vals[0] + 1:
                 raise GcgError(f"line {line_no}: outer count does not match vertices")
             outer = vals[1:]
-        elif kind == "edge":
-            vals = _ints(args, line_no)
-            if len(vals) != 3:
-                raise GcgError(f"line {line_no}: edge needs u v phi")
-            u, v, x = vals
-            key = (u, v) if u < v else (v, u)
-            if key in edge_lines:
-                raise GcgError(f"line {line_no}: duplicate edge line for {u}-{v}")
-            edge_lines[key] = (u, v, x)
-        elif kind == "forbid":
-            vals = _ints(args, line_no)
-            if not 2 <= len(vals) <= 4:
-                raise GcgError(f"line {line_no}: forbid needs a vertex and 1..3 colors")
-            if vals[0] in forbid:
-                raise GcgError(f"line {line_no}: duplicate forbid line for {vals[0]}")
-            forbid[vals[0]] = frozenset(vals[1:])
-        elif kind == "precolor":
-            vals = _ints(args, line_no)
-            if len(vals) != 2:
-                raise GcgError(f"line {line_no}: precolor needs vertex and color")
-            if vals[0] in precolor:
-                raise GcgError(f"line {line_no}: duplicate precolor line for {vals[0]}")
-            precolor[vals[0]] = vals[1]
-        elif kind == "descriptor":
-            if descriptor is not None:
-                raise GcgError(f"line {line_no}: duplicate descriptor directive")
-            descriptor = " ".join(args)
-        else:
-            raise GcgError(f"line {line_no}: unknown directive {kind!r}")
+    return n, rot_lines, outer
 
+
+@lru_cache(maxsize=512)
+def _checked(
+    rotation: tuple[tuple[int, ...], ...], outer: tuple[int, ...]
+) -> tuple[PlaneNearTriangulation, frozenset[tuple[int, int]], tuple[tuple[int, int], ...]]:
+    """The validated graph, its edge set and its edges in sorted order;
+    raises ``GcgError`` (never cached) for an invalid near-triangulation."""
+    graph = PlaneNearTriangulation(len(rotation), rotation, outer)
+    report = validate(graph)
+    if not report.ok:
+        raise GcgError("invalid near-triangulation: " + "; ".join(report.violations))
+    edges = frozenset(graph.edges())
+    return graph, edges, tuple(sorted(edges))
+
+
+@lru_cache(maxsize=512)
+def _graph(
+    lines: tuple[tuple[int, str], ...],
+) -> tuple[PlaneNearTriangulation, frozenset[tuple[int, int]], tuple[tuple[int, int], ...]]:
+    """``_checked`` for the graph lines ``(line_no, text)`` of a document:
+    they are read and checked here, once per text; errors are not cached."""
+    n, rot_lines, outer = _graph_fields(lines)
     if n is None:
         raise GcgError("missing n directive")
     if outer is None:
@@ -156,10 +131,74 @@ def parse_gcg(text: str) -> GcgDocument:
         raise GcgError(f"missing rot lines for {missing} of {n} vertices, first {first}")
     if extra:
         raise GcgError(f"rot lines for out-of-range vertices {extra}")
+    return _checked(tuple(tuple(rot_lines[v]) for v in range(n)), tuple(outer))
 
-    graph, edge_set = _checked(
-        tuple(tuple(rot_lines[v]) for v in range(n)), tuple(outer)
-    )
+
+def parse_gcg(text: str) -> GcgDocument:
+    """Parse one gcg document, checking every line (see the module
+    docstring).  Documents with equal graphs share one graph object, held
+    in per-process caches of 512 graphs; parse errors are not cached."""
+    modulus = 5
+    graph_lines: list[tuple[int, str]] = []
+    edge_lines: dict[tuple[int, int], tuple[int, int, int]] = {}
+    forbid: dict[int, frozenset[int]] = {}
+    precolor: dict[int, int] = {}
+    descriptor: str | None = None
+    fault: GcgError | None = None
+    try:
+        for line_no, raw in enumerate(text.splitlines(), start=1):
+            parts = raw.partition("#")[0].split()
+            if not parts:
+                continue
+            kind = parts[0]
+            if kind == "edge":
+                try:
+                    _, u, v, x = parts
+                    u, v, x = int(u), int(v), int(x)
+                except ValueError:
+                    _ints(parts[1:], line_no)
+                    raise GcgError(f"line {line_no}: edge needs u v phi") from None
+                key = (u, v) if u < v else (v, u)
+                if key in edge_lines:
+                    raise GcgError(f"line {line_no}: duplicate edge line for {u}-{v}")
+                edge_lines[key] = (u, v, x)
+            elif kind == "rot" or kind == "outer" or kind == "n":
+                graph_lines.append((line_no, raw))
+            elif kind == "forbid":
+                vals = _ints(parts[1:], line_no)
+                if not 2 <= len(vals) <= 4:
+                    raise GcgError(f"line {line_no}: forbid needs a vertex and 1..3 colors")
+                if vals[0] in forbid:
+                    raise GcgError(f"line {line_no}: duplicate forbid line for {vals[0]}")
+                forbid[vals[0]] = frozenset(vals[1:])
+            elif kind == "precolor":
+                vals = _ints(parts[1:], line_no)
+                if len(vals) != 2:
+                    raise GcgError(f"line {line_no}: precolor needs vertex and color")
+                if vals[0] in precolor:
+                    raise GcgError(f"line {line_no}: duplicate precolor line for {vals[0]}")
+                precolor[vals[0]] = vals[1]
+            elif kind == "descriptor":
+                if descriptor is not None:
+                    raise GcgError(f"line {line_no}: duplicate descriptor directive")
+                descriptor = " ".join(parts[1:])
+            elif kind == "group":
+                vals = _ints(parts[1:], line_no)
+                if len(vals) != 1 or vals[0] < 2:
+                    raise GcgError(f"line {line_no}: group needs one integer >= 2")
+                modulus = vals[0]
+            else:
+                raise GcgError(f"line {line_no}: unknown directive {kind!r}")
+    except GcgError as error:
+        fault = error
+    if fault is not None:
+        # Graph lines are read only after the loop: a faulty one above this
+        # fault raises instead, so the first fault of the document wins.
+        _graph_fields(graph_lines)
+        raise fault
+
+    graph, edge_set, edges = _graph(tuple(graph_lines))
+    n = graph.vertex_count
     records = []
     for key, (u, v, x) in sorted(edge_lines.items()):
         if key not in edge_set:
@@ -167,8 +206,7 @@ def parse_gcg(text: str) -> GcgDocument:
         if not 0 <= x < modulus:
             raise GcgError(f"edge value {x} out of range mod {modulus}")
         records.append((u, v, x))
-    for key in sorted(edge_set - set(edge_lines)):
-        records.append((key[0], key[1], 0))
+    records += [(u, v, 0) for u, v in edges if (u, v) not in edge_lines]
     phi = PhiAssignment._derived(modulus, tuple(records))
 
     forbidden = [frozenset()] * n

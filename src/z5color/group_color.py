@@ -15,7 +15,8 @@ the bijection that adds the same constant to c(v0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 Coloring = tuple[int, ...]
@@ -38,12 +39,15 @@ class PhiAssignment:
 
     ``records`` holds one ``(tail, head, value)`` triple per undirected edge;
     the edge is directed towards ``head``.  Reversing a stored record negates
-    its value and changes nothing observable.
+    its value and changes nothing observable.  The map from stored
+    orientation to value that ``has_edge`` and ``offset`` read is built by
+    the validating constructor, which needs it to find duplicates, and
+    otherwise on the first query: a labeling built from checked records
+    (``remove_edges``, the gcg parser) may never be queried.
     """
 
     modulus: int
     records: tuple[tuple[int, int, int], ...]
-    _delta: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         if self.modulus < 2:
@@ -61,6 +65,10 @@ class PhiAssignment:
             delta[(tail, head)] = value
         object.__setattr__(self, "_delta", delta)
 
+    @cached_property
+    def _delta(self) -> dict[tuple[int, int], int]:
+        return {(t, h): x for t, h, x in self.records}
+
     @classmethod
     def _derived(
         cls, modulus: int, records: tuple[tuple[int, int, int], ...]
@@ -71,7 +79,6 @@ class PhiAssignment:
         out = object.__new__(cls)
         object.__setattr__(out, "modulus", modulus)
         object.__setattr__(out, "records", records)
-        object.__setattr__(out, "_delta", {(t, h): x for t, h, x in records})
         return out
 
     @classmethod
@@ -107,13 +114,16 @@ class PhiAssignment:
         return self.remove_edges((u, v))
 
     def remove_edges(self, *edges: tuple[int, int]) -> PhiAssignment:
-        """The labeling without the given edges, built in one pass; what is
-        kept was checked when ``self`` was built."""
-        for u, v in edges:
-            if not self.has_edge(u, v):
-                raise GroupColorError(f"{u}-{v} is not an edge of this labeling")
+        """The labeling without the given edges, built in one pass over the
+        records that also finds them; what is kept was checked when
+        ``self`` was built."""
         gone = {e for u, v in edges for e in ((u, v), (v, u))}
         kept = tuple(r for r in self.records if (r[0], r[1]) not in gone)
+        if len(kept) + len(edges) != len(self.records):
+            # An edge is missing or named twice: name the first missing one.
+            for u, v in edges:
+                if not self.has_edge(u, v):
+                    raise GroupColorError(f"{u}-{v} is not an edge of this labeling")
         return self._derived(self.modulus, kept)
 
     def with_flipped(self, u: int, v: int) -> PhiAssignment:

@@ -18,11 +18,12 @@ Two independent routes compute with colorings:
   edges and the kept vertices, so once that key recurs it is kept, in a
   cache bounded by the steps it holds, and reused across the many
   labelings and lists a check draws; the keys of a result and the cells
-  they read are cached per modulus and kept lists.  An edge vu whose far
-  end u no other factor of the step covers stays out of the joint table:
-  the sum over v of the other factors' product, less that product at the
-  one color of v the edge forbids, is the new factor, so the step works on
-  a table m times smaller.  Adding one color to every vertex maps proper
+  they read are cached per modulus and kept lists, and a vertex's list
+  per modulus and forbidden set.  An edge vu whose far end u no other
+  factor of the step covers stays out of the joint table: the sum over v
+  of the other factors' product, less that product at the one color of v
+  the edge forbids, is the new factor, so the step works on a table m
+  times smaller.  Adding one color to every vertex maps proper
   colorings to proper colorings, so a step whose factors come only from
   edges and full lists computes the 1/m slice of its table with first
   color 0 and spreads it to the rest.  Fast enough to serve as the
@@ -164,15 +165,39 @@ def _vertex_count(graph) -> int:
     return n
 
 
+def _labeled_edges(
+    n: int, phi: PhiAssignment
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """``(lows, highs, values)``: phi's edges as sorted ``(lower, higher)``
+    pairs, edge j carrying the constraint c_high − c_low ≠ ``values[j]``.
+    Neither the records' order nor their stored orientations show.  Raises
+    ``ExtensionError`` if an edge names a vertex outside 0..n−1 (the least
+    lower end and the greatest higher end tell)."""
+    m = phi.modulus
+    edges = sorted((t, h, x) if t < h else (h, t, -x % m) for t, h, x in phi.records)
+    if not edges:
+        return (), (), ()
+    lows, highs, values = zip(*edges)
+    if lows[0] < 0 or max(highs) >= n:
+        raise ExtensionError(f"labeling names a vertex outside 0..{n - 1}")
+    return lows, highs, values
+
+
+@lru_cache(maxsize=256)
+def _available(m: int, forbidden: frozenset[int]) -> tuple[int, ...]:
+    """The colors mod ``m`` outside ``forbidden``, ascending."""
+    return tuple(c for c in range(m) if c not in forbidden)
+
+
 def _avail_lists(
     n: int, phi: PhiAssignment, colors: ColorSystem | None
 ) -> list[tuple[int, ...]]:
-    for t, h, _ in phi.records:
-        if not (0 <= t < n and 0 <= h < n):
-            raise ExtensionError(f"labeling names a vertex outside 0..{n - 1}")
+    """Each vertex's available colors, ascending: its precolor alone, or
+    the colors outside its forbidden set, read from a small cache keyed by
+    the modulus and that set (a check draws a few sets over and over)."""
     modulus = phi.modulus
     if colors is None:
-        return [tuple(range(modulus))] * n
+        return [_available(modulus, frozenset())] * n
     if colors.vertex_count != n:
         raise ExtensionError(
             f"constraint system covers {colors.vertex_count} vertices, graph has {n}"
@@ -184,9 +209,8 @@ def _avail_lists(
     # One pass over the lists: ``available`` would scan the precoloring
     # once per vertex.
     pre = colors.precolor_map()
-    full = frozenset(range(modulus))
     return [
-        (pre[v],) if v in pre else tuple(sorted(full - fv))
+        (pre[v],) if v in pre else _available(modulus, fv)
         for v, fv in enumerate(colors.forbidden)
     ]
 
@@ -273,6 +297,16 @@ def _read(
     return _capped(_reader, m ** len(axes))(m, tuple(strides))
 
 
+@lru_cache(maxsize=256)
+def _list_reader(m: int, width: int, position: int) -> itemgetter:
+    """Reads a 0/1 list over the colors of the vertex at axis ``position``
+    into a table with ``width`` axes: each cell gets the entry at its
+    coordinate on that axis (``_read`` for a one-vertex scope)."""
+    strides = [0] * width
+    strides[position] = 1
+    return _getter(_gather(m, tuple(strides)))
+
+
 @lru_cache(maxsize=None)
 def _edge_tables(m: int) -> tuple[tuple[int, ...], ...]:
     """The flat tables over (lower, higher) vertex of the ``m`` edge
@@ -340,11 +374,12 @@ def _compile(
     factors the step reads.  ``into`` is ``(g, take)`` for a partial list
     on v: ``take`` reads the list over the scope of factor g, the smallest
     touching factor with two or more axes, to be multiplied into it, or,
-    with g = -1, over ``axes``, to be joined.  ``cut`` is None unless the
-    step leaves an edge vu out of the joint (see ``marginal_counts``): then
-    it is ``(u, j, low)``, with j the edge's index and ``low`` whether v is
-    its lower end, and the new factor's scope is ``axes[:-1] + (u,)``;
-    otherwise it is ``axes[:-1]``.  ``final`` holds ``(f, take)``, each
+    with g = -1, over ``axes``, to be joined; it depends only on the width
+    of that scope and v's place in it (``_list_reader``).  ``cut`` is None
+    unless the step leaves an edge vu out of the joint (see
+    ``marginal_counts``): then it is ``(u, j, low)``, with j the edge's
+    index and ``low`` whether v is its lower end, and the new factor's
+    scope is ``axes[:-1] + (u,)``; otherwise it is ``axes[:-1]``.  ``final`` holds ``(f, take)``, each
     reading a factor into a table over ``keep``, and ``cells`` is the size
     of the widest table.
     """
@@ -417,7 +452,8 @@ def _compile(
                 whole, part, gather = _read(m, scope, axes)
                 joins.append((f, (whole, part), gather))
         g = next((f for f in touching if len(scopes[f]) > 1), -1)
-        into = (g, _read(m, (v,), axes if g < 0 else scopes[g])[0])
+        host = axes if g < 0 else scopes[g]
+        into = (g, _capped(_list_reader, m ** len(host))(m, len(host), host.index(v)))
         k = len(out_scope)
         spread = _capped(_spread, m**k)(m, k) if shift_free else None
         steps.append((v, axes, tuple(merges), tuple(joins), spread, cut, feeds, into))
@@ -490,27 +526,26 @@ def _elimination_plan(
     n: int,
     m: int,
     avail: list[tuple[int, ...]],
-    records: Sequence[tuple[int, int, int]],
+    edges: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]],
     keep: tuple[int, ...],
 ) -> tuple[_Structure, list, list, tuple[int, ...]]:
-    """The counter's plan for one call: the structure of the edge set (from
-    the cache, else compiled), the table list with the edge tables after
-    the steps' slots, each vertex's 0/1 list (None when full) and the edge
-    labels.  Edge j of the structure, ``(lows[j], highs[j])``, carries the
-    constraint c_high − c_low ≠ ``values[j]``.  Records are keyed by their
-    sorted ``(lower, higher)`` pairs, so neither their order nor their
-    stored orientation shapes the structure."""
-    edges = sorted((t, h, x) if t < h else (h, t, -x % m) for t, h, x in records)
-    lows, highs, values = zip(*edges) if edges else ((), (), ())
+    """The counter's plan for one call on the ``(lows, highs, values)`` of
+    ``_labeled_edges``: the structure of the edge set (from the cache, else
+    compiled), the table list with the edge tables after the steps' slots,
+    each vertex's 0/1 list (None when full) and the edge labels."""
+    lows, highs, values = edges
     st = _plans.structure((n, m, lows, highs, keep))
     rows = _edge_tables(m)
     tables: list = [None] * len(st.steps)
     tables += [rows[y] for y in values]
-    lists = [
-        None if len(colors) == m else [int(c in colors) for c in range(m)]
-        for colors in avail
-    ]
+    lists = [None if len(colors) == m else _indicator(m, colors) for colors in avail]
     return st, tables, lists, values
+
+
+@lru_cache(maxsize=256)
+def _indicator(m: int, colors: tuple[int, ...]) -> tuple[int, ...]:
+    """The 0/1 list over the colors mod ``m`` of a partial list."""
+    return tuple(int(c in colors) for c in range(m))
 
 
 def _product(columns: list, size: int) -> Iterable[int]:
@@ -644,6 +679,7 @@ def marginal_counts(
     """
     n = _vertex_count(graph)
     m = phi.modulus
+    edges = _labeled_edges(n, phi)
     avail = _avail_lists(n, phi, colors)
     keep = tuple(keep)
     if len(set(keep)) != len(keep):
@@ -651,7 +687,7 @@ def marginal_counts(
     if not all(0 <= u < n for u in keep):
         raise ExtensionError(f"keep names a vertex outside 0..{n - 1}")
 
-    st, tables, lists, values = _elimination_plan(n, m, avail, phi.records, keep)
+    st, tables, lists, values = _elimination_plan(n, m, avail, edges, keep)
     _execute(st, tables, lists, values, m, False)
     columns = [take(tables[f]) for f, take in st.final]
     size = m ** len(keep)
@@ -704,21 +740,25 @@ def _backtrack(
     once it has pushed more than ``frame_cap`` frames (None: no cap)."""
     n = _vertex_count(graph)
     m = phi.modulus
-    avail = _avail_lists(n, phi, colors)
     order = coloring_order(graph)
+    depth_of = {v: i for i, v in enumerate(order)}
+    # Forward checking only touches neighbors later in the order.  A record
+    # naming a vertex outside the graph has no depth.
+    later: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    try:
+        for tail, head, value in phi.records:
+            if depth_of[head] > depth_of[tail]:
+                later[tail].append((head, value))
+            else:
+                later[head].append((tail, (-value) % m))
+    except KeyError:
+        raise ExtensionError(f"labeling names a vertex outside 0..{n - 1}") from None
+    avail = _avail_lists(n, phi, colors)
 
     masks = [0] * n
     for v in range(n):
         for c in avail[v]:
             masks[v] |= 1 << c
-    depth_of = {v: i for i, v in enumerate(order)}
-    # Forward checking only touches neighbors later in the order.
-    later: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for tail, head, value in phi.records:
-        if depth_of[head] > depth_of[tail]:
-            later[tail].append((head, value))
-        else:
-            later[head].append((tail, (-value) % m))
 
     if n == 0:
         yield ()
@@ -796,7 +836,7 @@ def _decode_coloring(
     """A proper coloring inside the lists ``avail``, or None if there is
     none, decoded from the elimination plan (see ``first_coloring``)."""
     m = phi.modulus
-    st, tables, lists, values = _elimination_plan(n, m, avail, phi.records, ())
+    st, tables, lists, values = _elimination_plan(n, m, avail, _labeled_edges(n, phi), ())
     _execute(st, tables, lists, values, m, True)
     if not all(_product([take(tables[f]) for f, take in st.final], 1)):
         return None

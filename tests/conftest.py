@@ -88,7 +88,11 @@ def principal_isomorphic(a, pa, b, pb):
 def cpu_time_limit(seconds):
     """Raise ``TimeoutError`` inside the block once this process has spent
     ``seconds`` of CPU time in it, so a runaway computation fails fast
-    instead of hanging the suite (POSIX only: SIGVTALRM)."""
+    instead of hanging the suite (POSIX only: SIGVTALRM).  A
+    ``RecursionError`` in the block fails the test with a one-line message
+    (what ``pytest.fail(..., pytrace=False)`` raises, without the
+    ``RecursionError`` as its context): pytest's report of a traceback that
+    deep, chained or not, took minutes."""
 
     def expire(signum, frame):
         raise TimeoutError(f"ran past its {seconds} s CPU-time alarm")
@@ -97,6 +101,8 @@ def cpu_time_limit(seconds):
     signal.setitimer(signal.ITIMER_VIRTUAL, seconds)
     try:
         yield
+    except RecursionError as exc:
+        raise pytest.fail.Exception(f"RecursionError: {exc}", pytrace=False) from None
     finally:
         signal.setitimer(signal.ITIMER_VIRTUAL, 0)
         signal.signal(signal.SIGVTALRM, previous)
@@ -127,6 +133,12 @@ def flipped_near_triangulation(g, rng, tries):
         if validate(PlaneNearTriangulation.from_lists(new, outer)).ok:
             rot = new
     return PlaneNearTriangulation.from_lists(rot, outer)
+
+
+def never_queried(phi):
+    """Whether the labeling ``phi`` has not yet built the edge map that
+    ``has_edge`` and ``offset`` read."""
+    return "_delta" not in vars(phi)
 
 
 def random_phi_on(graph, rng, modulus=5):

@@ -1,11 +1,13 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_phi_on
+from conftest import never_queried, random_phi_on
+from z5color import gcg
 from z5color.gcg import GcgError, parse_gcg, write_gcg
 from z5color.group_color import ColorSystem, PhiAssignment
 from z5color.propcheck import random_near_triangulation
@@ -56,6 +58,10 @@ def test_nondefault_group_round_trip(k3):
     assert doc.colors.modulus == 7
 
 
+def exactly(message):
+    return "^" + re.escape(message) + "$"
+
+
 @pytest.mark.parametrize(
     "mutation, message",
     [
@@ -70,12 +76,27 @@ def test_nondefault_group_round_trip(k3):
         ("forbid 1 0 1 2 3", "1..3 colors"),
         ("precolor 1 7", "out of range"),
         ("descriptor x\ndescriptor y", "duplicate descriptor"),
+        ("rot 0 1 x", exactly("line 10: expected integers, got ['0', '1', 'x']")),
+        ("rot 3 0 1", exactly("rot lines for out-of-range vertices [3]")),
+        ("outer 3 0 2 1", exactly("line 10: duplicate outer directive")),
+        # The graph lines are read after the others: the first fault still
+        # wins, whichever kind of line it is on.
+        ("rot 1 x\nwobble", exactly("line 10: expected integers, got ['1', 'x']")),
+        ("wobble\nrot 1 x", exactly("line 10: unknown directive 'wobble'")),
+        ("outer 2 0 1\nedge 0 1", exactly("line 10: duplicate outer directive")),
     ],
 )
 def test_strict_parse_errors(mutation, message):
-    parse_gcg(K3_TEXT)  # the graph is cached; the lines are still checked
-    with pytest.raises(GcgError, match=message):
-        parse_gcg(K3_TEXT + mutation + "\n")
+    # The same message whether the document's graph lines and its graph
+    # are cached or not (errors never are).
+    for cached in (True, False):
+        if cached:
+            parse_gcg(K3_TEXT)
+        else:
+            gcg._graph.cache_clear()
+            gcg._checked.cache_clear()
+        with pytest.raises(GcgError, match=message):
+            parse_gcg(K3_TEXT + mutation + "\n")
 
 
 def test_missing_pieces_are_errors():
@@ -137,6 +158,15 @@ def test_documents_with_one_graph_share_one_graph_object(rng, w5):
     ]
     assert all(doc.graph is docs[0].graph for doc in docs)
     assert docs[0].graph == g
+    # Graph lines are cached by their text; the same graph written with
+    # comments, other spacing and its lines in another order misses that
+    # cache and still gets the one graph object.
+    lines = write_gcg(g, random_phi_on(g, rng)).splitlines()
+    graph_lines = [line for line in lines if line.split()[0] in ("n", "rot", "outer")]
+    respaced = ["  " + "   ".join(line.split()) + "  # note" for line in reversed(graph_lines)]
+    others = [line for line in lines if line not in graph_lines]
+    variant = parse_gcg("# the same graph\n\n" + "\n".join(others + respaced) + "\n")
+    assert variant.graph is docs[0].graph
     # Round trips keep the documents and the shared graph.
     for doc in docs:
         again = parse_gcg(write_gcg(doc.graph, doc.phi, doc.colors, doc.descriptor))
@@ -234,9 +264,12 @@ def test_token_mutations_parse_or_raise_gcg_error(seed, mutations):
 
 def assert_validated(doc):
     """The parsed labeling and constraint system equal the objects their
-    validating constructors build from the same fields."""
+    validating constructors build from the same fields.  The parsed
+    labeling builds its edge map on its first query, so it is compared
+    before and after that."""
     phi = PhiAssignment(doc.phi.modulus, doc.phi.records)
     colors = ColorSystem(doc.colors.modulus, doc.colors.forbidden, doc.colors.precoloring)
+    assert never_queried(doc.phi)
     assert doc.phi == phi and phi == doc.phi and hash(doc.phi) == hash(phi)
     assert doc.colors == colors and hash(doc.colors) == hash(colors)
     n = doc.graph.vertex_count

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import brute_count, cpu_time_limit, random_phi_on
+from conftest import brute_count, cpu_time_limit, never_queried, random_phi_on
 from z5color.families import Wheel, build
 from z5color.group_color import (
     ColorSystem,
@@ -280,8 +280,9 @@ def test_phi_assignment_rejects_a_reversed_duplicate():
 
 
 def test_removed_edges_equal_a_validated_labeling(rng):
-    # remove_edges does not check the kept records again; its result must be
-    # the labeling the validating constructor builds from them.
+    # remove_edges does not check the kept records again, nor build the map
+    # that queries read; its result must be the labeling the validating
+    # constructor builds from them, before and after its first query.
     for _ in range(40):
         modulus = rng.choice((2, 3, 5, 7))
         n = rng.randint(3, 12)
@@ -299,6 +300,7 @@ def test_removed_edges_equal_a_validated_labeling(rng):
         kept = tuple(r for r in phi.records if {r[0], r[1]} not in map(set, gone))
         want = PhiAssignment(modulus, kept)
         assert got.records == kept
+        assert never_queried(got)
         assert got == want and want == got and hash(got) == hash(want)
         for u, v in itertools.permutations(range(n), 2):
             assert got.has_edge(u, v) == want.has_edge(u, v)
@@ -309,6 +311,15 @@ def test_removed_edges_equal_a_validated_labeling(rng):
                     got.offset(u, v)
         with pytest.raises(GroupColorError, match=f"^{gone[0][0]}-{gone[0][1]} is not an edge"):
             got.remove_edges(gone[0])
+        # An absent edge raises on a labeling that was never queried too,
+        # naming the first absent edge; an edge named twice is no fault.
+        present = [r[:2] for r in kept[:1]]
+        for labeling in (got, phi.remove_edges(*gone)):
+            (a, b), (c, d) = gone[:2]
+            with pytest.raises(GroupColorError) as exc:
+                labeling.remove_edges(*present, (b, a), (c, d))
+            assert str(exc.value) == f"{b}-{a} is not an edge of this labeling"
+        assert phi.remove_edges(gone[0], gone[0][::-1], gone[0]) == phi.remove_edges(gone[0])
 
 
 def test_public_constructors_keep_their_checks():

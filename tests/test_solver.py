@@ -54,6 +54,7 @@ from z5color.solver import (
     _elimination_plan,
     _execute,
     _inner_arc,
+    _labeled_edges,
     classify_alpha,
     color_short_cycle,
     count_colorings,
@@ -215,7 +216,7 @@ def test_marginal_counts_match_literal_enumeration():
         assert all(type(value) is int for value in table.values())
         brute = brute_marginals(n, phi, colors, keep)
         assert table == {key: brute[key] for key in table}
-        st = _elimination_plan(n, m, avail, phi.records, keep)[0]
+        st = _elimination_plan(n, m, avail, _labeled_edges(n, phi), keep)[0]
         cut_steps += sum(cut is not None for _, _, _, _, _, cut, _, _ in st.steps)
     assert cut_steps > 100
 
@@ -331,14 +332,14 @@ def test_plan_marks_shift_free_steps_on_wheels():
         n = g.vertex_count
         phi = PhiAssignment.zero(g.edges())
         full = [tuple(range(5))] * n
-        st, tables, lists, values = _elimination_plan(n, 5, full, phi.records, ())
+        st, tables, lists, values = _elimination_plan(n, 5, full, _labeled_edges(n, phi), ())
         free = _execute(st, tables, lists, values, 5, False)
         for (_, axes, _, _, spread, cut, _, _), shift_free in zip(st.steps, free):
             assert (spread is not None) == shift_free == leaves_a_factor(axes, cut)
         for rim in (1, k // 2 + 1):
             avail = list(full)
             avail[rim] = (0, 2, 4)
-            st, tables, lists, values = _elimination_plan(n, 5, avail, phi.records, ())
+            st, tables, lists, values = _elimination_plan(n, 5, avail, _labeled_edges(n, phi), ())
             free = _execute(st, tables, lists, values, 5, False)
             # Step i's new factor is factor i; the edge tables follow.
             assert len(tables) == len(st.steps) + len(phi.records)
@@ -389,7 +390,7 @@ def test_merges_go_only_into_hosts_narrower_than_the_joint(rng):
     for g, phi, cs, keep in instances:
         n = g.vertex_count
         avail = _avail_lists(n, phi, cs)
-        st = _elimination_plan(n, 5, avail, phi.records, keep)[0]
+        st = _elimination_plan(n, 5, avail, _labeled_edges(n, phi), keep)[0]
         width = widths(st)
         for _, axes, step_merges, _, _, _, _, _ in st.steps:
             for dst, src, _ in step_merges:
