@@ -40,12 +40,7 @@ from functools import lru_cache, reduce
 from heapq import heappop, heappush
 from typing import Callable, Iterator, Sequence, Union
 
-from .plane_graph import (
-    PlaneNearTriangulation,
-    faces_of,
-    linear_from,
-    outer_face_index,
-)
+from .plane_graph import PlaneNearTriangulation, faces_of, linear_from
 
 
 class FamilyError(ValueError):
@@ -360,14 +355,10 @@ def facial_triangle_property(
 ) -> bool:
     """Every inner face has a vertex on the outer cycle other than the
     major vertex (holds throughout the generalized multi-wheel class)."""
-    outer_idx = outer_face_index(graph)
     allowed = graph.outer_set() - {path.major}
-    for i, face in enumerate(faces_of(graph)):
-        if i == outer_idx:
-            continue
-        if not any(d[0] in allowed for d in face):
-            return False
-    return True
+    # The outer face needs no skipping: its vertices are the outer cycle's,
+    # at least two of them, so one of them is allowed.
+    return all(any(d[0] in allowed for d in face) for face in faces_of(graph))
 
 
 # ---------------------------------------------------------------------------

@@ -15,21 +15,16 @@ Parsing is strict: unknown directives, duplicate rot/edge lines, values out
 of range, and rotation/outer inconsistency (the graph must validate as a
 near-triangulation) are all hard errors.
 
-The graph work is cached per process in two bounded caches.  The n, rot
-and outer lines are only set aside while the lines are read; one cache,
-keyed by their text and line numbers, reads and checks them and returns
-the graph, its edge set and its edges in sorted order, for the 512 most
-recent texts.  On a miss it asks the second, keyed by the rotation and
-outer tuples, which builds the rotation system and validates it, for the
-512 most recent graphs.  So graph lines seen before cost one lookup, and
-documents that share a graph, however it is written, get one validated,
-immutable graph object, so what is kept per graph downstream
-(``faces_of``, and the adjacency sets and hash a graph object computes
-once) is found by identity.  The edge, forbid, precolor and descriptor
-lines are checked on every parse; errors are never cached, so an invalid
-graph raises on every parse, and a document with several faults raises for
-the first of them, as if every line were read in order.  Those checks are
-all the labeling and the constraint system get: they are built from the
+The graph work is cached per process.  The n, rot and outer lines are only
+set aside while the lines are read; one bounded cache, keyed by their text
+and line numbers, reads and checks them, builds and validates the graph and
+returns it with its edge set and its edges in sorted order, for the 512
+most recent texts.  So graph lines seen before cost one lookup and give
+the same graph object.  The edge, forbid, precolor and descriptor lines
+are checked on every parse; errors are never cached, so an invalid graph
+raises on every parse, and a document with several faults raises for the
+first of them, as if every line were read in order.  Those checks are all
+the labeling and the constraint system get: they are built from the
 checked lines without the constructors' second pass over the same data.
 """
 
@@ -99,25 +94,12 @@ def _graph_fields(
 
 
 @lru_cache(maxsize=512)
-def _checked(
-    rotation: tuple[tuple[int, ...], ...], outer: tuple[int, ...]
-) -> tuple[PlaneNearTriangulation, frozenset[tuple[int, int]], tuple[tuple[int, int], ...]]:
-    """The validated graph, its edge set and its edges in sorted order;
-    raises ``GcgError`` (never cached) for an invalid near-triangulation."""
-    graph = PlaneNearTriangulation(len(rotation), rotation, outer)
-    report = validate(graph)
-    if not report.ok:
-        raise GcgError("invalid near-triangulation: " + "; ".join(report.violations))
-    edges = frozenset(graph.edges())
-    return graph, edges, tuple(sorted(edges))
-
-
-@lru_cache(maxsize=512)
 def _graph(
     lines: tuple[tuple[int, str], ...],
 ) -> tuple[PlaneNearTriangulation, frozenset[tuple[int, int]], tuple[tuple[int, int], ...]]:
-    """``_checked`` for the graph lines ``(line_no, text)`` of a document:
-    they are read and checked here, once per text; errors are not cached."""
+    """The validated graph of the graph lines ``(line_no, text)`` of a
+    document, its edge set and its edges in sorted order; the lines are read
+    and checked here, once per text.  Raises ``GcgError`` (never cached)."""
     n, rot_lines, outer = _graph_fields(lines)
     if n is None:
         raise GcgError("missing n directive")
@@ -131,13 +113,20 @@ def _graph(
         raise GcgError(f"missing rot lines for {missing} of {n} vertices, first {first}")
     if extra:
         raise GcgError(f"rot lines for out-of-range vertices {extra}")
-    return _checked(tuple(tuple(rot_lines[v]) for v in range(n)), tuple(outer))
+    rotation = tuple(tuple(rot_lines[v]) for v in range(n))
+    graph = PlaneNearTriangulation(n, rotation, tuple(outer))
+    report = validate(graph)
+    if not report.ok:
+        raise GcgError("invalid near-triangulation: " + "; ".join(report.violations))
+    edges = frozenset(graph.edges())
+    return graph, edges, tuple(sorted(edges))
 
 
 def parse_gcg(text: str) -> GcgDocument:
     """Parse one gcg document, checking every line (see the module
-    docstring).  Documents with equal graphs share one graph object, held
-    in per-process caches of 512 graphs; parse errors are not cached."""
+    docstring).  Documents whose graph lines read the same share one graph
+    object, held in a per-process cache of 512 texts; parse errors are not
+    cached."""
     modulus = 5
     graph_lines: list[tuple[int, str]] = []
     edge_lines: dict[tuple[int, int], tuple[int, int, int]] = {}
@@ -181,6 +170,8 @@ def parse_gcg(text: str) -> GcgDocument:
             elif kind == "descriptor":
                 if descriptor is not None:
                     raise GcgError(f"line {line_no}: duplicate descriptor directive")
+                if len(parts) == 1:
+                    raise GcgError(f"line {line_no}: descriptor needs an s-expression")
                 descriptor = " ".join(parts[1:])
             elif kind == "group":
                 vals = _ints(parts[1:], line_no)

@@ -17,13 +17,15 @@ trace its shrinking sub-regions: a 2-extension chord split needs no side at
 all (the boundary is relinked), a short-cycle region is read from the
 rotations of its cycle's vertices, and faces are traced (``trace_faces``,
 which also takes a ``{vertex: neighbors}`` sub-rotation) only for the
-boundary of an interior block.
+boundary of an interior block.  Traced faces are not cached: each query
+that needs them (``validate``, ``separating_cycles`` of 4-cycles) traces
+the graph once and reads the outer face from those same faces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 Dart = tuple[int, int]
@@ -44,15 +46,6 @@ class PlaneNearTriangulation:
     vertex_count: int
     rotation: tuple[tuple[int, ...], ...]
     outer_cycle: tuple[int, ...]
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        # Hashed once per instance: ``faces_of`` and other caches keyed by
-        # the graph would otherwise rehash every rotation on every hit.
-        return hash((self.vertex_count, self.rotation, self.outer_cycle))
 
     @cached_property
     def _adj(self) -> tuple[frozenset[int], ...]:
@@ -155,8 +148,8 @@ def trace_faces(
     return faces
 
 
-@lru_cache(maxsize=512)
 def faces_of(graph: PlaneNearTriangulation) -> tuple[tuple[Dart, ...], ...]:
+    """The graph's traced faces (``trace_faces``), traced on every call."""
     return tuple(trace_faces(graph.rotation))
 
 
@@ -191,8 +184,15 @@ def _edge_keys(cycle: Sequence[int]) -> set[tuple[int, int]]:
 def outer_face_index(graph: PlaneNearTriangulation) -> int | None:
     """Index of the first traced orbit that reads the outer cycle (up to
     rotation), or None."""
+    return _outer_index(graph, faces_of(graph))
+
+
+def _outer_index(
+    graph: PlaneNearTriangulation, faces: Sequence[Sequence[Dart]]
+) -> int | None:
+    """``outer_face_index`` among the graph's already traced ``faces``."""
     oc = graph.outer_cycle
-    for i, face in enumerate(faces_of(graph)):
+    for i, face in enumerate(faces):
         if len(face) == len(oc) and _cyclic_equal(oc, face_vertices(face)):
             return i
     return None
@@ -307,7 +307,7 @@ def validate(graph: PlaneNearTriangulation) -> ValidationReport:
         )
         return ValidationReport(tuple(problems))
 
-    outer_idx = outer_face_index(graph)
+    outer_idx = _outer_index(graph, faces)
     if outer_idx is None:
         problems.append("outer cycle does not bound a traced face (clockwise order)")
         return ValidationReport(tuple(problems))
@@ -336,13 +336,6 @@ def chords(graph: PlaneNearTriangulation) -> list[tuple[int, int]]:
             if gap not in (1, k - 1):
                 out.append((u, v))
     return out
-
-
-def _traced_outer(graph: PlaneNearTriangulation) -> int:
-    outer_idx = outer_face_index(graph)
-    if outer_idx is None:
-        raise PlaneGraphError("graph has no traced outer face; validate first")
-    return outer_idx
 
 
 def separating_cycles(graph: PlaneNearTriangulation, length: int) -> list[tuple[int, ...]]:
@@ -377,7 +370,10 @@ def separating_cycles(graph: PlaneNearTriangulation, length: int) -> list[tuple[
             and not (turns(u, v, w) and turns(v, w, u) and turns(w, u, v))
             and not (turns(v, u, w) and turns(u, w, v) and turns(w, v, u))
         ]
-    faces, outer_idx = faces_of(graph), _traced_outer(graph)
+    faces = faces_of(graph)
+    outer_idx = _outer_index(graph, faces)
+    if outer_idx is None:
+        raise PlaneGraphError("graph has no traced outer face; validate first")
     candidates = []
     for a in range(n):
         nb = sorted(x for x in adj[a] if x > a)

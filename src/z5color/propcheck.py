@@ -7,10 +7,10 @@ auxiliary integers), so they can be partitioned across worker processes and
 replayed bit-exactly: the same seed always produces the same packets, and a
 counterexample's payload re-runs through ``replay`` standalone.  A stream
 depends only on the check id and the config's ``n_max``, ``samples``,
-``seed`` and ``phi_mode``.  Below its smallest instance a check raises
-``PropcheckError``; the smallest ``n_max`` is 3 for lemma2, lemma4, lemma5
-and corollary2, 4 for calculus, lemma1 and theorem4, 6 for lemma3a and
-cor1, and 7 for lemma3b.
+``seed`` and ``phi_mode``.  With negative ``samples``, or below its
+smallest instance, a check raises ``PropcheckError``; the smallest
+``n_max`` is 3 for lemma2, lemma4, lemma5 and corollary2, 4 for calculus,
+lemma1 and theorem4, 6 for lemma3a and cor1, and 7 for lemma3b.
 
 Property identifiers:
 
@@ -810,6 +810,8 @@ _LEMMAS = {1: "lemma1", 2: "lemma2", "3a": "lemma3a", "3b": "lemma3b",
 def run_check(property_id: str, cfg: RandomInstanceConfig, jobs: int = 1) -> CheckReport:
     if property_id not in CHECKS:
         raise PropcheckError(f"unknown property {property_id!r}")
+    if cfg.samples < 0:
+        raise PropcheckError("samples must be at least 0")
     start = time.perf_counter()
     packets = CHECKS[property_id](cfg)
     failures = _run_packets(packets, jobs)
@@ -833,10 +835,6 @@ def check_lemma(ident, cfg: RandomInstanceConfig, jobs: int = 1) -> CheckReport:
     if name not in _LEMMAS.values():
         raise PropcheckError(f"unknown lemma identifier {ident!r}")
     return run_check(name, cfg, jobs)
-
-
-def check_calculus(cfg: RandomInstanceConfig, jobs: int = 1) -> CheckReport:
-    return run_check("calculus", cfg, jobs)
 
 
 def check_theorem4_bound(cfg: RandomInstanceConfig, jobs: int = 1) -> CheckReport:

@@ -13,11 +13,11 @@ from z5color.families import build, BrokenWheel, Wheel
 from z5color.group_color import PhiAssignment
 from z5color.plane_graph import (
     PlaneNearTriangulation,
+    _outer_index,
     cycle_side,
     dart_faces,
     faces_of,
     linear_from,
-    outer_face_index,
     validate,
 )
 
@@ -45,11 +45,11 @@ def _cycle_sides(graph, cycle):
     """Independent oracle: (inside, outside, enclosed face indices) of a
     cycle by a dual BFS over the traced faces, inside being the side away
     from the outer face."""
-    outer_idx = outer_face_index(graph)
+    faces = faces_of(graph)
+    outer_idx = _outer_index(graph, faces)
     assert outer_idx is not None, "graph has no traced outer face"
     for a, b in zip(cycle, [*cycle[1:], cycle[0]]):
         assert graph.has_edge(a, b), f"cycle step {a}-{b} is not an edge"
-    faces = faces_of(graph)
     inside, enclosed = cycle_side(faces, dart_faces(faces), outer_idx, cycle)
     outside = set(range(graph.vertex_count)) - set(cycle) - inside
     return frozenset(inside), frozenset(outside), enclosed

@@ -72,6 +72,10 @@ def test_enumerate_limit(capsys, k3_file):
     lines = out.strip().splitlines()
     assert lines[-1] == "enumerated: 4"
     assert len(lines) == 5
+    code, out, _ = run_cli(capsys, "enumerate", k3_file, "--limit", "0")
+    assert (code, out) == (0, "enumerated: 0\n")
+    code, out, err = run_cli(capsys, "enumerate", k3_file, "--limit", "-2")
+    assert (code, out, err) == (1, "", "error: --limit must be at least 0, got -2\n")
 
 
 def test_extend2(capsys, tmp_path):
@@ -218,6 +222,13 @@ def test_check_below_the_smallest_instance_is_an_error(capsys, prop):
     code, out, err = run_cli(capsys, "check", prop, "--n-max", "2")
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "n_max" in err
+
+
+def test_check_with_negative_samples_is_an_error(capsys):
+    code, out, err = run_cli(capsys, "check", "lemma1", "--samples", "-3")
+    assert (code, out, err) == (1, "", "error: samples must be at least 0\n")
+    code, out, _ = run_cli(capsys, "check", "lemma1", "--samples", "0")
+    assert code == 0 and "instances: 0" in out
 
 
 def test_extend3_budget_exhaustion_is_an_error(capsys, blocked_bw4_file):

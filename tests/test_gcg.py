@@ -84,6 +84,9 @@ def exactly(message):
         ("rot 1 x\nwobble", exactly("line 10: expected integers, got ['1', 'x']")),
         ("wobble\nrot 1 x", exactly("line 10: unknown directive 'wobble'")),
         ("outer 2 0 1\nedge 0 1", exactly("line 10: duplicate outer directive")),
+        # A descriptor is opaque text, but there must be some.
+        ("descriptor", exactly("line 10: descriptor needs an s-expression")),
+        ("descriptor   # none", exactly("line 10: descriptor needs an s-expression")),
     ],
 )
 def test_strict_parse_errors(mutation, message):
@@ -94,7 +97,6 @@ def test_strict_parse_errors(mutation, message):
             parse_gcg(K3_TEXT)
         else:
             gcg._graph.cache_clear()
-            gcg._checked.cache_clear()
         with pytest.raises(GcgError, match=message):
             parse_gcg(K3_TEXT + mutation + "\n")
 
@@ -160,13 +162,13 @@ def test_documents_with_one_graph_share_one_graph_object(rng, w5):
     assert docs[0].graph == g
     # Graph lines are cached by their text; the same graph written with
     # comments, other spacing and its lines in another order misses that
-    # cache and still gets the one graph object.
+    # cache and gets an equal graph.
     lines = write_gcg(g, random_phi_on(g, rng)).splitlines()
     graph_lines = [line for line in lines if line.split()[0] in ("n", "rot", "outer")]
     respaced = ["  " + "   ".join(line.split()) + "  # note" for line in reversed(graph_lines)]
     others = [line for line in lines if line not in graph_lines]
     variant = parse_gcg("# the same graph\n\n" + "\n".join(others + respaced) + "\n")
-    assert variant.graph is docs[0].graph
+    assert variant.graph == docs[0].graph
     # Round trips keep the documents and the shared graph.
     for doc in docs:
         again = parse_gcg(write_gcg(doc.graph, doc.phi, doc.colors, doc.descriptor))

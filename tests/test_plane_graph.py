@@ -6,10 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _cycle_sides, cpu_time_limit, flipped_near_triangulation
+from conftest import _cycle_sides, flipped_near_triangulation
 import z5color
-from z5color import plane_graph
-from z5color.families import BrokenWheel, Wheel, build, built_family
+from z5color import gcg, plane_graph
+from z5color.families import (
+    BrokenWheel,
+    Wheel,
+    build,
+    built_family,
+    facial_triangle_property,
+    principal_path,
+)
 from z5color.plane_graph import (
     PlaneNearTriangulation,
     ValidationReport,
@@ -383,15 +390,33 @@ def test_separating_triangles_match_the_traced_faces():
     assert separating > 100
 
 
-def test_faces_of_hits_do_not_rehash_the_graph():
-    g = build(Wheel(19999))[0]
+def test_each_face_query_traces_the_graph_once(monkeypatch):
+    # Traced faces are not cached: a query that needs them traces once and
+    # reads the outer face from those same faces.
+    _, g, _ = next(m for m in built_family(8) if separating_cycles(m[1], 4))
+    text, path = gcg.write_gcg(g), principal_path(g)
     copy = PlaneNearTriangulation(g.vertex_count, g.rotation, g.outer_cycle)
     assert copy == g and hash(copy) == hash(g)
     assert hash(g) == hash((g.vertex_count, g.rotation, g.outer_cycle))
-    faces = faces_of(g)
-    with cpu_time_limit(2):
-        for _ in range(10_000):
-            assert faces_of(g) is faces
+    traced = []
+
+    def counted(rotation):
+        traced.append(rotation)
+        return trace_faces(rotation)
+
+    monkeypatch.setattr(plane_graph, "trace_faces", counted)
+    queries = {
+        "validate": lambda: validate(g).ok,
+        "parse_gcg miss": lambda: gcg._graph.cache_clear() or gcg.parse_gcg(text).graph == g,
+        "facial_triangle_property": lambda: facial_triangle_property(g, path),
+        "separating_cycles(g, 4)": lambda: bool(separating_cycles(g, 4)),
+    }
+    for name, query in queries.items():
+        traced.clear()
+        assert query(), name
+        assert traced == [g.rotation], name
+    traced.clear()
+    assert gcg.parse_gcg(text).graph == g and traced == []  # a cache hit traces nothing
 
 
 def test_separating_triangles_are_found_without_a_dual_bfs(monkeypatch):
