@@ -21,7 +21,7 @@ from . import families, gcg, propcheck, solver
 from .families import FamilyError
 from .gcg import GcgError
 from .group_color import GroupColorError
-from .propcheck import CHECK_IDS, PropcheckError, RandomInstanceConfig
+from .propcheck import CHECK_IDS, PHI_MODES, PropcheckError, RandomInstanceConfig
 from .solver import (
     ExtensionError,
     ExtensionProblem,
@@ -233,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--phi-mode", choices=("uniform", "zero", "sparse"), default="uniform")
+    p.add_argument("--phi-mode", choices=PHI_MODES, default="uniform")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--report", metavar="PATH")
     p.set_defaults(fn=_cmd_check)

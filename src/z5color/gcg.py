@@ -224,6 +224,14 @@ def write_gcg(
     descriptor: str | None = None,
     comment: str | None = None,
 ) -> str:
+    """The gcg text of a graph with its labeling, constraint system and
+    descriptor, each optional.  A descriptor must read back as written, so
+    one that is blank, holds a ``#`` or a line break, or has whitespace
+    other than single spaces between its words raises ``GcgError``."""
+    if descriptor is not None and (
+        not descriptor or "#" in descriptor or " ".join(descriptor.split()) != descriptor
+    ):
+        raise GcgError(f"descriptor {descriptor!r} would not read back as written")
     lines = []
     if comment:
         for part in comment.splitlines():
@@ -247,6 +255,6 @@ def write_gcg(
                 lines.append(f"forbid {v} " + " ".join(str(c) for c in sorted(fv)))
         for v, c in colors.precoloring:
             lines.append(f"precolor {v} {c}")
-    if descriptor:
+    if descriptor is not None:
         lines.append(f"descriptor {descriptor}")
     return "\n".join(lines) + "\n"

@@ -40,10 +40,11 @@ class PhiAssignment:
     ``records`` holds one ``(tail, head, value)`` triple per undirected edge;
     the edge is directed towards ``head``.  Reversing a stored record negates
     its value and changes nothing observable.  The map from stored
-    orientation to value that ``has_edge`` and ``offset`` read is built by
-    the validating constructor, which needs it to find duplicates, and
-    otherwise on the first query: a labeling built from checked records
-    (``remove_edges``, the gcg parser) may never be queried.
+    orientation to value that ``has_edge`` and ``offset`` read has one
+    builder, run on the first query however the labeling was made (the
+    validating constructor finds duplicates on a set of its own): a
+    labeling built from checked records (``remove_edges``, the gcg parser)
+    may never be queried.
     """
 
     modulus: int
@@ -52,21 +53,20 @@ class PhiAssignment:
     def __post_init__(self) -> None:
         if self.modulus < 2:
             raise GroupColorError(f"modulus must be >= 2, got {self.modulus}")
-        delta: dict[tuple[int, int], int] = {}
+        seen: set[tuple[int, int]] = set()
         for tail, head, value in self.records:
             if tail == head:
                 raise GroupColorError(f"loop edge {tail}")
             if not 0 <= value < self.modulus:
                 raise GroupColorError(f"value {value} out of range mod {self.modulus}")
-            if (tail, head) in delta or (head, tail) in delta:
+            if (tail, head) in seen or (head, tail) in seen:
                 raise GroupColorError(f"duplicate edge record {tail}-{head}")
-            # tau(v=tail, alpha, u=head) = alpha + value; only the stored
-            # orientation is kept, and ``offset`` negates a reversed query.
-            delta[(tail, head)] = value
-        object.__setattr__(self, "_delta", delta)
+            seen.add((tail, head))
 
     @cached_property
     def _delta(self) -> dict[tuple[int, int], int]:
+        # tau(v=tail, alpha, u=head) = alpha + value; only the stored
+        # orientation is kept, and ``offset`` negates a reversed query.
         return {(t, h): x for t, h, x in self.records}
 
     @classmethod

@@ -10,22 +10,22 @@ orbit; all other orbits are the inner faces, traversed counterclockwise.
 
 Vertices are dense indices 0..n-1.  All structural queries the extension
 arguments need live here: chords, separating short cycles and the block
-decomposition.  ``cycle_side`` (a dual BFS over traced faces) decides which
-vertices a cycle encloses; separating triangles need neither a BFS nor a
-traced face and are decided from the rotations alone.  The solver does not
-trace its shrinking sub-regions: a 2-extension chord split needs no side at
-all (the boundary is relinked), a short-cycle region is read from the
-rotations of its cycle's vertices, and faces are traced (``trace_faces``,
-which also takes a ``{vertex: neighbors}`` sub-rotation) only for the
-boundary of an interior block.  Traced faces are not cached: each query
-that needs them (``validate``, ``separating_cycles`` of 4-cycles) traces
-the graph once and reads the outer face from those same faces.
+decomposition.  Separating triangles and 4-cycles are decided from the
+rotations alone, by one rule (``separating_cycles``), with no face traced.
+The solver does not trace its shrinking sub-regions either: a 2-extension
+chord split needs no side at all (the boundary is relinked), a short-cycle
+region is read from the rotations of its cycle's vertices, and faces are
+traced (``trace_faces``, which also takes a ``{vertex: neighbors}``
+sub-rotation) only for the boundary of an interior block.  Traced faces are
+not cached: ``validate`` traces the graph once and reads the outer face
+from those same faces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterator, Mapping, Sequence
 
 Dart = tuple[int, int]
@@ -176,11 +176,6 @@ def _cyclic_equal(a: Sequence[int], b: Sequence[int]) -> bool:
     return all(a[i] == b[(start + i) % n] for i in range(n))
 
 
-def _edge_keys(cycle: Sequence[int]) -> set[tuple[int, int]]:
-    """The cycle's edges as (low, high) pairs."""
-    return {(min(a, b), max(a, b)) for a, b in zip(cycle, [*cycle[1:], cycle[0]])}
-
-
 def outer_face_index(graph: PlaneNearTriangulation) -> int | None:
     """Index of the first traced orbit that reads the outer cycle (up to
     rotation), or None."""
@@ -196,43 +191,6 @@ def _outer_index(
         if len(face) == len(oc) and _cyclic_equal(oc, face_vertices(face)):
             return i
     return None
-
-
-def dart_faces(faces: Sequence[Sequence[Dart]]) -> dict[Dart, int]:
-    """The index of the traced face each dart lies on."""
-    return {dart: i for i, face in enumerate(faces) for dart in face}
-
-
-def cycle_side(
-    faces: Sequence[Sequence[Dart]],
-    face_of_dart: Mapping[Dart, int],
-    outer_idx: int,
-    cycle: Sequence[int],
-) -> tuple[set[int], tuple[int, ...]]:
-    """Vertices strictly inside a cycle and the indices of the faces it
-    encloses, on the side away from face ``outer_idx``.
-
-    A dual BFS from the outer face that never crosses a cycle edge.  The
-    faces are traced, and their ``dart_faces`` index built, by the caller,
-    so one trace of a region serves every cycle asked about in it."""
-    cyc_edges = _edge_keys(cycle)
-    reached = {outer_idx}
-    queue = [outer_idx]
-    while queue:
-        fi = queue.pop()
-        for u, v in faces[fi]:
-            if (min(u, v), max(u, v)) in cyc_edges:
-                continue
-            other = face_of_dart[(v, u)]
-            if other not in reached:
-                reached.add(other)
-                queue.append(other)
-    enclosed = tuple(i for i in range(len(faces)) if i not in reached)
-    inside: set[int] = set()
-    for i in enclosed:
-        inside.update(face_vertices(faces[i]))
-    inside.difference_update(cycle)
-    return inside, enclosed
 
 
 # ---------------------------------------------------------------------------
@@ -340,55 +298,55 @@ def chords(graph: PlaneNearTriangulation) -> list[tuple[int, int]]:
 
 def separating_cycles(graph: PlaneNearTriangulation, length: int) -> list[tuple[int, ...]]:
     """All cycles of the given length (3 or 4) with vertices strictly on
-    both sides; the outer cycle itself never counts.
+    both sides; the outer cycle itself never counts.  Each comes once, from
+    its least vertex: a triangle in increasing order, a 4-cycle (a, b, c, d)
+    with b < d.
 
-    A triangle separates iff it bounds no face, that is, neither of its
-    orientations is a dart orbit: the rotations alone decide it, with no
-    face traced.  A triangle that bounds no face encloses a vertex, since
-    the region it bounds is triangulated and its own three edges cannot
-    split it; and only the outer cycle has nothing outside it, since every
-    outer vertex off a triangle lies outside it, and the outer cycle bounds
-    the outer face.  A 4-cycle is decided by a dual BFS (``cycle_side``)."""
+    One rule decides both lengths from the rotations alone.  Walk the cycle
+    one way: the faces on its darts all lie on one side, and that side
+    holds no vertex exactly when every dart's face turns to a cycle vertex
+    (the dart after (a, b) in its face is (b, x), x after a in the rotation
+    at b).  If the side is bare, its faces have only cycle vertices, so
+    every turn lands on the cycle.  Conversely, each such turn goes on
+    along the walk or, on a 4-cycle, across the side on a diagonal, and two
+    diagonals on one side would cross.  With no diagonal, consecutive darts
+    share their face, so the side is one face.  With one, the turns close a
+    triangle on each side of it, since a face passes each vertex once
+    (inner faces are triangles and the outer cycle is simple).  So the
+    cycle separates when neither walk is bare; the outer cycle bounds the
+    outer face, so it never counts."""
     if length not in (3, 4):
         raise PlaneGraphError("only lengths 3 and 4 are supported")
     n, rot, adj = graph.vertex_count, graph.rotation, graph._adj
-    if length == 3:
 
-        def turns(a: int, b: int, c: int) -> bool:
-            """The face on dart (a, b) goes on to c."""
+    def bare(cycle: tuple[int, ...]) -> bool:
+        """Every dart's face on this walk turns to a cycle vertex."""
+        a = cycle[-1]
+        for b in cycle:
             nb = rot[b]
-            return nb[(nb.index(a) + 1) % len(nb)] == c
+            if nb[(nb.index(a) + 1) % len(nb)] not in cycle:
+                return False
+            a = b
+        return True
 
-        return [
+    if length == 3:
+        cycles = (
             (u, v, w)
             for u in range(n)
             for v in adj[u]
             if v > u
             for w in adj[u]
-            if w > v
-            and w in adj[v]
-            and not (turns(u, v, w) and turns(v, w, u) and turns(w, u, v))
-            and not (turns(v, u, w) and turns(u, w, v) and turns(w, v, u))
-        ]
-    faces = faces_of(graph)
-    outer_idx = _outer_index(graph, faces)
-    if outer_idx is None:
-        raise PlaneGraphError("graph has no traced outer face; validate first")
-    candidates = []
-    for a in range(n):
-        nb = sorted(x for x in adj[a] if x > a)
-        for i, b in enumerate(nb):
-            for d in nb[i + 1 :]:
-                for c in adj[b]:
-                    if c > a and c != d and c in adj[d]:
-                        candidates.append((a, b, c, d))
-    found = []
-    face_of_dart = dart_faces(faces)
-    for cyc in candidates:
-        inside, _ = cycle_side(faces, face_of_dart, outer_idx, cyc)
-        if inside and len(inside) + length < n:
-            found.append(cyc)
-    return found
+            if w > v and w in adj[v]
+        )
+    else:
+        cycles = (
+            (a, b, c, d)
+            for a in range(n)
+            for b, d in combinations(sorted(x for x in adj[a] if x > a), 2)
+            for c in adj[b]
+            if c > a and c != d and c in adj[d]
+        )
+    return [c for c in cycles if not bare(c) and not bare(c[::-1])]
 
 
 def blocks(graph) -> list[Block]:

@@ -7,10 +7,12 @@ auxiliary integers), so they can be partitioned across worker processes and
 replayed bit-exactly: the same seed always produces the same packets, and a
 counterexample's payload re-runs through ``replay`` standalone.  A stream
 depends only on the check id and the config's ``n_max``, ``samples``,
-``seed`` and ``phi_mode``.  With negative ``samples``, or below its
-smallest instance, a check raises ``PropcheckError``; the smallest
-``n_max`` is 3 for lemma2, lemma4, lemma5 and corollary2, 4 for calculus,
-lemma1 and theorem4, 6 for lemma3a and cor1, and 7 for lemma3b.
+``seed`` and ``phi_mode`` (one of ``PHI_MODES``).  With negative
+``samples``, fewer than one job, another ``phi_mode``, or ``n_max`` below
+its smallest instance, a check raises ``PropcheckError`` before it builds
+a packet; the smallest ``n_max`` is 3 for lemma2, lemma4, lemma5 and
+corollary2, 4 for calculus, lemma1 and theorem4, 6 for lemma3a and cor1,
+and 7 for lemma3b.
 
 Property identifiers:
 
@@ -78,13 +80,18 @@ class PropcheckError(ValueError):
     pass
 
 
+# How ``random_phi`` draws edge labels: uniform over Z_m, all zero, or zero
+# with probability 3/4 and otherwise a uniform nonzero value.
+PHI_MODES = ("uniform", "zero", "sparse")
+
+
 @dataclass(frozen=True)
 class RandomInstanceConfig:
     """Sampling knobs shared by all checks.  The same seed always yields
     the same instance stream."""
 
     n_max: int = 12
-    phi_mode: str = "uniform"  # uniform | zero | sparse
+    phi_mode: str = "uniform"  # one of PHI_MODES
     samples: int = 100
     seed: int = 0
 
@@ -129,16 +136,16 @@ def derive_seed(seed: int, *parts) -> int:
 
 
 def random_phi(edges, rng: random.Random, mode: str = "uniform", modulus: int = 5) -> PhiAssignment:
+    if mode not in PHI_MODES:
+        raise PropcheckError(f"unknown phi mode {mode!r}")
     values = {}
     for u, v in edges:
         if mode == "zero":
             x = 0
         elif mode == "sparse":
             x = 0 if rng.random() < 0.75 else rng.randrange(1, modulus)
-        elif mode == "uniform":
-            x = rng.randrange(modulus)
         else:
-            raise PropcheckError(f"unknown phi mode {mode!r}")
+            x = rng.randrange(modulus)
         values[(u, v)] = x
     return PhiAssignment.from_values(values, modulus)
 
@@ -384,27 +391,26 @@ def _eval_lemma4(payload: str, aux) -> str | None:
     doc = _z5(payload)
     path = principal_path(doc.graph)
     tail_forbidden = doc.colors.forbidden[path.tail]
-    middles_cs = doc.colors.with_forbidden(path.tail, ())
+    # One table over (tail, major, head) with the tail's and the head's lists
+    # cleared: its cells at head color c count the colorings with the head
+    # precolored c.
+    cs = (
+        doc.colors.with_forbidden(path.tail, ())
+        .with_forbidden(path.head, ())
+        .without_precolor(path.head)
+    )
+    table = marginal_counts(doc.graph, doc.phi, cs, keep=(path.tail, path.major, path.head))
     for c_head in range(5):
-        cs = middles_cs.with_precolor(path.head, c_head)
-        table = marginal_counts(
-            doc.graph, doc.phi, cs, keep=(path.tail, path.major)
-        )
-        good_tail = None
-        for ct in sorted(set(range(5)) - tail_forbidden):
-            ok = True
-            for cm in range(5):
-                if cm == tau(doc.phi, path.head, c_head, path.major):
-                    continue
-                if cm == tau(doc.phi, path.tail, ct, path.major):
-                    continue
-                if table[(ct, cm)] == 0:
-                    ok = False
-                    break
-            if ok:
-                good_tail = ct
-                break
-        if good_tail is None:
+        head_image = tau(doc.phi, path.head, c_head, path.major)
+        if not any(
+            all(
+                table[(ct, cm, c_head)]
+                for cm in range(5)
+                if cm != head_image and cm != tau(doc.phi, path.tail, ct, path.major)
+            )
+            for ct in range(5)
+            if ct not in tail_forbidden
+        ):
             return f"no tail color protects every major color at head={c_head}"
     return None
 
@@ -812,6 +818,10 @@ def run_check(property_id: str, cfg: RandomInstanceConfig, jobs: int = 1) -> Che
         raise PropcheckError(f"unknown property {property_id!r}")
     if cfg.samples < 0:
         raise PropcheckError("samples must be at least 0")
+    if jobs < 1:
+        raise PropcheckError("jobs must be at least 1")
+    if cfg.phi_mode not in PHI_MODES:
+        raise PropcheckError(f"unknown phi mode {cfg.phi_mode!r}")
     start = time.perf_counter()
     packets = CHECKS[property_id](cfg)
     failures = _run_packets(packets, jobs)

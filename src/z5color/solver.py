@@ -297,16 +297,6 @@ def _read(
     return _capped(_reader, m ** len(axes))(m, tuple(strides))
 
 
-@lru_cache(maxsize=256)
-def _list_reader(m: int, width: int, position: int) -> itemgetter:
-    """Reads a 0/1 list over the colors of the vertex at axis ``position``
-    into a table with ``width`` axes: each cell gets the entry at its
-    coordinate on that axis (``_read`` for a one-vertex scope)."""
-    strides = [0] * width
-    strides[position] = 1
-    return _getter(_gather(m, tuple(strides)))
-
-
 @lru_cache(maxsize=None)
 def _edge_tables(m: int) -> tuple[tuple[int, ...], ...]:
     """The flat tables over (lower, higher) vertex of the ``m`` edge
@@ -374,14 +364,13 @@ def _compile(
     factors the step reads.  ``into`` is ``(g, take)`` for a partial list
     on v: ``take`` reads the list over the scope of factor g, the smallest
     touching factor with two or more axes, to be multiplied into it, or,
-    with g = -1, over ``axes``, to be joined; it depends only on the width
-    of that scope and v's place in it (``_list_reader``).  ``cut`` is None
-    unless the step leaves an edge vu out of the joint (see
-    ``marginal_counts``): then it is ``(u, j, low)``, with j the edge's
-    index and ``low`` whether v is its lower end, and the new factor's
-    scope is ``axes[:-1] + (u,)``; otherwise it is ``axes[:-1]``.  ``final`` holds ``(f, take)``, each
-    reading a factor into a table over ``keep``, and ``cells`` is the size
-    of the widest table.
+    with g = -1, over ``axes``, to be joined (``_read`` for the scope
+    (v,)).  ``cut`` is None unless the step leaves an edge vu out of the
+    joint (see ``marginal_counts``): then it is ``(u, j, low)``, with j the
+    edge's index and ``low`` whether v is its lower end, and the new
+    factor's scope is ``axes[:-1] + (u,)``; otherwise it is ``axes[:-1]``.
+    ``final`` holds ``(f, take)``, each reading a factor into a table over
+    ``keep``, and ``cells`` is the size of the widest table.
     """
     keep_set = set(keep)
     size = sum(v not in keep_set for v in range(n))
@@ -453,7 +442,7 @@ def _compile(
                 joins.append((f, (whole, part), gather))
         g = next((f for f in touching if len(scopes[f]) > 1), -1)
         host = axes if g < 0 else scopes[g]
-        into = (g, _capped(_list_reader, m ** len(host))(m, len(host), host.index(v)))
+        into = (g, _read(m, (v,), host)[0])
         k = len(out_scope)
         spread = _capped(_spread, m**k)(m, k) if shift_free else None
         steps.append((v, axes, tuple(merges), tuple(joins), spread, cut, feeds, into))

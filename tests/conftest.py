@@ -5,6 +5,7 @@ import random
 import signal
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Mapping, Sequence
 
 import pytest
 
@@ -12,10 +13,10 @@ import z5color
 from z5color.families import build, BrokenWheel, Wheel
 from z5color.group_color import PhiAssignment
 from z5color.plane_graph import (
+    Dart,
     PlaneNearTriangulation,
     _outer_index,
-    cycle_side,
-    dart_faces,
+    face_vertices,
     faces_of,
     linear_from,
     validate,
@@ -39,6 +40,48 @@ def brute_marginals(n, phi, colors, keep):
         if all((coloring[h] - coloring[t]) % m != x for t, h, x in phi.records):
             tally[tuple(coloring[v] for v in keep)] += 1
     return tally
+
+
+def _edge_keys(cycle: Sequence[int]) -> set[tuple[int, int]]:
+    """The cycle's edges as (low, high) pairs."""
+    return {(min(a, b), max(a, b)) for a, b in zip(cycle, [*cycle[1:], cycle[0]])}
+
+
+def dart_faces(faces: Sequence[Sequence[Dart]]) -> dict[Dart, int]:
+    """The index of the traced face each dart lies on."""
+    return {dart: i for i, face in enumerate(faces) for dart in face}
+
+
+def cycle_side(
+    faces: Sequence[Sequence[Dart]],
+    face_of_dart: Mapping[Dart, int],
+    outer_idx: int,
+    cycle: Sequence[int],
+) -> tuple[set[int], tuple[int, ...]]:
+    """Independent oracle: vertices strictly inside a cycle and the indices
+    of the faces it encloses, on the side away from face ``outer_idx``.
+
+    A dual BFS from the outer face that never crosses a cycle edge.  The
+    faces are traced, and their ``dart_faces`` index built, by the caller,
+    so one trace of a region serves every cycle asked about in it."""
+    cyc_edges = _edge_keys(cycle)
+    reached = {outer_idx}
+    queue = [outer_idx]
+    while queue:
+        fi = queue.pop()
+        for u, v in faces[fi]:
+            if (min(u, v), max(u, v)) in cyc_edges:
+                continue
+            other = face_of_dart[(v, u)]
+            if other not in reached:
+                reached.add(other)
+                queue.append(other)
+    enclosed = tuple(i for i in range(len(faces)) if i not in reached)
+    inside: set[int] = set()
+    for i in enclosed:
+        inside.update(face_vertices(faces[i]))
+    inside.difference_update(cycle)
+    return inside, enclosed
 
 
 def _cycle_sides(graph, cycle):

@@ -231,6 +231,12 @@ def test_check_with_negative_samples_is_an_error(capsys):
     assert code == 0 and "instances: 0" in out
 
 
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_check_with_fewer_than_one_job_is_an_error(capsys, jobs):
+    code, out, err = run_cli(capsys, "check", "lemma1", "--samples", "5", "--jobs", jobs)
+    assert (code, out, err) == (1, "", "error: jobs must be at least 1\n")
+
+
 def test_extend3_budget_exhaustion_is_an_error(capsys, blocked_bw4_file):
     code, out, err = run_cli(capsys, "extend3", blocked_bw4_file, "--budget", "1")
     assert (code, out) == (1, "")

@@ -50,6 +50,19 @@ def test_write_then_parse_is_stable(rng, w5):
     assert parse_gcg(write_gcg(doc.graph, doc.phi, doc.colors)).graph == g
 
 
+@pytest.mark.parametrize(
+    "descriptor",
+    ["(wheel 5) # x", "(wheel\n5)", "", "   ", "(wheel 5)\r", "(wheel  5)"],
+)
+def test_descriptors_that_would_not_read_back_are_errors(w5, descriptor):
+    # A comment, a line break or blank text would come back changed, or
+    # not parse: the writer refuses them rather than drop or split them.
+    g, _ = w5
+    with pytest.raises(GcgError, match="would not read back as written"):
+        write_gcg(g, descriptor=descriptor)
+    assert parse_gcg(write_gcg(g, descriptor="(wheel 5)")).descriptor == "(wheel 5)"
+
+
 def test_nondefault_group_round_trip(k3):
     g, _ = k3
     phi = PhiAssignment(7, tuple((u, v, 6) for u, v in g.edges()))

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _cycle_sides, flipped_near_triangulation
+from conftest import (
+    _cycle_sides,
+    cpu_time_limit,
+    cycle_side,
+    dart_faces,
+    flipped_near_triangulation,
+)
 import z5color
 from z5color import gcg, plane_graph
 from z5color.families import (
@@ -22,8 +28,6 @@ from z5color.plane_graph import (
     ValidationReport,
     blocks,
     chords,
-    cycle_side,
-    dart_faces,
     face_vertices,
     faces_of,
     outer_face_index,
@@ -326,36 +330,53 @@ def test_nonseparating_triangles_are_facial():
                 assert tri in facial
 
 
-def bfs_separating_triangles(g):
-    """Oracle: a triangle separates iff the dual BFS from the outer face
-    leaves a vertex inside it and one outside it."""
+def bfs_separating_cycles(g, length):
+    """Oracle: every cycle of the given length (3 or 4), written from its
+    least vertex with its two neighbors on the cycle in increasing order,
+    that the dual BFS from the outer face leaves a vertex inside and one
+    outside.  A cycle is found from each pair of its opposite vertices (a
+    vertex and the edge facing it, for a triangle) and their common
+    neighbors."""
+    cycles = set()
+    for a, c in itertools.combinations(range(g.vertex_count), 2):
+        common = g.adjacency(a) & g.adjacency(c)
+        if length == 3 and g.has_edge(a, c):
+            cycles.update((a, b, c) for b in common)
+        elif length == 4:
+            cycles.update((a, b, c, d) for b, d in itertools.permutations(common, 2))
     faces = faces_of(g)
     face_of_dart, outer_idx = dart_faces(faces), outer_face_index(g)
     found = []
-    for tri in itertools.combinations(range(g.vertex_count), 3):
-        if all(g.has_edge(a, b) for a, b in itertools.combinations(tri, 2)):
-            inside, _ = cycle_side(faces, face_of_dart, outer_idx, tri)
-            if inside and len(inside) + 3 < g.vertex_count:
-                found.append(tri)
-    return found
+    for cyc in cycles:
+        if cyc[0] != min(cyc) or cyc[1] > cyc[-1]:
+            continue
+        inside, _ = cycle_side(faces, face_of_dart, outer_idx, cyc)
+        if inside and len(inside) + length < g.vertex_count:
+            found.append(cyc)
+    return sorted(found)
 
 
 def test_separating_triangles_match_the_dual_bfs_oracle():
+    rng = random.Random(20261022)
     graphs = [g for _, g, _ in built_family(9)]
-    graphs += [
+    stacked = [
         random_near_triangulation(n, k, seed)
         for seed in range(6)
         for k in range(3, 7)
         for n in (k, k + 5, 25)
     ]
-    graphs += [random_triangulation(n, seed) for seed in range(6) for n in (5, 12, 30)]
+    stacked += [random_triangulation(n, seed) for seed in range(6) for n in (5, 12, 30)]
+    flipped = [flipped_near_triangulation(g, rng, 2 * g.vertex_count) for g in stacked]
+    graphs += stacked + flipped
     graphs += [build(BrokenWheel(3))[0], build(Wheel(3))[0], octahedron(), stacked_k4()]
-    separating = 0
+    separating = {3: 0, 4: 0}
     for g in graphs:
-        expected = bfs_separating_triangles(g)
-        assert sorted(separating_cycles(g, 3)) == expected
-        separating += len(expected)
-    assert len(graphs) > 200 and separating > 100
+        for length in (3, 4):
+            expected = bfs_separating_cycles(g, length)
+            assert sorted(separating_cycles(g, length)) == expected
+            separating[length] += len(expected)
+    assert sum(h != g for h, g in zip(flipped, stacked)) > 60
+    assert len(graphs) > 300 and min(separating.values()) > 100
 
 
 def traced_separating_triangles(g):
@@ -392,7 +413,8 @@ def test_separating_triangles_match_the_traced_faces():
 
 def test_each_face_query_traces_the_graph_once(monkeypatch):
     # Traced faces are not cached: a query that needs them traces once and
-    # reads the outer face from those same faces.
+    # reads the outer face from those same faces; separating_cycles needs
+    # none.
     _, g, _ = next(m for m in built_family(8) if separating_cycles(m[1], 4))
     text, path = gcg.write_gcg(g), principal_path(g)
     copy = PlaneNearTriangulation(g.vertex_count, g.rotation, g.outer_cycle)
@@ -406,28 +428,41 @@ def test_each_face_query_traces_the_graph_once(monkeypatch):
 
     monkeypatch.setattr(plane_graph, "trace_faces", counted)
     queries = {
-        "validate": lambda: validate(g).ok,
-        "parse_gcg miss": lambda: gcg._graph.cache_clear() or gcg.parse_gcg(text).graph == g,
-        "facial_triangle_property": lambda: facial_triangle_property(g, path),
-        "separating_cycles(g, 4)": lambda: bool(separating_cycles(g, 4)),
+        "validate": (lambda: validate(g).ok, [g.rotation]),
+        "parse_gcg miss": (
+            lambda: gcg._graph.cache_clear() or gcg.parse_gcg(text).graph == g,
+            [g.rotation],
+        ),
+        "facial_triangle_property": (lambda: facial_triangle_property(g, path), [g.rotation]),
+        "separating_cycles(g, 4)": (lambda: bool(separating_cycles(g, 4)), []),
     }
-    for name, query in queries.items():
+    for name, (query, traces) in queries.items():
         traced.clear()
         assert query(), name
-        assert traced == [g.rotation], name
+        assert traced == traces, name
     traced.clear()
     assert gcg.parse_gcg(text).graph == g and traced == []  # a cache hit traces nothing
 
 
 def test_separating_triangles_are_found_without_a_dual_bfs(monkeypatch):
-    def no_bfs(*args):
-        raise AssertionError("cycle_side called for a triangle")
+    # Both lengths are decided from the rotations alone: no face is traced.
+    def no_trace(rotation):
+        raise AssertionError("separating_cycles traced a face")
 
-    graphs = [random_triangulation(20, seed) for seed in range(3)] + [stacked_k4()]
-    expected = [separating_cycles(g, 3) for g in graphs]
-    monkeypatch.setattr(plane_graph, "cycle_side", no_bfs)
-    assert [separating_cycles(g, 3) for g in graphs] == expected
-    assert all(expected)
+    graphs = [random_triangulation(20, seed) for seed in range(3)] + [stacked_k4(), octahedron()]
+    expected = [(separating_cycles(g, 3), separating_cycles(g, 4)) for g in graphs]
+    monkeypatch.setattr(plane_graph, "trace_faces", no_trace)
+    assert [(separating_cycles(g, 3), separating_cycles(g, 4)) for g in graphs] == expected
+    assert all(tris for tris, _ in expected[:4]) and all(quads for _, quads in expected[:3])
+    assert len(expected[-1][1]) == 3
+
+
+def test_separating_four_cycles_at_scale():
+    # The dual BFS per candidate took 38 s here; the rotation rule is linear
+    # in the candidates.
+    g = random_near_triangulation(1000, 10, 3)
+    with cpu_time_limit(2):
+        assert len(separating_cycles(g, 4)) == 5805
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,16 @@ def test_random_phi_modes(rng):
         random_phi(g.edges(), rng, "bogus")
 
 
+def test_run_check_refuses_an_unknown_phi_mode():
+    # Refused before any packet is built, so also when no edge would ever
+    # be labeled (samples=0) and below lemma3b's smallest n_max.
+    for samples in (0, 5):
+        cfg = RandomInstanceConfig(n_max=6, phi_mode="bogus", samples=samples)
+        for prop in CHECK_IDS:
+            with pytest.raises(PropcheckError, match="unknown phi mode 'bogus'"):
+                run_check(prop, cfg)
+
+
 def test_zero_phi_reduces_to_ordinary_coloring():
     # Cross-check against the chromatic polynomial of the wheel.
     g, _ = build(Wheel(5))
