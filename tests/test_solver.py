@@ -502,6 +502,165 @@ def test_decoded_colorings_are_pinned(monkeypatch):
     )
 
 
+def _listed_instance(rng, n, m=5):
+    """A seeded near-triangulation on ``n`` vertices with a uniform
+    labeling mod ``m``, forbidden sets of 1 to m - 1 colors on up to a third
+    of the vertices and up to three precolored vertices (which may clash)."""
+    g = random_near_triangulation(n, rng.randint(3, n), rng.randrange(10**6))
+    phi = random_phi(g.edges(), rng, "uniform", m)
+    cs = ColorSystem.free(n, m)
+    for v in rng.sample(range(n), rng.randint(0, n // 3)):
+        cs = cs.with_forbidden(v, rng.sample(range(m), rng.randint(1, m - 1)))
+    for v in rng.sample(range(n), rng.randint(0, min(3, n))):
+        cs = cs.with_precolor(v, rng.randrange(m))
+    return g, phi, cs
+
+
+# The sizes of the extend_two ladder of the sparse-scaling benchmark.
+EXTEND_TWO_SIZES = {
+    "broken_wheel": (25, 50, 100, 150, 200, 300, 400, 1000),
+    "wheel": (25, 50, 100, 150, 200, 300, 400),
+    "near_tri": (50, 100, 200, 300, 400, 700, 1000),
+}
+
+
+def _ladder_graph(name, n):
+    if name == "broken_wheel":
+        return build(BrokenWheel(n))[0]
+    if name == "wheel":
+        return build(Wheel(n))[0]
+    return random_near_triangulation(n, max(3, n // 10), derive_seed(1, "near_tri", n))
+
+
+def test_search_and_extension_answers_are_pinned(monkeypatch):
+    # One sha256 over repr of: first_coloring on a seeded sweep of listed
+    # and precolored instances with the frame cap at 0, 1, 2 and 64 frames
+    # per vertex (so the search, the cap boundary and the decode all show);
+    # the first 20 colorings enumerate_colorings yields on small instances;
+    # and extend_two on the extend_two ladder graphs at vertex shifts 0-2
+    # and on 200 seeded near-triangulations with lists.  Computed before the
+    # search kept its frames in flat arrays and before extend_two read its
+    # lists in one pass; a rewrite of either must keep every answer.
+    digest = hashlib.sha256()
+    rng = random.Random(derive_seed(3232, "search-pins"))
+    searched = [_listed_instance(rng, rng.randint(3, 60), rng.choice((5, 5, 3))) for _ in range(120)]
+    for n in (150, 300):
+        g = random_near_triangulation(n, rng.randint(3, n // 4), rng.randrange(10**6))
+        searched.append((g, random_phi(g.edges(), rng, "uniform"), None))
+    empty = 0
+    for cap in (0, 1, 2, 64):
+        monkeypatch.setattr("z5color.solver._FRAMES_PER_VERTEX", cap)
+        for g, phi, cs in searched:
+            coloring = first_coloring(g, phi, cs)
+            digest.update(repr(coloring).encode())
+            empty += coloring is None
+    monkeypatch.undo()
+    enumerated = 0
+    for _ in range(40):
+        g, phi, cs = _listed_instance(rng, rng.randint(3, 12), rng.choice((5, 3)))
+        for coloring in itertools.islice(enumerate_colorings(g, phi, cs), 20):
+            digest.update(repr(coloring).encode())
+            enumerated += 1
+    digest.update(repr(list(enumerate_colorings(0, PhiAssignment(5, ())))).encode())
+    extended = 0
+    for shift in (0, 1, 2):
+        for name, sizes in EXTEND_TWO_SIZES.items():
+            for n in sizes:
+                g = _ladder_graph(name, n + shift)
+                a, b = g.outer_cycle[0], g.outer_cycle[1]
+                cs = ColorSystem.free(g.vertex_count).with_precolor(a, 0).with_precolor(b, 1)
+                problem = ExtensionProblem(g, PhiAssignment.zero(g.edges()), cs, (a, b))
+                digest.update(repr(extend_two(problem)).encode())
+                extended += 1
+    for _ in range(200):
+        n = rng.randint(3, 60)
+        g = random_near_triangulation(n, rng.randint(3, n), rng.randrange(10**6))
+        phi = random_phi(g.edges(), rng, "uniform")
+        a, b = g.outer_cycle[0], g.outer_cycle[1]
+        cs = ColorSystem.free(n)
+        for v in g.outer_cycle[2:]:
+            cs = cs.with_forbidden(v, rng.sample(range(5), rng.randint(0, 2)))
+        ca = rng.randrange(5)
+        cb = rng.choice([c for c in range(5) if c != tau(phi, a, ca, b)])
+        cs = cs.with_precolor(a, ca).with_precolor(b, cb)
+        digest.update(repr(extend_two(ExtensionProblem(g, phi, cs, (a, b)))).encode())
+        extended += 1
+    assert (len(searched), empty, enumerated, extended) == (122, 184, 293, 266)
+    assert digest.hexdigest() == (
+        "29e687340d97547c09d43ab8b738e7c13c2d43e2d15ce5651fc33037299de8fe"
+    )
+
+
+def _read_strides(m, take, cells):
+    """The strides of the gather that ``take`` reads out of a table of
+    ``cells`` cells, checked against ``solver._gather``."""
+    index = tuple(take(range(cells)))
+    k = round(math.log(len(index), m)) if index else 0
+    strides = tuple(index[m ** (k - 1 - i)] for i in range(k))
+    assert len(index) == m**k and index == solver._gather(m, strides)
+    return strides
+
+
+def _structure_text(st, m):
+    """A canonical text of a compiled structure: per step v, axes, the
+    merges (host, guest, strides), the joins (factor, strides, and that the
+    1/m read is the gather's prefix), the spread's cells, cut, feeds and
+    the ``into`` host with the strides of v's list read; then the final
+    reads and the widest table."""
+    wide = m ** 8
+    lines = []
+    for v, axes, merges, joins, spread, cut, feeds, into in st.steps:
+        merged = [(dst, src, _read_strides(m, take, wide)) for dst, src, take in merges]
+        joined = []
+        for f, (whole, part), gather in joins:
+            strides = _read_strides(m, whole, wide)
+            assert gather == solver._gather(m, strides)
+            assert tuple(part(range(wide))) == gather[: len(gather) // m]
+            joined.append((f, strides))
+        spread_cells = None if spread is None else tuple(spread(range(wide)))
+        g, take = into
+        lines.append(
+            f"{v} {axes} {merged} {joined} {spread_cells} {cut} {feeds} "
+            f"{g} {_read_strides(m, take, m)}"
+        )
+    final = [(f, _read_strides(m, take, wide)) for f, take in st.final]
+    lines.append(f"{final} {st.cells}")
+    return "\n".join(lines)
+
+
+COUNT_SIZES = {
+    "broken_wheel": (20, 25, 30, 35, 40, 45, 50, 55, 60, 75, 100, 125, 150, 200, 300),
+    "wheel": (10, 20, 30, 35, 40, 45, 50, 55, 60, 70, 85, 100, 125, 150, 200),
+    "near_tri": (25, 50, 75, 100, 125, 150, 200),
+}
+
+
+def test_compiled_structures_are_pinned():
+    # sha256 over a canonical text of every step _compile builds for the
+    # graphs of the sparse-scaling count ladder (keep empty) and for the
+    # multi-wheels of up to 9 vertices (keep the principal path), computed
+    # before _compile's bookkeeping was rewritten; it must build the same
+    # plans, step for step and read for read.
+    digest = hashlib.sha256()
+    graphs = [
+        (_ladder_graph(name, n), ()) for name, sizes in COUNT_SIZES.items() for n in sizes
+    ]
+    for d, g, p in built_family(9):
+        if is_multi_wheel_descriptor(d):
+            graphs.append((g, (p.tail, p.major, p.head)))
+    steps = 0
+    for g, keep in graphs:
+        n = g.vertex_count
+        lows, highs, _ = _labeled_edges(n, PhiAssignment.zero(g.edges()))
+        st = solver._compile(n, 5, lows, highs, keep)
+        digest.update(_structure_text(st, 5).encode())
+        steps += len(st.steps)
+    assert (len(graphs), steps) == (233, 4203)
+    assert digest.hexdigest() == (
+        "ce945431dcbae2c91ec901cb78cf1f2884845871f07181ac75757479ef84e60c"
+    )
+
+
 def _cold(fn, *args):
     """``fn(*args)`` with every elimination structure compiled afresh and
     none kept."""
@@ -754,6 +913,18 @@ def test_first_coloring_deeper_than_the_recursion_limit():
     g, _ = build(BrokenWheel(1500))
     phi = PhiAssignment.zero(g.edges())
     coloring = first_coloring(g, phi)
+    assert coloring is not None and is_proper(g, phi, coloring)
+
+
+@pytest.mark.parametrize("family", [BrokenWheel, Wheel])
+def test_first_coloring_scales_linearly_at_20000_vertices(family):
+    # The search colors these without a dead end, one pushed frame per
+    # vertex; it takes about 0.1 s, so a per-vertex cost that grows with n
+    # runs past the alarm.
+    g, _ = build(family(20000))
+    phi = PhiAssignment.zero(g.edges())
+    with cpu_time_limit(2):
+        coloring = first_coloring(g, phi)
     assert coloring is not None and is_proper(g, phi, coloring)
 
 
