@@ -390,6 +390,19 @@ def _eval_three_extendable(payload: str, aux) -> str | None:
 def _eval_lemma4(payload: str, aux) -> str | None:
     doc = _z5(payload)
     path = principal_path(doc.graph)
+    # The statement quantifies over every tail color outside the tail's
+    # list and every major color, so the tail and the major must be free
+    # and the major must forbid nothing; a payload that breaks this is not
+    # an instance of the lemma.
+    pre = doc.colors.precolor_map()
+    for role, v in (("tail", path.tail), ("major", path.major)):
+        if v in pre:
+            raise PropcheckError(f"lemma4 premise broken: the {role} {v} is precolored")
+    if doc.colors.forbidden[path.major]:
+        raise PropcheckError(
+            f"lemma4 premise broken: the major {path.major} forbids colors "
+            f"{sorted(doc.colors.forbidden[path.major])}"
+        )
     tail_forbidden = doc.colors.forbidden[path.tail]
     # One table over (tail, major, head) with the tail's and the head's lists
     # cleared: its cells at head color c count the colorings with the head

@@ -3,8 +3,8 @@
 Two independent routes compute with colorings:
 
 - ``enumerate_colorings`` walks the search tree directly (backtracking with
-  forward checking, fixed vertex order, on an explicit stack), yielding
-  every proper coloring.
+  forward checking, fixed vertex order, its frames kept in flat per-depth
+  arrays with one undo log), yielding every proper coloring.
 - ``count_colorings`` / ``marginal_counts`` run exact variable elimination
   over the same constraints, in a minimum-degree order kept in a heap: a
   structure phase records, per eliminated vertex, precompiled
@@ -74,7 +74,7 @@ import heapq
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, compress, filterfalse, product
 from operator import itemgetter, mul, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -215,6 +215,18 @@ def _avail_lists(
     ]
 
 
+def _bitmasks(avail: list[tuple[int, ...]]) -> list[int]:
+    """Each list of ``avail`` as a bitmask, bit c set for each color c in
+    it, read from a map keyed by list (a check draws few distinct lists)."""
+    mask_of = {colors: sum(1 << c for c in colors) for colors in set(avail)}
+    return list(map(mask_of.__getitem__, avail))
+
+
+def _lowest(mask: int) -> int:
+    """The lowest color of a nonempty bitmask list."""
+    return (mask & -mask).bit_length() - 1
+
+
 # Gathers, spreads and cut reads of a table with more cells than this are
 # built for the call that needs them and dropped after it, and a structure
 # with a step that wide is not kept.  Every step of the three bench
@@ -261,12 +273,21 @@ def _getter(index: Sequence[int]) -> itemgetter:
 
 
 @lru_cache(maxsize=1024)
-def _reader(m: int, strides: tuple[int, ...]) -> tuple[itemgetter, itemgetter, tuple]:
-    """``(whole, part, gather)`` for ``gather = _gather(m, strides)``, where
-    ``whole`` reads the cells of all its entries out of a table in one call
-    and ``part`` those of its first 1/m, whose first axis is 0."""
+def _reader(
+    m: int, width: int, places: tuple[int, ...]
+) -> tuple[tuple[itemgetter, itemgetter], tuple[int, ...]]:
+    """``((whole, part), gather)`` for a factor whose axis i is axis
+    ``places[i]`` of a table with ``width`` axes: ``gather`` (``_gather``
+    of the factor's strides on the table's axes) maps each cell of the
+    table to a cell of the factor, ``whole`` reads all of them out of the
+    factor in one call and ``part`` those of the table's first 1/m, whose
+    first axis is 0."""
+    strides = [0] * width
+    last = len(places) - 1
+    for i, axis in enumerate(places):
+        strides[axis] = m ** (last - i)
     gather = _gather(m, strides)
-    return _getter(gather), _getter(gather[: len(gather) // m]), gather
+    return (_getter(gather), _getter(gather[: len(gather) // m])), gather
 
 
 @lru_cache(maxsize=64)
@@ -287,14 +308,16 @@ def _spread(m: int, k: int) -> itemgetter:
 
 def _read(
     m: int, scope: tuple[int, ...], axes: tuple[int, ...]
-) -> tuple[itemgetter, itemgetter, tuple[int, ...]]:
-    """``(whole, part, gather)`` for a factor over ``scope`` read into a
+) -> tuple[tuple[itemgetter, itemgetter], tuple[int, ...]]:
+    """``((whole, part), gather)`` for a factor over ``scope`` read into a
     table over ``axes`` (a superset): ``gather`` maps each cell of that
     table to a cell of the factor, ``whole`` reads all of them and
-    ``part`` the first 1/m (see ``_reader``)."""
-    last = len(scope) - 1
-    strides = [m ** (last - scope.index(u)) if u in scope else 0 for u in axes]
-    return _capped(_reader, m ** len(axes))(m, tuple(strides))
+    ``part`` the first 1/m (see ``_reader``).  One cached lookup, keyed by
+    where the scope's vertices sit among the axes, returns the pair of
+    readers a join keeps as it is."""
+    width = len(axes)
+    reader = _reader if m**width <= _CACHED_CELLS else _reader.__wrapped__
+    return reader(m, width, tuple(map(axes.index, scope)))
 
 
 @lru_cache(maxsize=None)
@@ -372,41 +395,54 @@ def _compile(
     ``final`` holds ``(f, take)``, each reading a factor into a table over
     ``keep``, and ``cells`` is the size of the widest table.
     """
-    keep_set = set(keep)
-    size = sum(v not in keep_set for v in range(n))
+    kept = [False] * n
+    for u in keep:
+        kept[u] = True
+    size = n - len(keep)  # keep is distinct and inside 0..n-1 (callers check)
     scopes: list[tuple[int, ...]] = [()] * size + list(zip(lows, highs))
+    width = [0] * size + [2] * len(lows)  # len(scopes[f])
+    # Each vertex lists its factors in id order.  Edges are sorted by lower
+    # end, so those a vertex is the higher end of come before the others.
     factor_ids: list[list[int]] = [[] for _ in range(n)]
+    for f, b in enumerate(highs, size):
+        factor_ids[b].append(f)
+    for f, a in enumerate(lows, size):
+        factor_ids[a].append(f)
     live = [True] * len(scopes)
     nbrs: list[set[int]] = [set() for _ in range(n)]  # the interaction graph
-    for f, (a, b) in enumerate(scopes[size:], size):
-        factor_ids[a].append(f)
-        factor_ids[b].append(f)
+    for a, b in zip(lows, highs):
         nbrs[a].add(b)
         nbrs[b].add(a)
 
-    heap = [(1 + len(nbrs[v]), v) for v in range(n) if v not in keep_set]
+    # Heap entries are degree * n + vertex: ints order as (degree, vertex).
+    heap = [len(nbrs[v]) * n + v for v in range(n) if not kept[v]]
     heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
     steps: list[tuple] = []
     eliminated = [False] * n
     widest = len(keep)
     while heap:
-        degree, v = heapq.heappop(heap)
-        if eliminated[v] or degree != 1 + len(nbrs[v]):
+        degree, v = divmod(heappop(heap), n)
+        if eliminated[v] or degree != len(nbrs[v]):
             continue
         eliminated[v] = True
         i = len(steps)
         touching = [f for f in factor_ids[v] if live[f]]
         for f in touching:
             live[f] = False
-        feeds = tuple(f for f in touching if f < size)
+        feeds = tuple(filter(size.__gt__, touching))
         # v's neighbors become a clique: the scope of the new factor.
-        out_scope = tuple(sorted(nbrs[v]))
+        near = nbrs[v]
+        out_scope = tuple(sorted(near))
         for u in out_scope:
-            nbrs[u].discard(v)
-            nbrs[u].update(out_scope)
-            nbrs[u].discard(u)
-            if u not in keep_set:
-                heapq.heappush(heap, (1 + len(nbrs[u]), u))
+            around = nbrs[u]
+            before = len(around)
+            around.discard(v)
+            around.update(near)
+            around.discard(u)
+            # u's entry stays valid while its degree does.
+            if len(around) != before and not kept[u]:
+                heappush(heap, len(around) * n + u)
         shift_free = bool(out_scope)
         # The first edge vu whose far end u no other touching factor covers
         # is summed out by subtraction, so no list is merged into it.  The
@@ -414,47 +450,59 @@ def _compile(
         # another axis before it, so that the body keeps its 1/m prefix.
         axes, new_scope, cut = out_scope + (v,), out_scope, None
         if len(out_scope) > shift_free:
+            # Each touching scope's vertices, so that a vertex's count is the
+            # number of touching factors that hold it.
+            held: list[int] = []
+            for f in touching:
+                held += scopes[f]
             for f in touching:
                 if f < size:
                     continue
                 a, b = scopes[f]
                 u = b if v == a else a
-                if not any(u in scopes[g] for g in touching if g != f):
+                if held.count(u) == 1:
                     touching.remove(f)
-                    others = tuple(w for w in out_scope if w != u)
+                    others = tuple(filter(u.__ne__, out_scope))
                     axes, new_scope = others + (v,), others + (u,)
                     cut = (u, f - size, v == a)
                     break
         # A factor whose scope lies inside a larger touching one is multiplied
         # into it at that smaller size if the host is narrower than the joint;
         # the rest, wider hosts among them, are gathered into the joint.
-        touching.sort(key=lambda f: len(scopes[f]))
+        touching.sort(key=width.__getitem__)
+        k = len(axes)
         merges, joins = [], []
-        for k, f in enumerate(touching):
-            scope = scopes[f]
-            for g in touching[k + 1 :]:
-                host = scopes[g]
-                if len(scope) < len(host) < len(axes) and all(u in host for u in scope):
-                    merges.append((g, f, _read(m, scope, host)[0]))
-                    break
+        for j, f in enumerate(touching):
+            scope, w = scopes[f], width[f]
+            host = -1
+            if w + 1 < k:
+                for g in touching[j + 1 :]:
+                    if w < width[g] < k and all(map(scopes[g].__contains__, scope)):
+                        host = g
+                        break
+            if host < 0:
+                takes, gather = _read(m, scope, axes)
+                joins.append((f, takes, gather))
             else:
-                whole, part, gather = _read(m, scope, axes)
-                joins.append((f, (whole, part), gather))
-        g = next((f for f in touching if len(scopes[f]) > 1), -1)
-        host = axes if g < 0 else scopes[g]
-        into = (g, _read(m, (v,), host)[0])
-        k = len(out_scope)
-        spread = _capped(_spread, m**k)(m, k) if shift_free else None
+                merges.append((host, f, _read(m, scope, scopes[host])[0][0]))
+        g = -1
+        for f in touching:
+            if width[f] > 1:
+                g = f
+                break
+        into = (g, _read(m, (v,), axes if g < 0 else scopes[g])[0][0])
+        w = len(out_scope)
+        spread = _capped(_spread, m**w)(m, w) if shift_free else None
         steps.append((v, axes, tuple(merges), tuple(joins), spread, cut, feeds, into))
         scopes[i] = new_scope
+        width[i] = w
         for u in out_scope:
             factor_ids[u].append(i)
-        widest = max(widest, len(axes))
+        if k > widest:
+            widest = k
 
     final = tuple(
-        (f, _read(m, scope, keep)[0])
-        for f, (scope, alive) in enumerate(zip(scopes, live))
-        if alive
+        [(f, _read(m, scopes[f], keep)[0][0]) for f in compress(range(len(live)), live)]
     )
     return _Structure(tuple(steps), final, m**widest)
 
@@ -618,16 +666,17 @@ def marginal_counts(
     Bucket elimination in two phases.  The structure phase eliminates all
     other vertices in greedy minimum-scope order, ties to the lower vertex:
     a vertex's scope is itself and its neighbors in the interaction graph,
-    so the order is kept in a heap of (1 + degree, vertex) entries,
-    re-pushed as eliminations change degrees (stale entries are skipped).
+    so the order is kept in a heap of (degree, vertex) entries, stored as
+    the ints degree·n + vertex and re-pushed as eliminations change
+    degrees (stale entries are skipped).
     Each step records its joint scope and, for each touching factor, a
     gather index list into the joint table with an ``operator.itemgetter``
-    that reads those cells in one call (both cached per modulus, strides
-    and length).  Nothing in it depends on the labels or the lists, so it
-    is compiled per vertex count, modulus, set of edges and ``keep``, and
-    kept, once that key recurs, in a cache bounded by the steps it holds
-    (``plan_cache_info`` counts it); the records' order and stored
-    orientations do not matter.
+    that reads those cells in one call (both cached per modulus, joint
+    width and the places of the factor's axes among the joint's).  Nothing
+    in it depends on the labels or the lists, so it is compiled per vertex
+    count, modulus, set of edges and ``keep``, and kept, once that key
+    recurs, in a cache bounded by the steps it holds (``plan_cache_info``
+    counts it); the records' order and stored orientations do not matter.
     The execution phase runs the structure as it is, under the call's edge
     labels and lists, over flat lists of Python ints, one axis of length m
     per vertex in mixed radix (first axis slowest), a forbidden color
@@ -697,8 +746,10 @@ def coloring_order(graph) -> list[int]:
     descending degree (ties by index).  Plain range for bare vertex counts."""
     if isinstance(graph, int):
         return list(range(graph))
-    interior = sorted(graph.interior_vertices(), key=lambda v: (-graph.degree(v), v))
-    return list(graph.outer_cycle) + interior
+    # A reversed sort is stable, so equal degrees keep ascending indices.
+    degree = list(map(len, graph.rotation))
+    interior = filterfalse(graph.outer_set().__contains__, range(graph.vertex_count))
+    return list(graph.outer_cycle) + sorted(interior, key=degree.__getitem__, reverse=True)
 
 
 class _FrameCapReached(Exception):
@@ -713,9 +764,10 @@ def enumerate_colorings(
     """Yield every proper coloring, deterministically (colors ascending at
     each vertex of the fixed order), by backtracking with forward checking.
 
-    The search runs on an explicit stack of ``[depth, next color, undo
-    log]`` frames, one per colored vertex, so its depth is bounded by
-    memory, not by the interpreter's recursion limit."""
+    The search keeps one frame per colored vertex in flat per-depth arrays
+    (the next color to try and the length of the undo log when the frame
+    was pushed), with one undo log of the lists it narrowed, so its depth
+    is bounded by memory, not by the interpreter's recursion limit."""
     return _backtrack(graph, phi, colors, None)
 
 
@@ -726,75 +778,92 @@ def _backtrack(
     frame_cap: int | None,
 ) -> Iterator[Coloring]:
     """The search of ``enumerate_colorings``; raises ``_FrameCapReached``
-    once it has pushed more than ``frame_cap`` frames (None: no cap)."""
+    once it has pushed more than ``frame_cap`` frames (None: no cap).
+
+    Everything is indexed by depth in the order.  ``masks[d]`` is the list
+    left at depth d, as a bitmask.  Forward checking narrows only the lists
+    of later neighbors and logs each narrowed depth with its mask before
+    the narrowing on the undo log (two int lists).  A frame that is visited
+    again first restores the log down to its mark: what lies above the mark
+    is its own last attempt."""
     n = _vertex_count(graph)
     m = phi.modulus
     order = coloring_order(graph)
     depth_of = {v: i for i, v in enumerate(order)}
-    # Forward checking only touches neighbors later in the order.  A record
-    # naming a vertex outside the graph has no depth.
+    # A record naming a vertex outside the graph has no depth.
     later: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     try:
         for tail, head, value in phi.records:
-            if depth_of[head] > depth_of[tail]:
-                later[tail].append((head, value))
+            dt, dh = depth_of[tail], depth_of[head]
+            if dh > dt:
+                later[dt].append((dh, value))
             else:
-                later[head].append((tail, (-value) % m))
+                later[dh].append((dt, -value % m))
     except KeyError:
         raise ExtensionError(f"labeling names a vertex outside 0..{n - 1}") from None
-    avail = _avail_lists(n, phi, colors)
-
-    masks = [0] * n
-    for v in range(n):
-        for c in avail[v]:
-            masks[v] |= 1 << c
+    masks = list(map(_bitmasks(_avail_lists(n, phi, colors)).__getitem__, order))
 
     if n == 0:
         yield ()
         return
+    position = [depth_of[v] for v in range(n)]
+    bits = [1 << (c % m) for c in range(2 * m)]  # c + offset < 2m
     frames_left = frame_cap
-    assignment = [0] * n
-    stack: list[list] = [[0, 0, []]]
-    while stack:
-        frame = stack[-1]
-        depth, c, touched = frame
-        for u, old in touched:
-            masks[u] = old
-        v = order[depth]
-        while c < m and not masks[v] & (1 << c):
+    chosen = [0] * n
+    next_color = [0] * n
+    mark = [0] * n
+    undo_at: list[int] = []
+    undo_mask: list[int] = []
+    depth, last = 0, n - 1
+    while True:
+        start = mark[depth]
+        while len(undo_at) > start:
+            masks[undo_at.pop()] = undo_mask.pop()
+        mask = masks[depth]
+        c = next_color[depth]
+        while c < m and not mask >> c & 1:
             c += 1
         if c == m:
-            stack.pop()
+            if not depth:
+                return
+            depth -= 1
             continue
-        frame[1] = c + 1
-        assignment[v] = c
-        touched = frame[2] = []
-        for u, delta in later[v]:
-            bit = 1 << ((c + delta) % m)
-            if masks[u] & bit:
-                touched.append((u, masks[u]))
-                masks[u] &= ~bit
-                if not masks[u]:
+        next_color[depth] = c + 1
+        chosen[depth] = c
+        for u, offset in later[depth]:
+            bit = bits[c + offset]
+            mask = masks[u]
+            if mask & bit:
+                undo_at.append(u)
+                undo_mask.append(mask)
+                mask ^= bit
+                masks[u] = mask
+                if not mask:
                     break  # a dead end: the next pass undoes and moves on
         else:
-            if depth + 1 == n:
-                yield tuple(assignment)
+            if depth == last:
+                yield tuple(map(chosen.__getitem__, position))
             else:
                 if frames_left is not None:
                     frames_left -= 1
                     if frames_left < 0:
                         raise _FrameCapReached
-                stack.append([depth + 1, 0, []])
+                depth += 1
+                next_color[depth] = 0
+                mark[depth] = len(undo_at)
 
 
 # The backtracking in ``first_coloring`` may push this many frames per
-# vertex before the decode takes over.  A frame costs about 3 us and the
-# decode about 0.05 ms per vertex (43-70 us on a 1,011-vertex random
-# near-triangulation; 2-core x86-64, Python 3.11), so a capped search
-# costs about four times the decode, and a capped call 0.2-0.3 s at 1,000
-# vertices.  Of 1,920 random near-triangulations with 100 to 1,029
-# vertices, all but ten were colored within 31 frames per vertex (most
-# within one); two needed 180 and 207, eight more than 400.
+# vertex before the decode takes over.  On a search that keeps hitting dead
+# ends a pushed frame costs about 1.8 us, undo work included (2.4 us when
+# every frame was a list with its own undo list), and the decode about
+# 20 us per vertex (18-26 us on 1,011-vertex random near-triangulations;
+# 2-core x86-64, Python 3.11), so a capped search costs about six times the
+# decode, and a capped call about 0.14 s at 1,000 vertices.  A search
+# without dead ends costs about 1 us per vertex.  Of 1,920 random
+# near-triangulations with 100 to 1,029 vertices, all but ten were colored
+# within 31 frames per vertex (most within one); two needed 180 and 207,
+# eight more than 400.
 _FRAMES_PER_VERTEX = 64
 
 
@@ -887,12 +956,15 @@ def _contract(
     if phi.modulus != 5 or colors.modulus != 5:
         issues.append("the extension results are specified for modulus 5 only")
     # Records are distinct edges, so as many records as the graph has edges,
-    # each on an edge of the graph, label every edge exactly once.
+    # each on an edge of the graph, label every edge exactly once: one pass
+    # over the records reads the adjacency sets.
     labeled = len(phi.records) == graph.edge_count()
-    for t, h, _ in phi.records if labeled else ():
-        if not (0 <= t < n and graph.has_edge(t, h)):
-            labeled = False
-            break
+    if labeled:
+        adjacency = list(map(graph.adjacency, range(n)))
+        for t, h, _ in phi.records:
+            if not (0 <= t < n and h in adjacency[t]):
+                labeled = False
+                break
     if not labeled:
         issues.append("labeling edges differ from the graph's edges")
     pre = colors.precolor_map()
@@ -943,19 +1015,18 @@ def extend_two(problem: ExtensionProblem) -> Coloring:
     if issues:
         raise ExtensionError("; ".join(issues))
     g, phi, cs = problem.graph, problem.phi, problem.colors
+    n = g.vertex_count
+    avail = _avail_lists(n, phi, cs)
     assigned = cs.precolor_map()
-    lists = {
-        v: set(cs.available(v)) for v in range(g.vertex_count) if v not in assigned
-    }
+    lists = _bitmasks(avail)
     outer = linear_from(g.outer_cycle, problem.path[0])
     _extend_two_rec(g, phi, outer, set(g.interior_vertices()), lists, assigned)
 
-    coloring = tuple(assigned[v] for v in range(g.vertex_count))
+    coloring = tuple(map(assigned.__getitem__, range(n)))
     if not is_proper(g, phi, coloring):
         raise RuntimeError("extension produced an improper coloring (solver defect)")
-    for v in range(g.vertex_count):
-        if coloring[v] not in cs.available(v):
-            raise RuntimeError("extension violated a forbidden set (solver defect)")
+    if not all(map(tuple.__contains__, avail, coloring)):
+        raise RuntimeError("extension violated a forbidden set (solver defect)")
     return coloring
 
 
@@ -964,12 +1035,12 @@ def _extend_two_rec(
     phi: PhiAssignment,
     outer: list[int],
     interior: set[int],
-    lists: dict[int, set[int]],
+    lists: list[int] | dict[int, int],
     assigned: dict[int, int],
 ) -> None:
     # The current region is a cycle kept as links nxt/prv and read from its
     # first vertex f: f and nxt[f] are assigned, nothing else on it is, and
-    # boundary lists have >= 3 colors.  ``interior`` is shared by all
+    # boundary lists (bitmasks, see ``_bitmasks``) have >= 3 colors.  ``interior`` is shared by all
     # regions and holds the vertices not yet on any boundary, so inside a
     # region it is that region's interior (lists full).  Only the last
     # vertex x = prv[f] is examined, by reading its rotation from f towards
@@ -986,6 +1057,9 @@ def _extend_two_rec(
     nxt = dict(zip(outer, outer[1:] + outer[:1]))
     prv = {b: a for a, b in nxt.items()}
     f = outer[0]
+    # tau(phi, v, color, u) is (color + offset(v, u)) % m, and the two
+    # lowest colors of a bitmask list are read off its lowest set bits.
+    m, offset = phi.modulus, phi.offset
     stack: list[tuple] = []
     while True:
         x = prv[f]
@@ -995,7 +1069,7 @@ def _extend_two_rec(
             item = stack.pop()
             if len(item) == 3:
                 vk, vkm1, (alpha, beta) = item
-                clash = tau(phi, vkm1, assigned[vkm1], vk)
+                clash = (assigned[vkm1] + offset(vkm1, vk)) % m
                 assigned[vk] = alpha if alpha != clash else beta
             else:
                 f, w, nxt_w, prv_f = item
@@ -1005,7 +1079,8 @@ def _extend_two_rec(
         rot = g.rotation[x]
         i = rot.index(f)
         fan = []
-        for w in rot[i + 1 :] + rot[:i]:
+        for j in range(i + 1 - len(rot), i):  # rot[i + 1:] + rot[:i] by index
+            w = rot[j]
             if w not in interior:
                 break
             fan.append(w)
@@ -1017,17 +1092,19 @@ def _extend_two_rec(
             stack.append((x, w, nxt[w], y))
             nxt[w], prv[x] = x, w
             continue
-        options = sorted(lists.pop(x) - {tau(phi, f, assigned[f], x)})
-        if len(options) < 2:
+        options = lists[x] & ~(1 << (assigned[f] + offset(f, x)) % m)
+        rest = options & (options - 1)
+        if not rest:
             raise RuntimeError(
                 "boundary list collapsed below two colors (solver defect)"
             )
-        alpha, beta = options[0], options[1]
+        alpha = (options & -options).bit_length() - 1
+        beta = (rest & -rest).bit_length() - 1
         stack.append((x, y, (alpha, beta)))
         last = f
         for u in fan:
-            lists[u].discard(tau(phi, x, alpha, u))
-            lists[u].discard(tau(phi, x, beta, u))
+            d = offset(x, u)
+            lists[u] &= ~(1 << (alpha + d) % m | 1 << (beta + d) % m)
             interior.remove(u)
             nxt[u], prv[last] = last, u
             last = u
@@ -1150,10 +1227,11 @@ def _color_interior_blocks(
     of the block on host labels."""
     lists = {}
     for v in interior:
-        banned = {
-            tau(phi, c, assigned[c], v) for c in g.adjacency(v) if c in assigned
-        }
-        lists[v] = set(range(5)) - banned
+        listed = 0b11111
+        for c in g.adjacency(v):
+            if c in assigned:
+                listed &= ~(1 << tau(phi, c, assigned[c], v))
+        lists[v] = listed
 
     index = sorted(interior)
     local = {v: i for i, v in enumerate(index)}
@@ -1164,10 +1242,10 @@ def _color_interior_blocks(
         ring = linear_from(ring, next((v for v in verts if v in assigned), ring[0]))
         a = ring[0]
         if a not in assigned:
-            assigned[a] = min(lists[a])
+            assigned[a] = _lowest(lists[a])
         if len(ring) > 1:
             b = ring[1]
-            assigned[b] = min(lists[b] - {tau(phi, a, assigned[a], b)})
+            assigned[b] = _lowest(lists[b] & ~(1 << tau(phi, a, assigned[a], b)))
         if len(verts) >= 3:
             _extend_two_rec(g, phi, ring, set(verts) - set(ring), lists, assigned)
 

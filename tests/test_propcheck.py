@@ -265,6 +265,30 @@ def test_z5_checks_reject_other_moduli():
     assert replay("calculus/shift", payload, (0, 3)) is None
 
 
+def test_lemma4_names_a_broken_premise():
+    # The lemma chooses the tail color and quantifies over every major
+    # color, so a payload whose major forbids a color, or whose tail or
+    # major is precolored, is refused with the premise it breaks (each of
+    # the three raised KeyError before).
+    cfg = RandomInstanceConfig(n_max=7, samples=6, seed=4)
+    packets = [p for p in CHECKS["lemma4"](cfg) if p[2]]
+    assert packets
+    for kind, _, payload, aux in packets:
+        assert replay(kind, payload, aux) is None
+        doc = parse_gcg(payload)
+        path = principal_path(doc.graph)
+        broken = {
+            f"the major {path.major} forbids colors \\[2\\]":
+                doc.colors.with_forbidden(path.major, (2,)),
+            f"the tail {path.tail} is precolored": doc.colors.with_precolor(path.tail, 0),
+            f"the major {path.major} is precolored": doc.colors.with_precolor(path.major, 0),
+        }
+        for message, colors in broken.items():
+            text = write_gcg(doc.graph, doc.phi, colors)
+            with pytest.raises(PropcheckError, match=f"lemma4 premise broken: {message}"):
+                replay(kind, text, aux)
+
+
 def full_record_rerolls(phi, path, reroll_seed):
     """The reroll recipe that rebuilds every record of the labeling: two
     draws per reroll, in record order, on the principal edges only."""
