@@ -801,7 +801,10 @@ def _backtrack(
                 later[dh].append((dt, -value % m))
     except KeyError:
         raise ExtensionError(f"labeling names a vertex outside 0..{n - 1}") from None
-    masks = list(map(_bitmasks(_avail_lists(n, phi, colors)).__getitem__, order))
+    if colors is None:  # every list is full
+        masks = [(1 << m) - 1] * n
+    else:
+        masks = list(map(_bitmasks(_avail_lists(n, phi, colors)).__getitem__, order))
 
     if n == 0:
         yield ()
