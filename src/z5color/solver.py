@@ -316,8 +316,7 @@ def _read(
     where the scope's vertices sit among the axes, returns the pair of
     readers a join keeps as it is."""
     width = len(axes)
-    reader = _reader if m**width <= _CACHED_CELLS else _reader.__wrapped__
-    return reader(m, width, tuple(map(axes.index, scope)))
+    return _capped(_reader, m**width)(m, width, tuple(map(axes.index, scope)))
 
 
 @lru_cache(maxsize=None)
@@ -1043,9 +1042,10 @@ def _extend_two_rec(
 ) -> None:
     # The current region is a cycle kept as links nxt/prv and read from its
     # first vertex f: f and nxt[f] are assigned, nothing else on it is, and
-    # boundary lists (bitmasks, see ``_bitmasks``) have >= 3 colors.  ``interior`` is shared by all
-    # regions and holds the vertices not yet on any boundary, so inside a
-    # region it is that region's interior (lists full).  Only the last
+    # boundary lists (bitmasks, see ``_bitmasks``) have >= 3 colors.
+    # ``interior`` is shared by all regions and holds the vertices not yet
+    # on any boundary, so inside a region it is that region's interior
+    # (lists full).  Only the last
     # vertex x = prv[f] is examined, by reading its rotation from f towards
     # prv[x]: that arc lies in the region, so its first vertex not in
     # ``interior`` is prv[x] or the chord end w nearest f.  A chord splits
@@ -1060,8 +1060,7 @@ def _extend_two_rec(
     nxt = dict(zip(outer, outer[1:] + outer[:1]))
     prv = {b: a for a, b in nxt.items()}
     f = outer[0]
-    # tau(phi, v, color, u) is (color + offset(v, u)) % m, and the two
-    # lowest colors of a bitmask list are read off its lowest set bits.
+    # tau(phi, v, color, u) is (color + offset(v, u)) % m.
     m, offset = phi.modulus, phi.offset
     stack: list[tuple] = []
     while True:
@@ -1101,8 +1100,7 @@ def _extend_two_rec(
             raise RuntimeError(
                 "boundary list collapsed below two colors (solver defect)"
             )
-        alpha = (options & -options).bit_length() - 1
-        beta = (rest & -rest).bit_length() - 1
+        alpha, beta = _lowest(options), _lowest(rest)
         stack.append((x, y, (alpha, beta)))
         last = f
         for u in fan:

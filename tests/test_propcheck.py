@@ -280,8 +280,10 @@ def test_lemma4_names_a_broken_premise():
         broken = {
             f"the major {path.major} forbids colors \\[2\\]":
                 doc.colors.with_forbidden(path.major, (2,)),
-            f"the tail {path.tail} is precolored": doc.colors.with_precolor(path.tail, 0),
-            f"the major {path.major} is precolored": doc.colors.with_precolor(path.major, 0),
+            f"the tail {path.tail} is precolored":
+                doc.colors.with_precolor(path.tail, 0),
+            f"the major {path.major} is precolored":
+                doc.colors.with_precolor(path.major, 0),
         }
         for message, colors in broken.items():
             text = write_gcg(doc.graph, doc.phi, colors)

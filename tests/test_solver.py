@@ -543,7 +543,9 @@ def test_search_and_extension_answers_are_pinned(monkeypatch):
     # lists in one pass; a rewrite of either must keep every answer.
     digest = hashlib.sha256()
     rng = random.Random(derive_seed(3232, "search-pins"))
-    searched = [_listed_instance(rng, rng.randint(3, 60), rng.choice((5, 5, 3))) for _ in range(120)]
+    searched = [
+        _listed_instance(rng, rng.randint(3, 60), rng.choice((5, 5, 3))) for _ in range(120)
+    ]
     for n in (150, 300):
         g = random_near_triangulation(n, rng.randint(3, n // 4), rng.randrange(10**6))
         searched.append((g, random_phi(g.edges(), rng, "uniform"), None))
@@ -568,7 +570,8 @@ def test_search_and_extension_answers_are_pinned(monkeypatch):
             for n in sizes:
                 g = _ladder_graph(name, n + shift)
                 a, b = g.outer_cycle[0], g.outer_cycle[1]
-                cs = ColorSystem.free(g.vertex_count).with_precolor(a, 0).with_precolor(b, 1)
+                cs = ColorSystem.free(g.vertex_count)
+                cs = cs.with_precolor(a, 0).with_precolor(b, 1)
                 problem = ExtensionProblem(g, PhiAssignment.zero(g.edges()), cs, (a, b))
                 digest.update(repr(extend_two(problem)).encode())
                 extended += 1
