@@ -215,11 +215,16 @@ def _avail_lists(
     ]
 
 
+@lru_cache(maxsize=256)
+def _mask(colors: tuple[int, ...]) -> int:
+    """A list as a bitmask: bit c is set for each color c in it.  Cached by
+    list, since a check draws a few lists over and over."""
+    return sum(1 << c for c in colors)
+
+
 def _bitmasks(avail: list[tuple[int, ...]]) -> list[int]:
-    """Each list of ``avail`` as a bitmask, bit c set for each color c in
-    it, read from a map keyed by list (a check draws few distinct lists)."""
-    mask_of = {colors: sum(1 << c for c in colors) for colors in set(avail)}
-    return list(map(mask_of.__getitem__, avail))
+    """Each list of ``avail`` as a bitmask (``_mask``)."""
+    return list(map(_mask, avail))
 
 
 def _lowest(mask: int) -> int:
@@ -751,6 +756,13 @@ def coloring_order(graph) -> list[int]:
     return list(graph.outer_cycle) + sorted(interior, key=degree.__getitem__, reverse=True)
 
 
+@lru_cache(maxsize=16)
+def _bits(m: int) -> tuple[int, ...]:
+    """The bit of color (c + offset) mod ``m`` at index c + offset, for the
+    sums of two colors mod ``m`` (so below 2m)."""
+    return tuple(1 << (c % m) for c in range(2 * m))
+
+
 class _FrameCapReached(Exception):
     """The backtracking search pushed more frames than its cap allows."""
 
@@ -808,8 +820,8 @@ def _backtrack(
     if n == 0:
         yield ()
         return
-    position = [depth_of[v] for v in range(n)]
-    bits = [1 << (c % m) for c in range(2 * m)]  # c + offset < 2m
+    position = list(map(depth_of.__getitem__, range(n)))
+    bits = _bits(m)
     frames_left = frame_cap
     chosen = [0] * n
     next_color = [0] * n
