@@ -222,11 +222,6 @@ def _mask(colors: tuple[int, ...]) -> int:
     return sum(1 << c for c in colors)
 
 
-def _bitmasks(avail: list[tuple[int, ...]]) -> list[int]:
-    """Each list of ``avail`` as a bitmask (``_mask``)."""
-    return list(map(_mask, avail))
-
-
 def _lowest(mask: int) -> int:
     """The lowest color of a nonempty bitmask list."""
     return (mask & -mask).bit_length() - 1
@@ -405,16 +400,12 @@ def _compile(
     size = n - len(keep)  # keep is distinct and inside 0..n-1 (callers check)
     scopes: list[tuple[int, ...]] = [()] * size + list(zip(lows, highs))
     width = [0] * size + [2] * len(lows)  # len(scopes[f])
-    # Each vertex lists its factors in id order.  Edges are sorted by lower
-    # end, so those a vertex is the higher end of come before the others.
     factor_ids: list[list[int]] = [[] for _ in range(n)]
-    for f, b in enumerate(highs, size):
-        factor_ids[b].append(f)
-    for f, a in enumerate(lows, size):
-        factor_ids[a].append(f)
     live = [True] * len(scopes)
     nbrs: list[set[int]] = [set() for _ in range(n)]  # the interaction graph
-    for a, b in zip(lows, highs):
+    for f, (a, b) in enumerate(scopes[size:], size):
+        factor_ids[a].append(f)
+        factor_ids[b].append(f)
         nbrs[a].add(b)
         nbrs[b].add(a)
 
@@ -479,7 +470,7 @@ def _compile(
         for j, f in enumerate(touching):
             scope, w = scopes[f], width[f]
             host = -1
-            if w + 1 < k:
+            if w + 1 < k:  # else no width lies strictly between w and k
                 for g in touching[j + 1 :]:
                     if w < width[g] < k and all(map(scopes[g].__contains__, scope)):
                         host = g
@@ -495,11 +486,11 @@ def _compile(
                 g = f
                 break
         into = (g, _read(m, (v,), axes if g < 0 else scopes[g])[0][0])
-        w = len(out_scope)
-        spread = _capped(_spread, m**w)(m, w) if shift_free else None
+        d = len(out_scope)
+        spread = _capped(_spread, m**d)(m, d) if shift_free else None
         steps.append((v, axes, tuple(merges), tuple(joins), spread, cut, feeds, into))
         scopes[i] = new_scope
-        width[i] = w
+        width[i] = d
         for u in out_scope:
             factor_ids[u].append(i)
         if k > widest:
@@ -758,8 +749,8 @@ def coloring_order(graph) -> list[int]:
 
 @lru_cache(maxsize=16)
 def _bits(m: int) -> tuple[int, ...]:
-    """The bit of color (c + offset) mod ``m`` at index c + offset, for the
-    sums of two colors mod ``m`` (so below 2m)."""
+    """The row whose entry s is ``1 << (s % m)``, for every sum s of two
+    colors mod ``m`` (so s < 2m)."""
     return tuple(1 << (c % m) for c in range(2 * m))
 
 
@@ -815,7 +806,8 @@ def _backtrack(
     if colors is None:  # every list is full
         masks = [(1 << m) - 1] * n
     else:
-        masks = list(map(_bitmasks(_avail_lists(n, phi, colors)).__getitem__, order))
+        avail = _avail_lists(n, phi, colors)
+        masks = list(map(_mask, map(avail.__getitem__, order)))
 
     if n == 0:
         yield ()
@@ -869,11 +861,10 @@ def _backtrack(
 
 # The backtracking in ``first_coloring`` may push this many frames per
 # vertex before the decode takes over.  On a search that keeps hitting dead
-# ends a pushed frame costs about 1.8 us, undo work included (2.4 us when
-# every frame was a list with its own undo list), and the decode about
-# 20 us per vertex (18-26 us on 1,011-vertex random near-triangulations;
-# 2-core x86-64, Python 3.11), so a capped search costs about six times the
-# decode, and a capped call about 0.14 s at 1,000 vertices.  A search
+# ends a pushed frame costs 1.8-2.6 us, undo work included, and the decode
+# 18-26 us per vertex (1,011-vertex random near-triangulations; 2-core
+# x86-64, Python 3.11), so a capped search costs about six times the
+# decode, and a capped call 0.14-0.19 s at 1,000 vertices.  A search
 # without dead ends costs about 1 us per vertex.  Of 1,920 random
 # near-triangulations with 100 to 1,029 vertices, all but ten were colored
 # within 31 frames per vertex (most within one); two needed 180 and 207,
@@ -1032,7 +1023,7 @@ def extend_two(problem: ExtensionProblem) -> Coloring:
     n = g.vertex_count
     avail = _avail_lists(n, phi, cs)
     assigned = cs.precolor_map()
-    lists = _bitmasks(avail)
+    lists = list(map(_mask, avail))
     outer = linear_from(g.outer_cycle, problem.path[0])
     _extend_two_rec(g, phi, outer, set(g.interior_vertices()), lists, assigned)
 
@@ -1054,7 +1045,7 @@ def _extend_two_rec(
 ) -> None:
     # The current region is a cycle kept as links nxt/prv and read from its
     # first vertex f: f and nxt[f] are assigned, nothing else on it is, and
-    # boundary lists (bitmasks, see ``_bitmasks``) have >= 3 colors.
+    # boundary lists (bitmasks, see ``_mask``) have >= 3 colors.
     # ``interior`` is shared by all regions and holds the vertices not yet
     # on any boundary, so inside a region it is that region's interior
     # (lists full).  Only the last
